@@ -25,7 +25,6 @@ from .simulate import (
     WeatherSeries,
     initial_state,
     simulate,
-    step,
 )
 from .ga import GAConfig, GAHistory, ScoredIndividual, decode, encode, fitness, run_ga
 from .diagnose import (
@@ -68,7 +67,6 @@ __all__ = [
     "WeatherSeries",
     "initial_state",
     "simulate",
-    "step",
     "GAConfig",
     "GAHistory",
     "ScoredIndividual",

@@ -424,7 +424,14 @@ def _check_dt(args, weather: WeatherSeries) -> None:
             f"--dt {args.dt} does not match the weather file step {weather.dt} s")
 
 
-def _check_series_match(weather: WeatherSeries, meas: MeasurementSeries) -> None:
+def _load_measured_case(args):
+    """Parse the building, weather and measurement files and check they fit."""
+    desc = parse_building(args.building)
+    model = build_mesh(desc)
+    sm = assemble(model, desc)
+    weather = parse_weather(args.weather)
+    meas = parse_measurements(args.measurements)
+    _check_dt(args, weather)
     if meas.dt != weather.dt:
         raise ParseError(
             f"dt mismatch: weather step {weather.dt} s, measurements step {meas.dt} s")
@@ -432,6 +439,10 @@ def _check_series_match(weather: WeatherSeries, meas: MeasurementSeries) -> None
         raise ParseError(
             f"length mismatch: {weather.n_records} weather records, "
             f"{meas.n_samples} measurement records")
+    if model.air_node not in meas.node_ids:
+        raise ParseError(
+            f"{args.measurements}: missing the air-node column node_{model.air_node}")
+    return model, sm, weather, meas
 
 
 def _ga_config(args, mask) -> GAConfig:
@@ -462,18 +473,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    desc = parse_building(args.building)
-    model = build_mesh(desc)
-    sm = assemble(model, desc)
-    weather = parse_weather(args.weather)
-    meas = parse_measurements(args.measurements)
-    _check_dt(args, weather)
-    _check_series_match(weather, meas)
-
+    model, sm, weather, meas = _load_measured_case(args)
     air = model.air_node
-    if air not in meas.node_ids:
-        raise ParseError(
-            f"{args.measurements}: missing the air-node column node_{air}")
     measured = sorted(meas.node_ids - {air})
     mask = measurable_mask(model.n_nodes, measured, air)
     config = _ga_config(args, mask)
@@ -524,18 +525,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    desc = parse_building(args.building)
-    model = build_mesh(desc)
-    sm = assemble(model, desc)
-    weather = parse_weather(args.weather)
-    meas = parse_measurements(args.measurements)
-    _check_dt(args, weather)
-    _check_series_match(weather, meas)
+    model, sm, weather, meas = _load_measured_case(args)
     air = model.air_node
-    if air not in meas.node_ids:
-        raise ParseError(
-            f"{args.measurements}: missing the air-node column node_{air}")
-
     traj = simulate(sm, weather)
     sim_air = traj.node_series(air)[args.skip_steps:]
     meas_air = meas.node_series(air)[args.skip_steps:]

@@ -14,12 +14,14 @@ scores, residual statistics and the report writers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .ga import GAConfig, GAHistory, ScoredIndividual, decode, encode, run_ga
+from .ga import (
+    GAConfig, GAHistory, ScoredIndividual, _order_key, decode, encode, fitness, run_ga,
+)
 from .model import NodalModel, StateMatrices
 from .simulate import MeasurementSeries, WeatherSeries, initial_state, simulate
 
@@ -84,8 +86,7 @@ class ChromosomeEvaluator:
     """Memoised chromosome -> J map over one fixed simulation setup.
 
     Pure per chromosome: the same bit pattern always yields the same J, so
-    results are cached by pattern.  Thread-safe enough for concurrent reads;
-    a racing first evaluation only costs a redundant simulation.
+    results are cached by pattern and each pattern is simulated once.
     """
 
     def __init__(self, sm: StateMatrices, weather: WeatherSeries,
@@ -175,6 +176,8 @@ class DiagnosisReport:
     per_node: dict               # node id -> J; key 0 is the unforced run
     residuals_before: tuple      # (mean °C, sd °C) with no forcing
     residuals_after: tuple       # same under the best forcing set
+    air_unforced: np.ndarray = field(compare=False, repr=False)  # °C, full horizon
+    air_best: np.ndarray = field(compare=False, repr=False)      # °C, best forcing set
     history: GAHistory
     air_node: int
     measured_nodes: tuple
@@ -186,30 +189,36 @@ class DiagnosisReport:
 
 def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
                   meas: MeasurementSeries, air_node: int, config: GAConfig,
-                  skip_steps: int = 0, exhaustive: bool = False,
-                  workers: int | None = None
+                  skip_steps: int = 0, exhaustive: bool = False
                   ) -> tuple[DiagnosisReport, ChromosomeEvaluator]:
     """Run the GA (and optionally the oracle) and assemble the report.
 
-    Also returns the evaluator so callers can extract trajectories (for the
-    plot-data files) without re-simulating from scratch.
+    The best set is the lower, in the GA's order, of the GA's best and the
+    already scored empty set.  The air series of the empty
+    and the best set are simulated once each and kept in the report.  Also
+    returns the evaluator, whose cache holds every J computed.
     """
     evaluator = ChromosomeEvaluator(sm, weather, meas, air_node, skip_steps)
+    length = evaluator.chromosome_length
     measured = sorted(meas.node_ids - {air_node})
 
-    best, history = run_ga(config, evaluator, workers)
-    scores = per_node_scores(measured, evaluator, evaluator.chromosome_length)
+    best, history = run_ga(config, evaluator)
+    scores = per_node_scores(measured, evaluator, length)
     unforced_J = scores[0]
+    # the GA can stop on a set whose J is round-off above the empty set's
+    # (a perfect model scores exactly 0 unforced); that J is already cached
+    best = min(best, ScoredIndividual(encode((), length), unforced_J, fitness(unforced_J)),
+               key=_order_key)
 
     meas_air = meas.node_series(air_node)[skip_steps:]
-    empty = encode((), evaluator.chromosome_length)
-    before = residual_stats(evaluator.air_series(empty)[skip_steps:], meas_air)
-    after = residual_stats(evaluator.air_series(best.chromosome)[skip_steps:], meas_air)
+    air_unforced = evaluator.air_series(encode((), length))
+    air_best = evaluator.air_series(best.chromosome)
+    before = residual_stats(air_unforced[skip_steps:], meas_air)
+    after = residual_stats(air_best[skip_steps:], meas_air)
 
     oracle_best = oracle_J = oracle_table = None
     if exhaustive:
-        oracle_best, oracle_table = exhaustive_search(
-            measured, evaluator, evaluator.chromosome_length)
+        oracle_best, oracle_table = exhaustive_search(measured, evaluator, length)
         oracle_J = oracle_table[oracle_best]
 
     report = DiagnosisReport(
@@ -219,6 +228,8 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
         per_node=scores,
         residuals_before=before,
         residuals_after=after,
+        air_unforced=air_unforced,
+        air_best=air_best,
         history=history,
         air_node=air_node,
         measured_nodes=tuple(measured),
@@ -325,8 +336,7 @@ def history_csv(history: GAHistory) -> str:
 def air_comparison_csv(report: DiagnosisReport, evaluator: ChromosomeEvaluator) -> str:
     """Plot data: measured vs simulated air temperature, unforced and best."""
     meas_air = evaluator.meas.node_series(report.air_node)
-    unforced = evaluator.air_series(encode((), evaluator.chromosome_length))
-    best = evaluator.air_series(report.best.chromosome)
+    unforced, best = report.air_unforced, report.air_best
     lines = ["step,measured,simulated_unforced,simulated_best_forcing"]
     for k in range(meas_air.shape[0]):
         lines.append(

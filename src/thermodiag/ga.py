@@ -12,13 +12,12 @@ zero by a mask rather than by shortening the string.
 Reproducibility: every stochastic draw comes from one sequential generator,
 consumed in a fixed order per pair of children (parent selection, parent
 selection, crossover decision, cut point if crossing, one mutation block per
-child).  Objective evaluations draw nothing, so they may run in parallel
-without perturbing the stream.
+child).  Objective evaluations draw nothing, so the stream does not depend on
+the evaluator.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -176,25 +175,19 @@ def mutate(chromosome: Chromosome, mutation_probability: float,
     )
 
 
-def _score(bits_list, evaluator: Evaluator, workers: int | None):
-    def scored(bits) -> ScoredIndividual:
+def _score(bits_list, evaluator: Evaluator) -> list[ScoredIndividual]:
+    scored = []
+    for bits in bits_list:
         try:
             J = float(evaluator(bits))
         except Exception as exc:
             raise GAError(f"evaluator failed on chromosome {bits}: {exc}") from exc
-        return ScoredIndividual(bits, J, fitness(J))
-
-    if workers is None or workers <= 1:
-        return [scored(bits) for bits in bits_list]
-    # evaluations are pure and draw no randomness, so parallel scoring
-    # returns exactly what serial scoring would
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(scored, bits_list))
+        scored.append(ScoredIndividual(bits, J, fitness(J)))
+    return scored
 
 
 def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
-           rng: np.random.Generator, evaluator: Evaluator,
-           workers: int | None = None) -> list[ScoredIndividual]:
+           rng: np.random.Generator, evaluator: Evaluator) -> list[ScoredIndividual]:
     """Produce and score the next generation.
 
     Pairs are drawn by roulette, crossed and mutated until the population is
@@ -209,7 +202,7 @@ def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
         offspring.append(mutate(c1, config.mutation_probability, rng, config.measurable_mask))
         offspring.append(mutate(c2, config.mutation_probability, rng, config.measurable_mask))
     offspring = offspring[:config.population_size]
-    scored = _score(offspring, evaluator, workers)
+    scored = _score(offspring, evaluator)
     if config.elitism:
         best_parent = min(population, key=_order_key)
         worst = max(range(len(scored)), key=lambda i: _order_key(scored[i]))
@@ -218,8 +211,7 @@ def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
     return scored
 
 
-def run_ga(config: GAConfig, evaluator: Evaluator,
-           workers: int | None = None) -> tuple[ScoredIndividual, GAHistory]:
+def run_ga(config: GAConfig, evaluator: Evaluator) -> tuple[ScoredIndividual, GAHistory]:
     """Run the full generation loop and return the best individual ever seen.
 
     The initial population is uniform over the maskable loci.  The loop stops
@@ -234,14 +226,14 @@ def run_ga(config: GAConfig, evaluator: Evaluator,
         tuple(int(b) & m for b, m in zip(rng.integers(0, 2, size=length), mask))
         for _ in range(config.population_size)
     ]
-    population = _score(initial, evaluator, workers)
+    population = _score(initial, evaluator)
     history = GAHistory()
     history.record(population)
 
     best = min(population, key=_order_key)
     stagnant = 0
     for _ in range(config.max_generations):
-        population = evolve(population, config, rng, evaluator, workers)
+        population = evolve(population, config, rng, evaluator)
         history.record(population)
         generation_best = min(population, key=_order_key)
         if generation_best.J < best.J - STAGNATION_EPS:

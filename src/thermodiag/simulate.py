@@ -32,18 +32,10 @@ __all__ = [
     "SingularSystemError",
     "WeatherSeries",
     "MeasurementSeries",
-    "ForcingSet",
     "Trajectory",
-    "build_step_system",
-    "apply_forcing",
-    "step",
     "simulate",
     "initial_state",
 ]
-
-#: Nodes to force, by node id.  The air node must never be forced: it is the
-#: comparison output, and pinning it would make every candidate look perfect.
-ForcingSet = frozenset
 
 #: Relative residual bound for every linear solve.
 RESIDUAL_RTOL = 1e-9
@@ -142,40 +134,6 @@ class Trajectory:
         return self.values[node_id - 1]
 
 
-def build_step_system(sm: StateMatrices, dt: float, T_prev: np.ndarray,
-                      U_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the backward Euler system M T_next = V for one step."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    c_over_dt = sm.capacity / dt
-    M = np.diag(c_over_dt) - sm.exchange
-    V = c_over_dt * np.asarray(T_prev, dtype=float) + sm.input_coupling @ np.asarray(U_next, dtype=float)
-    return M, V
-
-
-def apply_forcing(M: np.ndarray, V: np.ndarray, node: int,
-                  value: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pin one node to a measured value: unit row in M, value in V."""
-    n = M.shape[0]
-    if not 1 <= node <= n:
-        raise ValueError(f"node {node} outside 1..{n}")
-    M = M.copy()
-    V = V.copy()
-    M[node - 1, :] = 0.0
-    M[node - 1, node - 1] = 1.0
-    V[node - 1] = value
-    return M, V
-
-
-def _solve_checked(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    try:
-        T = np.linalg.solve(M, V)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"step system is singular: {exc}") from exc
-    _check_residual(M, V, T)
-    return T
-
-
 def _check_residual(M: np.ndarray, V: np.ndarray, T: np.ndarray) -> None:
     residual = np.linalg.norm(M @ T - V, ord=np.inf)
     bound = RESIDUAL_RTOL * np.linalg.norm(V, ord=np.inf)
@@ -184,23 +142,6 @@ def _check_residual(M: np.ndarray, V: np.ndarray, T: np.ndarray) -> None:
             f"step solve failed the residual check ({residual:.3e} > {bound:.3e}); "
             "the system is singular or severely ill-conditioned"
         )
-
-
-def step(sm: StateMatrices, dt: float, T_prev: np.ndarray, U_next: np.ndarray,
-         forcing: frozenset = frozenset(),
-         meas_at_step: dict[int, float] | None = None) -> np.ndarray:
-    """Advance the state by one implicit step, with optional forcing."""
-    M, V = build_step_system(sm, dt, T_prev, U_next)
-    for node in sorted(forcing):
-        if meas_at_step is None or node not in meas_at_step:
-            raise ValueError(f"no measurement supplied for forced node {node}")
-        M, V = apply_forcing(M, V, node, meas_at_step[node])
-    T = _solve_checked(M, V)
-    if forcing:
-        # guarantee bit-exact equality with the imposed values
-        for node in forcing:
-            T[node - 1] = meas_at_step[node]
-    return T
 
 
 def simulate(sm: StateMatrices, weather: WeatherSeries,

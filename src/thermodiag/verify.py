@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnose import run_diagnosis, measurable_mask
+from .diagnose import _set_label, measurable_mask, run_diagnosis
 from .ga import GAConfig
 from .model import BuildingDescription, assemble, build_mesh
 from .simulate import MeasurementSeries, WeatherSeries, simulate
@@ -186,15 +186,14 @@ def _judge(spec_kind: str, expected: frozenset, best_set: frozenset,
         criterion = f"best set empty or J ratio > {NO_GAIN_RATIO}"
         passed = (not best_set) or (ratio is not None and ratio > NO_GAIN_RATIO)
     else:
-        criterion = f"best set contains {_set_str(expected)} and J ratio < {LOCALIZE_RATIO}"
+        criterion = f"best set contains {_set_label(expected)} and J ratio < {LOCALIZE_RATIO}"
         passed = expected <= best_set and ratio is not None and ratio < LOCALIZE_RATIO
     return passed, criterion
 
 
 def run_case(spec: DefectSpec, reference: BuildingDescription,
              weather: WeatherSeries, measured_nodes, config: GAConfig,
-             skip_steps: int = 0, noise_sd: float = 0.0,
-             workers: int | None = None) -> VerificationOutcome:
+             skip_steps: int = 0, noise_sd: float = 0.0) -> VerificationOutcome:
     """Diagnose the perturbed model against reference pseudo-data."""
     ref_model = build_mesh(reference)
     air = ref_model.air_node
@@ -208,8 +207,7 @@ def run_case(spec: DefectSpec, reference: BuildingDescription,
     config = replace(config, measurable_mask=measurable_mask(
         ref_model.n_nodes, measured_nodes, air))
     report, _ = run_diagnosis(perturbed_sm, weather, pseudo, air, config,
-                              skip_steps=skip_steps, exhaustive=True,
-                              workers=workers)
+                              skip_steps=skip_steps, exhaustive=True)
 
     expected = expected_nodes(spec, perturbed_desc)
     ratio = report.best.J / report.unforced_J if report.unforced_J > 0.0 else None
@@ -230,8 +228,8 @@ def run_case(spec: DefectSpec, reference: BuildingDescription,
 
 
 def run_control(reference: BuildingDescription, weather: WeatherSeries,
-                measured_nodes, config: GAConfig, skip_steps: int = 0,
-                workers: int | None = None) -> VerificationOutcome:
+                measured_nodes, config: GAConfig,
+                skip_steps: int = 0) -> VerificationOutcome:
     """Diagnose the unperturbed model against its own pseudo-data.
 
     The model is perfect, so the unforced objective must be numerically zero
@@ -245,8 +243,7 @@ def run_control(reference: BuildingDescription, weather: WeatherSeries,
     config = replace(config, measurable_mask=measurable_mask(
         ref_model.n_nodes, measured_nodes, air))
     report, _ = run_diagnosis(sm, weather, pseudo, air, config,
-                              skip_steps=skip_steps, exhaustive=True,
-                              workers=workers)
+                              skip_steps=skip_steps, exhaustive=True)
     passed = (not report.best_forcing) and report.unforced_J < CONTROL_J_MAX
     return VerificationOutcome(
         case_id="control",
@@ -263,11 +260,6 @@ def run_control(reference: BuildingDescription, weather: WeatherSeries,
     )
 
 
-def _set_str(nodes) -> str:
-    nodes = sorted(nodes)
-    return "none" if not nodes else " ".join(str(n) for n in nodes)
-
-
 def format_outcomes(outcomes) -> str:
     """Fixed-width pass/fail table over all cases."""
     outcomes = list(outcomes)
@@ -276,8 +268,8 @@ def format_outcomes(outcomes) -> str:
         rows.append((
             o.case_id,
             "yes" if o.passed else "NO",
-            _set_str(o.best_set),
-            _set_str(o.expected),
+            _set_label(o.best_set),
+            _set_label(o.expected),
             f"{o.J_best:.6g}",
             f"{o.J_unforced:.6g}",
             "-" if o.ratio is None else f"{o.ratio:.4f}",
@@ -300,13 +292,13 @@ def outcomes_key_values(outcomes) -> str:
     for o in outcomes:
         prefix = f"case.{o.case_id}"
         lines.append(f"{prefix}.passed = {int(o.passed)}")
-        lines.append(f"{prefix}.best_set = {_set_str(o.best_set)}")
-        lines.append(f"{prefix}.expected = {_set_str(o.expected)}")
+        lines.append(f"{prefix}.best_set = {_set_label(o.best_set)}")
+        lines.append(f"{prefix}.expected = {_set_label(o.expected)}")
         lines.append(f"{prefix}.J_best = {o.J_best!r}")
         lines.append(f"{prefix}.J_unforced = {o.J_unforced!r}")
         lines.append(f"{prefix}.ratio = {'' if o.ratio is None else repr(o.ratio)}")
         lines.append(f"{prefix}.criterion = {o.criterion}")
         lines.append(f"{prefix}.ga_matches_oracle = {int(o.ga_matches_oracle)}")
-        lines.append(f"{prefix}.oracle_best_set = {_set_str(o.oracle_best)}")
+        lines.append(f"{prefix}.oracle_best_set = {_set_label(o.oracle_best)}")
         lines.append(f"{prefix}.oracle_best_J = {o.oracle_best_J!r}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,6 @@ from thermodiag.diagnose import (
     exhaustive_search,
     measurable_mask,
     residual_stats,
-    run_diagnosis,
 )
 from thermodiag.ga import (
     GAConfig,
@@ -235,10 +234,9 @@ def test_ga_operator_statistical_properties():
     assert solved >= 19
 
 
-def test_seeded_runs_byte_identical_and_parallel_serial_equal(cell, tmp_path):
+def test_seeded_runs_byte_identical(tmp_path):
     from thermodiag.cli import main
 
-    desc, model, weather, measured = cell
     args = ["diagnose",
             "--building", "data/example_cell_door_defect.building",
             "--weather", "data/example_weather.csv",
@@ -251,20 +249,7 @@ def test_seeded_runs_byte_identical_and_parallel_serial_equal(cell, tmp_path):
              "air_comparison.csv")
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-    perturbed = inject_defect(desc, door_defect())
-    sm = assemble(build_mesh(perturbed), perturbed)
-    pseudo = generate_pseudo_measurements(desc, weather, measured)
-    config = ga_config(model, measured, 5)
-    serial, _ = run_diagnosis(sm, weather, pseudo, model.air_node, config,
-                              workers=1)
-    parallel, _ = run_diagnosis(sm, weather, pseudo, model.air_node, config,
-                                workers=4)
-    assert serial.best.J == parallel.best.J
-    assert serial.best.chromosome == parallel.best.chromosome
-    assert serial.history.best_J == parallel.history.best_J
-    print(f"byte-identical files: {', '.join(names)}; "
-          f"parallel J {parallel.best.J!r} == serial J {serial.best.J!r}")
+    print(f"byte-identical files: {', '.join(names)}")
 
 
 def test_residual_statistics_hand_values():

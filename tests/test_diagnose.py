@@ -7,6 +7,7 @@ import pytest
 
 from thermodiag.diagnose import (
     ChromosomeEvaluator,
+    air_comparison_csv,
     exhaustive_search,
     format_report,
     history_csv,
@@ -19,6 +20,7 @@ from thermodiag.diagnose import (
 )
 from thermodiag.ga import GAConfig, encode
 from thermodiag.model import assemble, build_mesh
+from thermodiag.simulate import simulate
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
 from thermodiag.verify import generate_pseudo_measurements
 
@@ -200,8 +202,7 @@ class TestPerNodeScores:
         assert forward == backward
 
 
-@pytest.fixture(scope="module")
-def report(cell):
+def diagnose_door_defect(cell):
     desc, model, sm, weather, measured, pseudo = cell
     from thermodiag.verify import inject_defect, DefectSpec
     perturbed = inject_defect(desc, DefectSpec(
@@ -211,9 +212,12 @@ def report(cell):
         population_size=30, crossover_probability=0.8,
         mutation_probability=0.03, max_generations=400, rng_seed=1,
         measurable_mask=measurable_mask(model.n_nodes, measured, model.air_node))
-    rep, evaluator = run_diagnosis(
-        psm, weather, pseudo, model.air_node, config, exhaustive=True)
-    return rep, evaluator
+    return run_diagnosis(psm, weather, pseudo, model.air_node, config, exhaustive=True)
+
+
+@pytest.fixture(scope="module")
+def report(cell):
+    return diagnose_door_defect(cell)
 
 
 class TestRunDiagnosis:
@@ -239,6 +243,22 @@ class TestRunDiagnosis:
         kv = report_key_values(rep)
         assert f"best_J = {rep.best.J!r}" in kv
         assert f"unforced_J = {rep.unforced_J!r}" in kv
+
+    def test_each_chromosome_and_air_series_simulated_once(self, cell, monkeypatch):
+        import thermodiag.diagnose as diagnose
+
+        calls = []
+
+        def counting_simulate(*args, **kwargs):
+            calls.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(diagnose, "simulate", counting_simulate)
+        rep, evaluator = diagnose_door_defect(cell)
+        air_comparison_csv(rep, evaluator)
+        # one run per distinct chromosome, plus the unforced and best air
+        # series, which the residual statistics and the plot data share
+        assert len(calls) == evaluator.cache_size + 2
 
     def test_history_csv_shape(self, report):
         rep, _ = report

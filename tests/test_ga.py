@@ -275,12 +275,6 @@ class TestRunGA:
         assert hist_a.mean_fitness == hist_b.mean_fitness
         assert hist_a.best_individual == hist_b.best_individual
 
-    def test_parallel_equals_serial(self):
-        best_a, hist_a = run_ga(config(rng_seed=21), onemax)
-        best_b, hist_b = run_ga(config(rng_seed=21), onemax, workers=4)
-        assert best_a == best_b
-        assert hist_a.best_J == hist_b.best_J
-
     def test_elitist_history_monotone(self):
         _, history = run_ga(config(rng_seed=2), onemax)
         assert all(a >= b for a, b in zip(history.best_J, history.best_J[1:]))

@@ -16,11 +16,8 @@ from thermodiag.simulate import (
     MeasurementSeries,
     SingularSystemError,
     WeatherSeries,
-    apply_forcing,
-    build_step_system,
     initial_state,
     simulate,
-    step,
 )
 from thermodiag.testcell import example_cell, synthetic_weather
 
@@ -39,6 +36,22 @@ def cell_setup():
     return model, assemble(model, desc)
 
 
+def march(sm, weather, T0, forcing=frozenset(), meas=None):
+    return simulate(sm, weather, forcing, meas, T0).values
+
+
+def reference_step(sm, dt, T_prev, u, forced=None):
+    """One backward Euler step by a dense solve, forced rows pinned."""
+    c_over_dt = sm.capacity / dt
+    M = np.diag(c_over_dt) - sm.exchange
+    V = c_over_dt * T_prev + sm.input_coupling @ u
+    for node, value in (forced or {}).items():
+        M[node - 1, :] = 0.0
+        M[node - 1, node - 1] = 1.0
+        V[node - 1] = value
+    return np.linalg.solve(M, V)
+
+
 class TestBuildStepSystem:
     def test_identity_step_when_uncoupled(self):
         sm = StateMatrices(
@@ -46,85 +59,87 @@ class TestBuildStepSystem:
             exchange=np.zeros((2, 2)),
             input_coupling=np.zeros((2, len(INPUT_CHANNELS))),
         )
-        t_prev = np.array([12.0, -3.0])
-        M, V = build_step_system(sm, 10.0, t_prev, np.zeros(len(INPUT_CHANNELS)))
-        assert np.array_equal(M, np.diag([10.0, 5.0]))
-        assert np.array_equal(V, np.array([120.0, -15.0]))
-        assert np.linalg.solve(M, V) == pytest.approx(t_prev)
+        T = march(sm, constant_weather(0.0, 5, dt=10.0), [12.0, -3.0])
+        for k in range(5):
+            assert T[:, k] == pytest.approx([12.0, -3.0])
 
     def test_zero_capacity_row_has_no_time_term(self):
+        # the radiant row is the algebraic balance exchange @ T + B @ U = 0
+        # at every step, whatever the previous state
         model, sm = cell_setup()
         radiant = model.mean_radiant_node - 1
-        M, _ = build_step_system(sm, 900.0, np.zeros(sm.n_nodes),
-                                 np.zeros(len(INPUT_CHANNELS)))
-        assert np.array_equal(M[radiant], -sm.exchange[radiant])
+        weather = synthetic_weather(days=1)
+        T = march(sm, weather, np.full(sm.n_nodes, 5.0))
+        balance = (sm.exchange[radiant] @ T[:, 1:]
+                   + weather.values[1:] @ sm.input_coupling[radiant])
+        assert np.max(np.abs(balance)) < 1e-9 * np.max(np.abs(sm.exchange[radiant]))
 
     def test_convergence_to_independent_steady_state(self):
         model, sm = cell_setup()
-        u = np.zeros(len(INPUT_CHANNELS))
-        u[0] = 25.0
-        u[1] = 15.0
-        u[4] = 300.0
+        weather = constant_weather(25.0, 40000, t_sky=15.0)
+        weather.values[:, INPUT_CHANNELS.index("I_S")] = 300.0
         # oracle: the steady state solves exchange @ T = -coupling @ u
-        expected = np.linalg.solve(sm.exchange, -(sm.input_coupling @ u))
-        T = np.full(sm.n_nodes, 5.0)
-        for _ in range(40000):
-            T = step(sm, 900.0, T, u)
-        assert T == pytest.approx(expected, abs=1e-9)
+        expected = np.linalg.solve(sm.exchange, -(sm.input_coupling @ weather.values[0]))
+        T = march(sm, weather, np.full(sm.n_nodes, 5.0))
+        assert T[:, -1] == pytest.approx(expected, abs=1e-9)
 
     def test_rejects_nonpositive_dt(self):
-        _, sm = cell_setup()
-        with pytest.raises(ValueError):
-            build_step_system(sm, 0.0, np.zeros(sm.n_nodes),
-                              np.zeros(len(INPUT_CHANNELS)))
+        for dt in (0.0, -900.0):
+            with pytest.raises(ValueError, match="dt"):
+                constant_weather(20.0, 3, dt=dt)
 
 
 class TestApplyForcing:
     def test_unit_row_and_value(self):
-        M = np.arange(9.0).reshape(3, 3) + 1.0
-        V = np.array([1.0, 2.0, 3.0])
-        M2, V2 = apply_forcing(M, V, 2, 21.5)
-        assert np.array_equal(M2[1], [0.0, 1.0, 0.0])
-        assert V2[1] == 21.5
-        assert np.array_equal(M2[0], M[0]) and np.array_equal(M2[2], M[2])
-        assert V2[0] == V[0] and V2[2] == V[2]
-        # inputs untouched
-        assert M[1, 1] == 5.0 and V[1] == 2.0
+        # uncoupled nodes: pinning node 2 changes its row only
+        sm = StateMatrices(
+            capacity=np.array([100.0, 50.0, 80.0]),
+            exchange=np.zeros((3, 3)),
+            input_coupling=np.zeros((3, len(INPUT_CHANNELS))),
+        )
+        weather = constant_weather(0.0, 4, dt=10.0)
+        meas = MeasurementSeries(dt=10.0, series={2: np.array([21.5, 22.0, 22.5, 23.0])})
+        free = march(sm, weather, [1.0, 2.0, 3.0])
+        forced = march(sm, weather, [1.0, 2.0, 3.0], {2}, meas)
+        assert np.array_equal(forced[1], meas.node_series(2))
+        assert np.array_equal(forced[[0, 2]], free[[0, 2]])
 
     def test_forced_solution_is_exact(self):
         model, sm = cell_setup()
-        u = np.full(len(INPUT_CHANNELS), 0.0)
-        u[0] = u[1] = 20.0
-        M, V = build_step_system(sm, 900.0, np.full(sm.n_nodes, 20.0), u)
-        M2, V2 = apply_forcing(M, V, 16, 33.25)
-        T = np.linalg.solve(M2, V2)
-        assert T[15] == pytest.approx(33.25, abs=1e-12)
+        weather = constant_weather(20.0, 2)
+        meas = MeasurementSeries(dt=weather.dt, series={16: np.full(2, 33.25)})
+        T0 = np.full(sm.n_nodes, 20.0)
+        T = march(sm, weather, T0, {16}, meas)
+        expected = reference_step(sm, weather.dt, T0, weather.values[1], {16: 33.25})
+        assert expected[15] == pytest.approx(33.25, abs=1e-12)
+        assert T[:, 1] == pytest.approx(expected, abs=1e-12)
 
     def test_reinjection_leaves_solution_unchanged(self):
-        # forcing with the value the unforced system produces is a no-op
+        # forcing a node with the series the unforced model produces is a no-op
         model, sm = cell_setup()
-        u = np.zeros(len(INPUT_CHANNELS))
-        u[0], u[1], u[6] = 28.0, 18.0, 500.0
-        M, V = build_step_system(sm, 900.0, np.full(sm.n_nodes, 21.0), u)
-        free = np.linalg.solve(M, V)
-        M2, V2 = apply_forcing(M, V, 3, free[2])
-        assert np.linalg.solve(M2, V2) == pytest.approx(free, abs=1e-9)
+        weather = synthetic_weather(days=1)
+        T0 = initial_state(sm, weather.values[0])
+        free = march(sm, weather, T0)
+        meas = MeasurementSeries(dt=weather.dt, series={3: free[2]})
+        assert march(sm, weather, T0, {3}, meas) == pytest.approx(free, abs=1e-9)
 
     def test_node_out_of_range(self):
-        M = np.eye(3)
-        V = np.zeros(3)
-        with pytest.raises(ValueError):
-            apply_forcing(M, V, 0, 1.0)
-        with pytest.raises(ValueError):
-            apply_forcing(M, V, 4, 1.0)
+        _, sm = cell_setup()
+        weather = synthetic_weather(days=1)
+        meas = MeasurementSeries(dt=weather.dt, series={
+            n: np.zeros(weather.n_records) for n in (0, 24)})
+        for node in (0, 24):
+            with pytest.raises(ValueError, match="outside"):
+                simulate(sm, weather, frozenset({node}), meas)
 
 
 class TestStep:
     def test_missing_measurement_for_forced_node(self):
         _, sm = cell_setup()
+        weather = synthetic_weather(days=1)
+        meas = MeasurementSeries(dt=weather.dt, series={4: np.zeros(weather.n_records)})
         with pytest.raises(ValueError, match="forced node"):
-            step(sm, 900.0, np.zeros(sm.n_nodes), np.zeros(len(INPUT_CHANNELS)),
-                 forcing=frozenset({3}), meas_at_step={})
+            simulate(sm, weather, frozenset({3}), meas)
 
     def test_singular_system_detected(self):
         # a zero-capacity node with no couplings makes the step matrix singular
@@ -134,15 +149,15 @@ class TestStep:
             input_coupling=np.zeros((2, len(INPUT_CHANNELS))),
         )
         with pytest.raises(SingularSystemError):
-            step(sm, 10.0, np.zeros(2), np.zeros(len(INPUT_CHANNELS)))
+            march(sm, constant_weather(0.0, 3, dt=10.0), np.zeros(2))
 
     def test_forced_value_is_bit_exact(self):
         _, sm = cell_setup()
         value = 24.700000000000003
-        T = step(sm, 900.0, np.full(sm.n_nodes, 20.0),
-                 np.zeros(len(INPUT_CHANNELS)),
-                 forcing=frozenset({16}), meas_at_step={16: value})
-        assert T[15] == value
+        weather = constant_weather(0.0, 2)
+        meas = MeasurementSeries(dt=weather.dt, series={16: np.full(2, value)})
+        T = march(sm, weather, np.full(sm.n_nodes, 20.0), {16}, meas)
+        assert T[15, 1] == value
 
 
 class TestSimulate:
@@ -246,7 +261,9 @@ class TestInitialState:
         u = np.zeros(len(INPUT_CHANNELS))
         u[0], u[1], u[2] = 30.0, 20.0, 100.0
         T = initial_state(sm, u)
-        assert step(sm, 900.0, T, u) == pytest.approx(T, abs=1e-9)
+        weather = WeatherSeries(dt=900.0, values=np.tile(u, (10, 1)))
+        traj = march(sm, weather, T)
+        assert traj == pytest.approx(np.tile(T[:, None], (1, 10)), abs=1e-9)
 
     def test_symmetric_two_boundary_ladder_by_hand(self):
         # node1 -G- ambient, node1 -K- node2, node2 -G- sky:

@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from thermodiag.diagnose import measurable_mask
-from thermodiag.ga import GAConfig
+from thermodiag.diagnose import ChromosomeEvaluator, measurable_mask
+from thermodiag.ga import GAConfig, decode, run_ga
 from thermodiag.model import ROLE_INSIDE, assemble, build_mesh
 from thermodiag.simulate import simulate
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
@@ -190,6 +190,24 @@ class TestRunCase:
         assert outcome.passed
         assert outcome.best_set == frozenset()
         assert outcome.J_unforced <= CONTROL_J_MAX
+
+    def test_control_passes_when_ga_stops_on_round_off(self, setting):
+        # with this seed the GA on its own stops on a non-empty set whose J
+        # is round-off above 0 ({3, 14, 16, 19}, J = 2.85e-27); the empty
+        # set, which scores exactly 0, must still be reported
+        desc, model, weather, measured = setting
+        config = dataclasses.replace(base_config(model, measured), rng_seed=693349535)
+        pseudo = generate_pseudo_measurements(desc, weather, measured)
+        evaluator = ChromosomeEvaluator(assemble(model, desc), weather, pseudo,
+                                        model.air_node)
+        ga_best, _ = run_ga(config, evaluator)
+        assert decode(ga_best.chromosome)
+        assert 0.0 < ga_best.J < CONTROL_J_MAX
+
+        outcome = run_control(desc, weather, measured, config)
+        assert outcome.passed
+        assert outcome.best_set == frozenset()
+        assert outcome.J_best == 0.0
 
 
 @pytest.fixture(scope="module")
