@@ -23,7 +23,9 @@ from .ga import (
     GAConfig, GAHistory, ScoredIndividual, _order_key, decode, encode, fitness, run_ga,
 )
 from .model import NodalModel, StateMatrices
-from .simulate import MeasurementSeries, WeatherSeries, initial_state, simulate
+from .simulate import (
+    MeasurementSeries, WeatherSeries, initial_state, simulate, simulate_batch,
+)
 
 __all__ = [
     "DiagnosisReport",
@@ -82,11 +84,18 @@ def measurable_mask(n_nodes: int, measured_nodes: Iterable[int],
     return tuple(mask)
 
 
-class ChromosomeEvaluator:
-    """Memoised chromosome -> J map over one fixed simulation setup.
+#: Most forcing sets marched in one kernel call; bounds the stacked step
+#: matrices of a large exhaustive search, far above any GA population.
+MAX_BATCH = 256
 
-    Pure per chromosome: the same bit pattern always yields the same J, so
-    results are cached by pattern and each pattern is simulated once.
+
+class ChromosomeEvaluator:
+    """Memoised map from a list of chromosomes to their J values.
+
+    Pure per chromosome: the same bit pattern always yields the same J,
+    whatever else is in the list, so results are cached by pattern and each
+    pattern is simulated once.  One call marches all its uncached patterns
+    together and keeps only their air series.
     """
 
     def __init__(self, sm: StateMatrices, weather: WeatherSeries,
@@ -108,62 +117,61 @@ class ChromosomeEvaluator:
     def cache_size(self) -> int:
         return len(self._cache)
 
-    def air_series(self, chromosome: tuple) -> np.ndarray:
-        """Simulated air-node series under the chromosome's forcing (full horizon)."""
+    def _forcing(self, chromosome: tuple) -> frozenset:
         forcing = decode(chromosome)
         if self.air_node in forcing:
             raise ValueError("the air node must not be forced")
-        traj = simulate(self.sm, self.weather, forcing, self.meas, self._T0)
+        return forcing
+
+    def air_series(self, chromosome: tuple) -> np.ndarray:
+        """Simulated air-node series under the chromosome's forcing (full horizon)."""
+        traj = simulate(self.sm, self.weather, self._forcing(chromosome), self.meas, self._T0)
         return traj.node_series(self.air_node)
 
-    def __call__(self, chromosome: tuple) -> float:
-        key = tuple(int(b) for b in chromosome)
-        if len(key) != self.chromosome_length:
-            raise ValueError(
-                f"chromosome length {len(key)} != {self.chromosome_length}")
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        sim_air = self.air_series(key)[self.skip_steps:]
+    def __call__(self, chromosomes) -> list[float]:
+        keys = [tuple(int(b) for b in c) for c in chromosomes]
+        for key in keys:
+            if len(key) != self.chromosome_length:
+                raise ValueError(
+                    f"chromosome length {len(key)} != {self.chromosome_length}")
+        todo = list(dict.fromkeys(k for k in keys if k not in self._cache))
         meas_air = self.meas.node_series(self.air_node)[self.skip_steps:]
-        J = objective(sim_air, meas_air)
-        self._cache[key] = J
-        return J
+        for start in range(0, len(todo), MAX_BATCH):
+            batch = todo[start:start + MAX_BATCH]
+            air = simulate_batch(self.sm, self.weather, [self._forcing(k) for k in batch],
+                                 self.meas, self._T0, rows=(self.air_node,))
+            for key, sim_air in zip(batch, air[:, 0, self.skip_steps:]):
+                self._cache[key] = objective(sim_air, meas_air)
+        return [self._cache[k] for k in keys]
 
 
 def exhaustive_search(measurable_nodes: Iterable[int], evaluator,
                       chromosome_length: int) -> tuple[frozenset, dict]:
     """Evaluate every subset of the measurable nodes (the brute-force oracle).
 
-    Returns the best subset and the full subset -> J table.  Ties are broken
-    toward fewer forced nodes, then the lowest bit pattern, matching the GA's
+    The whole subset table is scored in one evaluator call.  Returns the
+    best subset and the full subset -> J table.  Ties are broken toward
+    fewer forced nodes, then the lowest bit pattern, matching the GA's
     ordering, so oracle and GA agree whenever the GA finds an optimum.
     """
     nodes = sorted(set(measurable_nodes))
     if len(nodes) > 20:
         raise ValueError(f"{len(nodes)} measurable nodes: exhaustive search capped at 20")
-    table: dict[frozenset, float] = {}
-    best_key = None
-    best_subset = None
-    for pattern in range(2 ** len(nodes)):
-        subset = frozenset(n for i, n in enumerate(nodes) if pattern >> i & 1)
-        bits = encode(subset, chromosome_length)
-        J = float(evaluator(bits))
-        table[subset] = J
-        key = (J, len(subset), bits)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_subset = subset
-    return best_subset, table
+    subsets = [frozenset(n for i, n in enumerate(nodes) if pattern >> i & 1)
+               for pattern in range(2 ** len(nodes))]
+    bits = [encode(subset, chromosome_length) for subset in subsets]
+    scores = [float(J) for J in evaluator(bits)]
+    table = dict(zip(subsets, scores))
+    best = min(range(len(subsets)), key=lambda i: (scores[i], len(subsets[i]), bits[i]))
+    return subsets[best], table
 
 
 def per_node_scores(measurable_nodes: Iterable[int], evaluator,
                     chromosome_length: int) -> dict[int, float]:
     """J for each single-node forcing, plus the unforced run under key 0."""
-    scores = {0: float(evaluator(encode((), chromosome_length)))}
-    for node in sorted(set(measurable_nodes)):
-        scores[node] = float(evaluator(encode((node,), chromosome_length)))
-    return scores
+    keys = [0, *sorted(set(measurable_nodes))]
+    bits = [encode(() if node == 0 else (node,), chromosome_length) for node in keys]
+    return {node: float(J) for node, J in zip(keys, evaluator(bits))}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Binary-chromosome genetic algorithm with roulette-wheel reproduction.
 
 The algorithm is generic over the evaluator: a chromosome is a fixed-length
-tuple of bits, the evaluator maps it to a non-negative objective J, and the
-fitness maximised by selection is f = 1/(1+J).
+tuple of bits, the evaluator maps a list of chromosomes to their
+non-negative objectives J (one call per generation), and the fitness
+maximised by selection is f = 1/(1+J).
 
 Chromosome bits are aligned with mesh node ids (bit k, 1-based, selects node
 k), and the chromosome excludes the output air node, so its length is one
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 Chromosome = tuple  # of 0/1 ints
-Evaluator = Callable[[Chromosome], float]
+Evaluator = Callable[[list], Sequence[float]]  # chromosomes -> their J values
 
 #: Stop when the best J has not improved by more than this for
 #: STAGNATION_WINDOW consecutive generations.
@@ -176,14 +177,14 @@ def mutate(chromosome: Chromosome, mutation_probability: float,
 
 
 def _score(bits_list, evaluator: Evaluator) -> list[ScoredIndividual]:
-    scored = []
-    for bits in bits_list:
-        try:
-            J = float(evaluator(bits))
-        except Exception as exc:
-            raise GAError(f"evaluator failed on chromosome {bits}: {exc}") from exc
-        scored.append(ScoredIndividual(bits, J, fitness(J)))
-    return scored
+    try:
+        scores = [float(J) for J in evaluator(list(bits_list))]
+    except Exception as exc:
+        raise GAError(
+            f"evaluator failed on a generation of {len(bits_list)} chromosomes: {exc}") from exc
+    if len(scores) != len(bits_list):
+        raise GAError(f"evaluator returned {len(scores)} scores for {len(bits_list)} chromosomes")
+    return [ScoredIndividual(bits, J, fitness(J)) for bits, J in zip(bits_list, scores)]
 
 
 def evolve(population: Sequence[ScoredIndividual], config: GAConfig,

@@ -3,17 +3,28 @@
 The continuous equations ``capacity * dT/dt = exchange * T + input_coupling * U``
 are discretised with a backward Euler step:
 
-    (C/dt - A) T_next = (C/dt) T_prev + B U_next
+    M T_next = D T_prev + B U_next,   M = C/dt - A,   D = C/dt
 
 Zero-capacity rows (the mean radiant node) lose their C/dt term and reduce to
-the algebraic balance they represent; the direct solve handles differential
-and algebraic rows together.
+the algebraic balance they represent; the step handles differential and
+algebraic rows together.
 
-Forcing a node replaces its row of the step matrix by a unit row and its
-right-hand side entry by the measured temperature, so the node is pinned to
-the measurement (a Dirichlet condition) while every other balance still sees
-it through the couplings.  The step matrix is constant over a run, forced or
-not, so it is factorised once and reused for every step.
+Forcing a node replaces its row of M by a unit row and its right-hand side
+entry by the measured temperature, so the node is pinned to the measurement
+(a Dirichlet condition) while every other balance still sees it through the
+couplings.  M is constant over a run, forced or not, so it is inverted once
+and the state term is folded into one propagator per forcing set:
+
+    T_next = G T_prev + h_next,   G = M^-1 D',   h_next = M^-1 W_next
+
+where D' is D with the forced rows zeroed and W is the input term with the
+measurements in the forced rows.  :func:`simulate_batch` marches a stack of
+forcing sets together in blocks of BLOCK_STEPS steps: per block, ``h`` comes
+from one stacked product, forced rows are overwritten with their
+measurements bit for bit, and every step's residual ``M T - V`` is checked
+against RESIDUAL_RTOL at once.  Every array is stacked per set and each
+product runs per set, so a set's result does not depend on the rest of the
+batch.  :func:`simulate` is a batch of one.
 
 All functions are pure; concurrent calls on distinct inputs are safe.  One
 simulation is inherently sequential (each step depends on the previous state).
@@ -24,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .model import INPUT_CHANNELS, StateMatrices
 
@@ -34,11 +44,15 @@ __all__ = [
     "MeasurementSeries",
     "Trajectory",
     "simulate",
+    "simulate_batch",
     "initial_state",
 ]
 
 #: Relative residual bound for every linear solve.
 RESIDUAL_RTOL = 1e-9
+
+#: Time steps marched per block; every temporary of the march is this long.
+BLOCK_STEPS = 64
 
 
 class SingularSystemError(Exception):
@@ -134,30 +148,8 @@ class Trajectory:
         return self.values[node_id - 1]
 
 
-def _check_residual(M: np.ndarray, V: np.ndarray, T: np.ndarray) -> None:
-    residual = np.linalg.norm(M @ T - V, ord=np.inf)
-    bound = RESIDUAL_RTOL * np.linalg.norm(V, ord=np.inf)
-    if not np.all(np.isfinite(T)) or residual > bound:
-        raise SingularSystemError(
-            f"step solve failed the residual check ({residual:.3e} > {bound:.3e}); "
-            "the system is singular or severely ill-conditioned"
-        )
-
-
-def simulate(sm: StateMatrices, weather: WeatherSeries,
-             forcing: frozenset = frozenset(),
-             meas: MeasurementSeries | None = None,
-             T0: np.ndarray | None = None) -> Trajectory:
-    """March the model over the whole weather series.
-
-    The trajectory has one column per weather record; column 0 is the initial
-    state.  Forced nodes are overwritten with their measurement at every
-    column, including the initial one, so their rows reproduce the measurement
-    series exactly.
-    """
-    n = sm.n_nodes
-    n_steps = weather.n_records
-    forcing = frozenset(forcing)
+def _check_forcing(forcing: frozenset, n: int, n_steps: int, dt: float,
+                   meas: MeasurementSeries | None) -> list[int]:
     for node in forcing:
         if not 1 <= node <= n:
             raise ValueError(f"forced node {node} outside 1..{n}")
@@ -170,44 +162,102 @@ def simulate(sm: StateMatrices, weather: WeatherSeries,
         if meas.n_samples != n_steps:
             raise ValueError(
                 f"measurement length {meas.n_samples} != weather length {n_steps}")
-        if meas.dt != weather.dt:
-            raise ValueError(f"measurement dt {meas.dt} != weather dt {weather.dt}")
+        if meas.dt != dt:
+            raise ValueError(f"measurement dt {meas.dt} != weather dt {dt}")
+    return sorted(forcing)
+
+
+def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
+                   meas: MeasurementSeries | None = None,
+                   T0: np.ndarray | None = None, rows=None) -> np.ndarray:
+    """March several forcing sets over the whole weather series together.
+
+    Returns an array of shape ``(len(forcings), len(rows), n_records)``:
+    per forcing set, the temperatures of the node ids in ``rows`` (all
+    nodes by default), column 0 being the initial state.  Forced nodes are
+    overwritten with their measurement at every column, including the
+    initial one, so their rows reproduce the measurement series exactly.
+    A set's result is bit-identical whatever else is in the batch.
+    """
+    n = sm.n_nodes
+    n_steps = weather.n_records
+    dt = weather.dt
+    forced = [_check_forcing(frozenset(f), n, n_steps, dt, meas) for f in forcings]
+    n_sets = len(forced)
+    keep = np.arange(n) if rows is None else np.asarray(rows, dtype=int) - 1
 
     if T0 is None:
         T0 = initial_state(sm, weather.values[0])
-    T = np.asarray(T0, dtype=float).copy()
-    if T.shape != (n,):
+    T0 = np.asarray(T0, dtype=float)
+    if T0.shape != (n,):
         raise ValueError(f"initial state must have shape ({n},)")
 
-    forced = sorted(forcing)
-    for node in forced:
-        T[node - 1] = meas.node_series(node)[0]
+    # (set, node index) pairs of every forced row; the measured series of
+    # the forced nodes only, so an unforced run allocates none over the
+    # horizon, and the row of each forced row's series among them
+    set_idx = np.array([p for p, nodes in enumerate(forced) for _ in nodes], dtype=int)
+    node_idx = np.array([node - 1 for nodes in forced for node in nodes], dtype=int)
+    measured = sorted(set(node_idx.tolist()))
+    series = np.array([meas.node_series(i + 1) for i in measured]).reshape(-1, n_steps)
+    series_row = np.searchsorted(measured, node_idx)
 
-    # The step matrix is constant over the run (same rows forced every step),
-    # so factorise once and solve repeatedly.
-    dt = weather.dt
     c_over_dt = sm.capacity / dt
-    M = np.diag(c_over_dt) - sm.exchange
-    for node in forced:
-        M[node - 1, :] = 0.0
-        M[node - 1, node - 1] = 1.0
+    M = np.repeat((np.diag(c_over_dt) - sm.exchange)[None], n_sets, axis=0)
+    M[set_idx, node_idx, :] = 0.0
+    M[set_idx, node_idx, node_idx] = 1.0
     try:
-        lu = lu_factor(M)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SingularSystemError(f"step matrix could not be factorised: {exc}") from exc
+        M_inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"step matrix could not be inverted: {exc}") from exc
+    # D': the state term of the right-hand side, without forced rows
+    d = np.repeat(c_over_dt[None], n_sets, axis=0)
+    d[set_idx, node_idx] = 0.0
+    G = M_inv * d[:, None, :]
+    M_t = M.transpose(0, 2, 1)
+    M_inv_t = M_inv.transpose(0, 2, 1)
 
-    out = np.empty((n, n_steps))
-    out[:, 0] = T
-    for k in range(1, n_steps):
-        V = c_over_dt * T + sm.input_coupling @ weather.values[k]
-        for node in forced:
-            V[node - 1] = meas.node_series(node)[k]
-        T = lu_solve(lu, V)
-        _check_residual(M, V, T)
-        for node in forced:
-            T[node - 1] = meas.node_series(node)[k]
-        out[:, k] = T
-    return Trajectory(values=out, dt=dt)
+    out = np.empty((n_sets, keep.size, n_steps))
+    # time-major block: X[0] is the last state of the previous block and
+    # X[j] the state at step k0 + j - 1; Xv views each state as a column
+    X = np.empty((BLOCK_STEPS + 1, n_sets, n))
+    Xv = X[..., None]
+    X[0] = T0
+    X[0, set_idx, node_idx] = series[series_row, 0]
+    out[:, :, 0] = X[0][:, keep]
+    for k0 in range(1, n_steps, BLOCK_STEPS):
+        b = min(BLOCK_STEPS, n_steps - k0)
+        # right-hand sides V = d T_prev + W, where W is the input term with
+        # the measurements in the forced rows
+        W = np.repeat((weather.values[k0:k0 + b] @ sm.input_coupling.T)[None],
+                      n_sets, axis=0)
+        W[set_idx, :, node_idx] = series[series_row, k0:k0 + b]
+        hv = (W @ M_inv_t).transpose(1, 0, 2)[..., None]
+        for j in range(b):
+            T = Xv[j + 1]
+            np.matmul(G, Xv[j], out=T)
+            T += hv[j]
+        Tb = X[1:b + 1]
+        Tb[:, set_idx, node_idx] = series[series_row, k0:k0 + b].T
+        V = W + (d * X[:b]).transpose(1, 0, 2)
+        residual = np.max(np.abs(Tb.transpose(1, 0, 2) @ M_t - V), axis=2)
+        bound = RESIDUAL_RTOL * np.max(np.abs(V), axis=2)
+        if not np.all(np.isfinite(Tb)) or np.any(residual > bound):
+            p, j = np.unravel_index(np.argmax(residual - bound), residual.shape)
+            raise SingularSystemError(
+                f"step solve failed the residual check ({residual[p, j]:.3e} > "
+                f"{bound[p, j]:.3e}); the system is singular or severely ill-conditioned")
+        out[:, :, k0:k0 + b] = Tb[:, :, keep].transpose(1, 2, 0)
+        X[0] = X[b]
+    return out
+
+
+def simulate(sm: StateMatrices, weather: WeatherSeries,
+             forcing: frozenset = frozenset(),
+             meas: MeasurementSeries | None = None,
+             T0: np.ndarray | None = None) -> Trajectory:
+    """March the model over the whole weather series: a batch of one set."""
+    values = simulate_batch(sm, weather, [forcing], meas, T0)[0]
+    return Trajectory(values=values, dt=weather.dt)
 
 
 def initial_state(sm: StateMatrices, U_0: np.ndarray) -> np.ndarray:

@@ -205,10 +205,11 @@ def test_ga_operator_statistical_properties():
     sigma = math.sqrt(trials * length * p_m * (1.0 - p_m))
     assert abs(flips - mean) < 3.0 * sigma
 
-    # elitist best never worsens, even on a rugged landscape
-    def rugged(bits):
-        code = sum(b << i for i, b in enumerate(bits))
-        return float((code * 2654435761) % 10007) / 100.0
+    # elitist best never worsens, even on a rugged landscape; evaluators
+    # score a whole generation per call
+    def rugged(chromosomes):
+        codes = [sum(b << i for i, b in enumerate(bits)) for bits in chromosomes]
+        return [float((code * 2654435761) % 10007) / 100.0 for code in codes]
 
     config = GAConfig(
         population_size=20, crossover_probability=0.8,
@@ -218,8 +219,8 @@ def test_ga_operator_statistical_properties():
     assert all(a >= b for a, b in zip(history.best_J, history.best_J[1:]))
 
     # OneMax on the full chromosome length solved on at least 19/20 seeds
-    def one_max(bits):
-        return float(length - sum(bits))
+    def one_max(chromosomes):
+        return [float(length - sum(bits)) for bits in chromosomes]
 
     solved = 0
     for seed in range(20):

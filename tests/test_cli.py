@@ -1,6 +1,10 @@
 """File grammars and command-line entry points, end to end."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,7 +244,6 @@ class TestMainDiagnose:
         assert rc == 2
         assert "node_23" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_building_exits_3(self, tmp_path, capsys, building_text):
         # radiant node loses every link when h_ri vanishes
         bad = building_text.replace("h_ri = 5.0", "h_ri = 0.0")
@@ -282,3 +285,20 @@ class TestMainStats:
         assert re.search(r"(?m)^J = 0\.0$", text)
         assert re.search(r"(?m)^residual_mean = 0\.0$", text)
         assert re.search(r"(?m)^n_samples = 480$", text)
+
+
+class TestBundledData:
+    def test_make_inputs_rebuilds_data_byte_for_byte(self, tmp_path):
+        # data/ is generated by the package; a kernel change that moves the
+        # pseudo-measurements must come with regenerated files
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        subprocess.run([sys.executable, str(root / "demos" / "make_inputs.py")],
+                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        rebuilt = sorted((tmp_path / "data").iterdir())
+        assert [p.name for p in rebuilt] == [
+            "example_cell.building", "example_cell_door_defect.building",
+            "example_measurements.csv", "example_weather.csv"]
+        stale = [p.name for p in rebuilt
+                 if p.read_bytes() != (root / "data" / p.name).read_bytes()]
+        assert not stale, f"data/ is stale; run python3 demos/make_inputs.py: {stale}"

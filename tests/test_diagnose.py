@@ -18,11 +18,16 @@ from thermodiag.diagnose import (
     residual_stats,
     run_diagnosis,
 )
-from thermodiag.ga import GAConfig, encode
+from thermodiag.ga import GAConfig, encode, run_ga
 from thermodiag.model import assemble, build_mesh
-from thermodiag.simulate import simulate
+from thermodiag.simulate import simulate, simulate_batch
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
 from thermodiag.verify import generate_pseudo_measurements
+
+
+def batched(score):
+    """Lift a one-chromosome objective to the evaluator's list contract."""
+    return lambda chromosomes: [score(bits) for bits in chromosomes]
 
 
 @pytest.fixture(scope="module")
@@ -96,25 +101,25 @@ class TestChromosomeEvaluator:
     def test_self_consistency_scores_zero(self, cell):
         _, model, sm, weather, _, pseudo = cell
         ev = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
-        assert ev(encode((), ev.chromosome_length)) == 0.0
+        assert ev([encode((), ev.chromosome_length)]) == [0.0]
 
     def test_forcing_own_series_keeps_zero(self, cell):
         # measurements came from this very model, so pinning any measured
         # node re-injects what the solver would produce anyway
         _, model, sm, weather, measured, pseudo = cell
         ev = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
-        unforced = ev(encode((), ev.chromosome_length))
+        [unforced] = ev([encode((), ev.chromosome_length)])
         for node in measured:
-            forced = ev(encode((node,), ev.chromosome_length))
+            [forced] = ev([encode((node,), ev.chromosome_length)])
             assert forced == pytest.approx(unforced, abs=1e-12)
 
     def test_memoized_single_evaluation_per_pattern(self, cell):
         _, model, sm, weather, _, pseudo = cell
         ev = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
         bits = encode((3, 16), ev.chromosome_length)
-        first = ev(bits)
+        [first] = ev([bits])
         size = ev.cache_size
-        assert ev(bits) == first
+        assert ev([bits, bits]) == [first, first]
         assert ev.cache_size == size
 
     def test_repeat_evaluations_bit_identical(self, cell):
@@ -123,14 +128,14 @@ class TestChromosomeEvaluator:
         values = set()
         for _ in range(3):
             ev = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
-            values.add(ev(bits))
+            values.update(ev([bits]))
         assert len(values) == 1
 
     def test_wrong_length_rejected(self, cell):
         _, model, sm, weather, _, pseudo = cell
         ev = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
         with pytest.raises(ValueError):
-            ev((0, 1))
+            ev([(0, 1)])
 
     def test_air_measurement_required(self, cell):
         _, model, sm, weather, _, pseudo = cell
@@ -146,24 +151,26 @@ class TestChromosomeEvaluator:
         skipped = ChromosomeEvaluator(sm, weather, pseudo, model.air_node,
                                       skip_steps=10)
         bits = encode((3,), 22)
-        assert skipped(bits) <= full(bits) + 1e-18
+        assert skipped([bits])[0] <= full([bits])[0] + 1e-18
 
 
 class TestExhaustiveSearch:
     def test_five_nodes_means_32_evaluations(self):
         calls = []
         best, table = exhaustive_search(
-            (1, 2, 3, 4, 5), lambda bits: calls.append(bits) or 1.0, 22)
-        assert len(calls) == 32
+            (1, 2, 3, 4, 5), lambda batch: calls.append(batch) or [1.0] * len(batch), 22)
+        assert len(calls) == 1
+        assert len(calls[0]) == 32
         assert len(table) == 32
 
     def test_constant_scores_tie_break_to_empty_set(self):
-        best, _ = exhaustive_search((2, 4, 6), lambda bits: 5.0, 10)
+        best, _ = exhaustive_search((2, 4, 6), batched(lambda bits: 5.0), 10)
         assert best == frozenset()
 
     def test_tie_break_prefers_fewer_then_lower_pattern(self):
         # nodes 3 and 5 tie at the singleton level; the singleton whose
         # bit pattern sorts first wins, same ordering the GA uses
+        @batched
         def scorer(bits):
             return 1.0 if sum(bits) == 1 else 9.0
 
@@ -173,6 +180,7 @@ class TestExhaustiveSearch:
     def test_finds_planted_minimum(self):
         target = encode((2, 7), 10)
 
+        @batched
         def scorer(bits):
             return float(sum(b != t for b, t in zip(bits, target)))
 
@@ -182,7 +190,7 @@ class TestExhaustiveSearch:
 
     def test_too_many_nodes_rejected(self):
         with pytest.raises(ValueError, match="exhaustive"):
-            exhaustive_search(tuple(range(1, 22)), lambda bits: 0.0, 22)
+            exhaustive_search(tuple(range(1, 22)), batched(lambda bits: 0.0), 22)
 
 
 class TestPerNodeScores:
@@ -191,9 +199,10 @@ class TestPerNodeScores:
         ev = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
         scores = per_node_scores(measured, ev, ev.chromosome_length)
         assert set(scores) == {0, *measured}
-        assert scores[0] == ev(encode((), ev.chromosome_length))
+        assert [scores[0]] == ev([encode((), ev.chromosome_length)])
 
     def test_order_independent(self):
+        @batched
         def scorer(bits):
             return float(sum(i * b for i, b in enumerate(bits, start=1)))
 
@@ -247,18 +256,34 @@ class TestRunDiagnosis:
     def test_each_chromosome_and_air_series_simulated_once(self, cell, monkeypatch):
         import thermodiag.diagnose as diagnose
 
-        calls = []
+        marched = []   # forcing sets per march: kernel calls and single runs
+        ga_calls = []  # (kernel calls, generations) of each GA run
+
+        def counting_batch(sm, weather, forcings, *args, **kwargs):
+            marched.append(len(forcings))
+            return simulate_batch(sm, weather, forcings, *args, **kwargs)
 
         def counting_simulate(*args, **kwargs):
-            calls.append(1)
+            marched.append(1)
             return simulate(*args, **kwargs)
 
+        def counting_run_ga(config, evaluator):
+            before = len(marched)
+            best, history = run_ga(config, evaluator)
+            ga_calls.append((len(marched) - before, history.generations))
+            return best, history
+
+        monkeypatch.setattr(diagnose, "simulate_batch", counting_batch)
         monkeypatch.setattr(diagnose, "simulate", counting_simulate)
+        monkeypatch.setattr(diagnose, "run_ga", counting_run_ga)
         rep, evaluator = diagnose_door_defect(cell)
         air_comparison_csv(rep, evaluator)
-        # one run per distinct chromosome, plus the unforced and best air
+        # one march per distinct chromosome, plus the unforced and best air
         # series, which the residual statistics and the plot data share
-        assert len(calls) == evaluator.cache_size + 2
+        assert sum(marched) == evaluator.cache_size + 2
+        # the GA marches each generation's uncached chromosomes in one call
+        [(kernel_calls, generations)] = ga_calls
+        assert kernel_calls <= generations
 
     def test_history_csv_shape(self, report):
         rep, _ = report

@@ -41,6 +41,12 @@ def scored(bits) -> ScoredIndividual:
     return ScoredIndividual(tuple(bits), J, fitness(J))
 
 
+def batched(score):
+    """Lift a one-chromosome objective to the evaluator's list contract."""
+    return lambda chromosomes: [score(bits) for bits in chromosomes]
+
+
+@batched
 def onemax(bits) -> float:
     return float(sum(1 for b in bits if not b))
 
@@ -250,7 +256,7 @@ class TestEvolve:
 
 class TestRunGA:
     def test_constant_evaluator_stops_by_stagnation(self):
-        best, history = run_ga(config(), lambda bits: 7.0)
+        best, history = run_ga(config(), batched(lambda bits: 7.0))
         assert best.J == 7.0
         assert best.f == fitness(7.0)
         # initial entry + 50 stagnant generations
@@ -280,11 +286,22 @@ class TestRunGA:
         assert all(a >= b for a, b in zip(history.best_J, history.best_J[1:]))
 
     def test_evaluator_failure_is_diagnosed(self):
+        @batched
         def broken(bits):
             raise RuntimeError("boom")
 
         with pytest.raises(GAError, match="evaluator failed"):
             run_ga(config(), broken)
+
+    def test_one_evaluator_call_per_generation(self):
+        batches = []
+
+        def counting(chromosomes):
+            batches.append(len(chromosomes))
+            return onemax(chromosomes)
+
+        _, history = run_ga(config(max_generations=25), counting)
+        assert batches == [30] * history.generations
 
     def test_no_elitism_still_returns_best_ever_seen(self):
         best, history = run_ga(config(rng_seed=5, elitism=False), onemax)

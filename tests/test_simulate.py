@@ -12,12 +12,17 @@ from thermodiag.model import (
     build_mesh,
     single_node_matrices,
 )
+from thermodiag.diagnose import ChromosomeEvaluator
+from thermodiag.ga import encode
 from thermodiag.simulate import (
+    BLOCK_STEPS,
+    RESIDUAL_RTOL,
     MeasurementSeries,
     SingularSystemError,
     WeatherSeries,
     initial_state,
     simulate,
+    simulate_batch,
 )
 from thermodiag.testcell import example_cell, synthetic_weather
 
@@ -242,6 +247,102 @@ class TestSimulate:
         a = simulate(sm, weather)
         b = simulate(sm, weather)
         assert np.array_equal(a.values, b.values)
+
+
+def measured_cell(days: int = 2, seed: int = 3):
+    """The bundled cell with every node measured (noisy series)."""
+    model, sm = cell_setup()
+    weather = synthetic_weather(days=days)
+    free = simulate(sm, weather)
+    rng = np.random.default_rng(seed)
+    meas = MeasurementSeries(dt=weather.dt, series={
+        n: free.node_series(n) + rng.normal(0.0, 0.5, weather.n_records)
+        for n in range(1, sm.n_nodes + 1)})
+    return model, sm, weather, meas
+
+
+def random_sets(rng, n_sets: int, nodes: int = 22) -> list:
+    return [frozenset(int(k) + 1 for k in np.flatnonzero(rng.random(nodes) < 0.4))
+            for _ in range(n_sets)]
+
+
+class TestBatchKernel:
+    def test_batch_results_bit_identical_to_solo_runs(self):
+        model, sm, weather, meas = measured_cell()
+        assert (weather.n_records - 1) % BLOCK_STEPS != 0
+        rng = np.random.default_rng(5)
+        sets = random_sets(rng, 12) + [frozenset()]
+        solo = [simulate(sm, weather, f, meas).values for f in sets]
+        for _ in range(4):
+            # random composition, order and duplicates
+            picks = rng.choice(len(sets), size=int(rng.integers(2, 20)))
+            batch = simulate_batch(sm, weather, [sets[i] for i in picks], meas)
+            for values, i in zip(batch, picks):
+                assert np.array_equal(values, solo[i])
+        air = simulate_batch(sm, weather, sets, meas, rows=(model.air_node,))
+        assert np.array_equal(air[:, 0], [v[model.air_node - 1] for v in solo])
+
+    def test_J_bit_identical_alone_or_in_any_batch(self):
+        model, sm, weather, meas = measured_cell()
+        rng = np.random.default_rng(8)
+        chromosomes = [encode(f, sm.n_nodes - 1) for f in random_sets(rng, 10)]
+        alone = [ChromosomeEvaluator(sm, weather, meas, model.air_node)([c])[0]
+                 for c in chromosomes]
+        for _ in range(3):
+            picks = rng.choice(len(chromosomes), size=15)
+            ev = ChromosomeEvaluator(sm, weather, meas, model.air_node)
+            assert ev([chromosomes[i] for i in picks]) == [alone[i] for i in picks]
+
+    def test_matches_dense_lu_march(self):
+        # differential check against a step-by-step dense LU solve; the two
+        # differ by round-off only (about 4e-13 degC on this cell)
+        model, sm, weather, meas = measured_cell(days=1)
+        rng = np.random.default_rng(13)
+        sets = random_sets(rng, 6)
+        T0 = initial_state(sm, weather.values[0])
+        batch = simulate_batch(sm, weather, sets, meas, T0)
+        for values, forcing in zip(batch, sets):
+            T = T0.copy()
+            for node in forcing:
+                T[node - 1] = meas.node_series(node)[0]
+            expected = [T]
+            for k in range(1, weather.n_records):
+                pinned = {node: meas.node_series(node)[k] for node in forcing}
+                expected.append(reference_step(sm, weather.dt, expected[-1],
+                                               weather.values[k], pinned))
+            assert np.max(np.abs(values - np.array(expected).T)) < 1e-11
+
+    def test_every_step_within_residual_bound(self):
+        _, sm, weather, meas = measured_cell(days=1)
+        forcing = frozenset({3, 14, 16})
+        T = simulate(sm, weather, forcing, meas).values
+        c_over_dt = sm.capacity / weather.dt
+        M = np.diag(c_over_dt) - sm.exchange
+        for node in forcing:
+            M[node - 1, :] = 0.0
+            M[node - 1, node - 1] = 1.0
+        for k in range(1, weather.n_records):
+            V = c_over_dt * T[:, k - 1] + sm.input_coupling @ weather.values[k]
+            for node in forcing:
+                V[node - 1] = meas.node_series(node)[k]
+            residual = np.max(np.abs(M @ T[:, k] - V))
+            assert residual <= RESIDUAL_RTOL * np.max(np.abs(V))
+
+    def test_residual_gate_rejects_invertible_ill_conditioned_system(self):
+        # a 1e14 W/K link between two small capacities: cond(M) ~ 1e14, which
+        # np.linalg.inv accepts, but the propagated steps miss the residual bound
+        coupling = 1e14
+        sm = StateMatrices(
+            capacity=np.array([10.0, 10.0]),
+            exchange=np.array([[-coupling - 1.0, coupling], [coupling, -coupling - 1.0]]),
+            input_coupling=np.eye(2, len(INPUT_CHANNELS)),
+        )
+        weather = constant_weather(20.0, 5, dt=10.0, t_sky=5.0)
+        M = np.diag(sm.capacity / weather.dt) - sm.exchange
+        assert np.linalg.cond(M) > 1e13
+        np.linalg.inv(M)
+        with pytest.raises(SingularSystemError, match="residual"):
+            simulate(sm, weather, T0=np.array([1.0, 2.0]))
 
 
 class TestInitialState:

@@ -193,10 +193,10 @@ class TestRunCase:
 
     def test_control_passes_when_ga_stops_on_round_off(self, setting):
         # with this seed the GA on its own stops on a non-empty set whose J
-        # is round-off above 0 ({3, 14, 16, 19}, J = 2.85e-27); the empty
-        # set, which scores exactly 0, must still be reported
+        # is round-off above 0 ({3, 16, 20}, J = 3.2e-27); the empty set,
+        # which scores exactly 0, must still be reported
         desc, model, weather, measured = setting
-        config = dataclasses.replace(base_config(model, measured), rng_seed=693349535)
+        config = dataclasses.replace(base_config(model, measured), rng_seed=1)
         pseudo = generate_pseudo_measurements(desc, weather, measured)
         evaluator = ChromosomeEvaluator(assemble(model, desc), weather, pseudo,
                                         model.air_node)
