@@ -45,7 +45,10 @@ Defect cases (INI-style)::
 Weather CSV header: ``timestamp,T_ae,T_sky,I_N,I_S,I_E,I_W,I_H`` with
 ISO-8601 timestamps, temperatures in °C, fluxes in W/m².  Measurement CSV
 header: ``timestamp,node_<k>,...``, one column per measured node id.  Both
-must be uniformly sampled on the same grid.
+must be uniformly sampled on the same grid, from the same first timestamp.
+Series files are streamed: rows go one at a time into a float buffer, and
+``trajectory.csv`` is written in blocks of WRITE_BLOCK rows, so no whole-file
+list of rows or lines is held.
 
 Exit status: 0 success, 2 bad input or configuration, 3 numerical failure,
 4 verification cases failed.
@@ -58,6 +61,7 @@ import configparser
 import csv
 import os
 import sys
+from array import array
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -92,6 +96,7 @@ from .testcell import default_measured_nodes, example_cell, synthetic_weather
 from .verify import (
     DefectSpec,
     format_outcomes,
+    generate_pseudo_measurements,
     outcomes_key_values,
     run_case,
     run_control,
@@ -112,6 +117,9 @@ __all__ = [
 
 #: Timestamp origin used when series are written without a real calendar.
 CSV_EPOCH = datetime(2000, 3, 1)
+
+#: Rows formatted per write when a series file is written out.
+WRITE_BLOCK = 4096
 
 
 class ParseError(Exception):
@@ -214,6 +222,9 @@ def parse_building(path: str) -> BuildingDescription:
             air_specific_heat=_field(cp, "zone", "air_specific_heat", path, float),
             ventilation_flow=_field(cp, "zone", "ventilation_flow", path, float),
         )
+    except ValueError as exc:
+        raise ParseError(f"{path}: [zone]: {exc}") from exc
+    try:
         return BuildingDescription(
             components=tuple(components),
             zone=zone,
@@ -226,10 +237,8 @@ def parse_building(path: str) -> BuildingDescription:
 
 def write_building(desc: BuildingDescription) -> str:
     """Serialize a description; parse_building reads it back identically."""
-    lines = ["[zone]"]
-    lines.append(f"air_capacity = {desc.zone.air_capacity!r}")
-    lines.append(f"air_specific_heat = {desc.zone.air_specific_heat!r}")
-    lines.append(f"ventilation_flow = {desc.zone.ventilation_flow!r}")
+    lines = ["[zone]"] + [f"{key} = {getattr(desc.zone, key)!r}" for key in
+                          ("air_capacity", "air_specific_heat", "ventilation_flow")]
     lines.append(f"glazing_transmitted_fraction = {desc.glazing_transmitted_fraction!r}")
     for comp in desc.components:
         lines.append("")
@@ -240,11 +249,8 @@ def write_building(desc: BuildingDescription) -> str:
             f"{l.thickness!r} {l.conductivity!r} {l.density!r} {l.specific_heat!r}"
             for l in comp.layers)
         lines.append(f"layers = {segments}")
-        lines.append(f"h_ci = {comp.h_ci!r}")
-        lines.append(f"h_ce = {comp.h_ce!r}")
-        lines.append(f"h_ri = {comp.h_ri!r}")
-        lines.append(f"h_re = {comp.h_re!r}")
-        lines.append(f"absorptivity = {comp.absorptivity!r}")
+        lines += [f"{key} = {getattr(comp, key)!r}"
+                  for key in ("h_ci", "h_ce", "h_ri", "h_re", "absorptivity")]
         lines.append(f"internal_nodes = {comp.internal_node_count}")
         lines.append(f"boundary = {comp.outside_boundary}")
         lines.append(f"glazing = {'yes' if comp.is_glazing else 'no'}")
@@ -294,127 +300,128 @@ def default_cases() -> list[DefectSpec]:
 # ---------------------------------------------------------------------------
 # time-series files
 
-def _read_csv_rows(path: str, expected_first: str) -> tuple[list[str], list[list[str]]]:
+def _read_series(path: str, check_header):
+    """Stream a series CSV into its first timestamp, its step in seconds, the
+    column names ``check_header`` returns for the header cells after
+    ``timestamp``, and the (n_records, n_columns) values, checking the time
+    grid on the way."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            rows = [row for row in reader if row]
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            if [h.strip() for h in header[:1]] != ["timestamp"]:
+                raise ParseError(f"{path}: first column must be 'timestamp'")
+            names = check_header([h.strip() for h in header[1:]])
+            buf, n, last, step = array("d"), 0, None, None
+            for row in filter(None, reader):
+                n += 1
+                if len(row) != len(header):
+                    raise ParseError(f"{path}: record {n}: expected {len(header)} fields")
+                try:
+                    stamp = datetime.fromisoformat(row[0].strip())
+                    gap = None if n == 1 else stamp - last
+                except (ValueError, TypeError) as exc:  # TypeError: naive and aware mixed
+                    raise ParseError(
+                        f"{path}: record {n}: bad timestamp {row[0]!r}: {exc}") from exc
+                if n == 1:
+                    start = stamp
+                elif n == 2 and gap <= timedelta(0):
+                    raise ParseError(f"{path}: timestamps must increase monotonically")
+                elif n > 2 and gap != step:
+                    raise ParseError(f"{path}: record {n}: non-uniform sampling "
+                                     f"({gap.total_seconds()} s after "
+                                     f"{step.total_seconds()} s steps)")
+                last, step = stamp, step or gap  # the first gap sets the step
+                try:
+                    buf.extend(map(float, row[1:]))
+                except ValueError:
+                    for name, raw in zip(names, row[1:]):
+                        try:
+                            float(raw)
+                        except ValueError as exc:
+                            raise ParseError(f"{path}: record {n}: bad value "
+                                             f"for {name}: {raw!r}") from exc
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    header = [h.strip() for h in header]
-    if not header or header[0] != expected_first:
-        raise ParseError(f"{path}: first column must be '{expected_first}'")
-    return header, rows
-
-
-def _parse_time_grid(path: str, rows: list[list[str]]) -> float:
-    """Validate monotone uniform timestamps, return the step in seconds."""
-    if len(rows) < 2:
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if n < 2:
         raise ParseError(f"{path}: needs at least 2 records")
-    times = []
-    for i, row in enumerate(rows):
-        try:
-            times.append(datetime.fromisoformat(row[0].strip()))
-        except ValueError as exc:
-            raise ParseError(f"{path}: record {i + 1}: bad timestamp {row[0]!r}: {exc}") from exc
-    dt = (times[1] - times[0]).total_seconds()
-    if dt <= 0.0:
-        raise ParseError(f"{path}: timestamps must increase monotonically")
-    for i in range(1, len(times)):
-        step = (times[i] - times[i - 1]).total_seconds()
-        if step != dt:
-            raise ParseError(
-                f"{path}: record {i + 1}: non-uniform sampling "
-                f"({step} s after {dt} s steps)")
-    return dt
-
-
-def _parse_float_cell(path: str, i: int, name: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ParseError(f"{path}: record {i + 1}: bad value for {name}: {raw!r}") from exc
+    return start, step.total_seconds(), names, np.frombuffer(buf).reshape(n, -1)
 
 
 def parse_weather(path: str) -> WeatherSeries:
     """Read a weather CSV into a validated series."""
-    expected = ["timestamp"] + list(INPUT_CHANNELS)
-    header, rows = _read_csv_rows(path, "timestamp")
-    if header != expected:
-        raise ParseError(f"{path}: header must be '{','.join(expected)}'")
-    dt = _parse_time_grid(path, rows)
-    values = np.empty((len(rows), len(INPUT_CHANNELS)))
-    for i, row in enumerate(rows):
-        if len(row) != len(expected):
-            raise ParseError(f"{path}: record {i + 1}: expected {len(expected)} fields")
-        for j, name in enumerate(INPUT_CHANNELS):
-            values[i, j] = _parse_float_cell(path, i, name, row[j + 1])
+    def check_header(columns):
+        if columns != list(INPUT_CHANNELS):
+            raise ParseError(f"{path}: header must be 'timestamp,{','.join(INPUT_CHANNELS)}'")
+        return columns
+
+    start, dt, _, values = _read_series(path, check_header)
     try:
-        return WeatherSeries(dt=dt, values=values)
+        return WeatherSeries(dt=dt, values=values, start=start)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
 def parse_measurements(path: str) -> MeasurementSeries:
     """Read a measurement CSV (columns node_<k>) into a validated series."""
-    header, rows = _read_csv_rows(path, "timestamp")
-    nodes = []
-    for column in header[1:]:
-        if not column.startswith("node_") or not column[5:].isdigit():
-            raise ParseError(
-                f"{path}: column {column!r} must be named node_<id>")
-        nodes.append(int(column[5:]))
-    if not nodes:
-        raise ParseError(f"{path}: no node_<id> columns found")
-    if len(set(nodes)) != len(nodes):
-        raise ParseError(f"{path}: duplicate node columns")
-    dt = _parse_time_grid(path, rows)
-    values = np.empty((len(rows), len(nodes)))
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: record {i + 1}: expected {len(header)} fields")
-        for j, node in enumerate(nodes):
-            values[i, j] = _parse_float_cell(path, i, f"node_{node}", row[j + 1])
+    def check_header(columns):
+        for column in columns:
+            if not column.startswith("node_") or not column[5:].isdigit():
+                raise ParseError(f"{path}: column {column!r} must be named node_<id>")
+        if not columns:
+            raise ParseError(f"{path}: no node_<id> columns found")
+        names = [f"node_{int(column[5:])}" for column in columns]
+        if len(set(names)) != len(names):
+            raise ParseError(f"{path}: duplicate node columns")
+        return names
+
+    start, dt, names, values = _read_series(path, check_header)
     try:
-        return MeasurementSeries(
-            dt=dt, series={node: values[:, j] for j, node in enumerate(nodes)})
+        return MeasurementSeries(dt=dt, start=start, series={
+            int(name[5:]): values[:, j] for j, name in enumerate(names)})
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _csv_blocks(header: str, index, values: np.ndarray):
+    """Yield a CSV in blocks of WRITE_BLOCK rows: row k is ``index(k)``, then
+    ``values[k]`` in Python's float repr, which reads back to the same float."""
+    yield header + "\n"
+    template = "%s" + ",%r" * values.shape[1] + "\n"
+    for k0 in range(0, values.shape[0], WRITE_BLOCK):
+        rows = values[k0:k0 + WRITE_BLOCK].tolist()
+        yield "".join([template % (index(k), *row) for k, row in enumerate(rows, k0)])
+
+
 def weather_csv(weather: WeatherSeries, start: datetime = CSV_EPOCH) -> str:
     """Serialize a weather series; parse_weather reads it back identically."""
-    lines = ["timestamp," + ",".join(INPUT_CHANNELS)]
-    for k in range(weather.n_records):
-        stamp = (start + timedelta(seconds=k * weather.dt)).isoformat()
-        row = ",".join(repr(float(v)) for v in weather.values[k])
-        lines.append(f"{stamp},{row}")
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_blocks(
+        "timestamp," + ",".join(INPUT_CHANNELS),
+        lambda k: (start + timedelta(seconds=k * weather.dt)).isoformat(), weather.values))
 
 
 def measurements_csv(meas: MeasurementSeries, start: datetime = CSV_EPOCH) -> str:
     """Serialize a measurement series, node columns in ascending id order."""
     nodes = sorted(meas.node_ids)
-    lines = ["timestamp," + ",".join(f"node_{n}" for n in nodes)]
-    for k in range(meas.n_samples):
-        stamp = (start + timedelta(seconds=k * meas.dt)).isoformat()
-        row = ",".join(repr(float(meas.node_series(n)[k])) for n in nodes)
-        lines.append(f"{stamp},{row}")
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_blocks(
+        "timestamp," + ",".join(f"node_{n}" for n in nodes),
+        lambda k: (start + timedelta(seconds=k * meas.dt)).isoformat(),
+        np.column_stack([meas.node_series(n) for n in nodes])))
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _write(out_dir: str, name: str, text: str) -> str:
+def _write(out_dir: str, name: str, text) -> str:
+    """Write ``text``, a string or an iterable of strings, to out_dir/name."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
     return path
 
 
@@ -435,6 +442,10 @@ def _load_measured_case(args):
     if meas.dt != weather.dt:
         raise ParseError(
             f"dt mismatch: weather step {weather.dt} s, measurements step {meas.dt} s")
+    if meas.start != weather.start:
+        raise ParseError(
+            f"start mismatch: weather starts at {weather.start.isoformat()}, "
+            f"measurements start at {meas.start.isoformat()}")
     if meas.n_samples != weather.n_records:
         raise ParseError(
             f"length mismatch: {weather.n_records} weather records, "
@@ -464,10 +475,8 @@ def cmd_simulate(args) -> int:
     weather = parse_weather(args.weather)
     _check_dt(args, weather)
     traj = simulate(sm, weather)
-    lines = ["step," + ",".join(f"node_{n.node_id}" for n in model.nodes)]
-    for k in range(traj.n_steps):
-        lines.append(f"{k}," + ",".join(repr(float(v)) for v in traj.values[:, k]))
-    path = _write(args.out, "trajectory.csv", "\n".join(lines) + "\n")
+    path = _write(args.out, "trajectory.csv", _csv_blocks(
+        "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), lambda k: k, traj.values.T))
     print(f"wrote {path} ({traj.n_steps} steps, {model.n_nodes} nodes)")
     return 0
 
@@ -509,13 +518,14 @@ def cmd_verify(args) -> int:
         measured = tuple(model.inside_surface_node(c.name) for c in desc.components)
     config = _ga_config(args, measurable_mask(model.n_nodes, measured, model.air_node))
 
+    clean = generate_pseudo_measurements(desc, weather, measured)
     outcomes = [
         run_case(spec, desc, weather, measured, config,
-                 skip_steps=args.skip_steps, noise_sd=args.noise_sd)
+                 skip_steps=args.skip_steps, noise_sd=args.noise_sd, clean=clean)
         for spec in cases
     ]
     outcomes.append(run_control(desc, weather, measured, config,
-                                skip_steps=args.skip_steps))
+                                skip_steps=args.skip_steps, clean=clean))
 
     table = format_outcomes(outcomes)
     _write(args.out, "verify_report.txt", table)
@@ -562,6 +572,16 @@ def _add_skip_steps(p: argparse.ArgumentParser) -> None:
                    help="exclude the first N samples from the objective")
 
 
+def _add_inputs(p: argparse.ArgumentParser, measurements: bool) -> None:
+    p.add_argument("--building", required=True, help="building description file")
+    p.add_argument("--weather", required=True, help="weather CSV")
+    if measurements:
+        p.add_argument("--measurements", required=True, help="measurement CSV")
+    p.add_argument("--dt", type=float, default=None, metavar="S",
+                   help=f"expected {'series' if measurements else 'weather'} step "
+                        "in seconds (checked)")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermodiag",
@@ -571,19 +591,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("simulate", help="run the model over a weather file")
-    p.add_argument("--building", required=True, help="building description file")
-    p.add_argument("--weather", required=True, help="weather CSV")
-    p.add_argument("--dt", type=float, default=None, metavar="S",
-                   help="expected weather step in seconds (checked)")
+    _add_inputs(p, measurements=False)
     p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("diagnose", help="locate defective sub-models")
-    p.add_argument("--building", required=True, help="building description file")
-    p.add_argument("--weather", required=True, help="weather CSV")
-    p.add_argument("--measurements", required=True, help="measurement CSV")
-    p.add_argument("--dt", type=float, default=None, metavar="S",
-                   help="expected series step in seconds (checked)")
+    _add_inputs(p, measurements=True)
     _add_ga_flags(p)
     _add_skip_steps(p)
     p.add_argument("--exhaustive", action="store_true",
@@ -608,11 +621,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="residuals of the plain model")
-    p.add_argument("--building", required=True, help="building description file")
-    p.add_argument("--weather", required=True, help="weather CSV")
-    p.add_argument("--measurements", required=True, help="measurement CSV")
-    p.add_argument("--dt", type=float, default=None, metavar="S",
-                   help="expected series step in seconds (checked)")
+    _add_inputs(p, measurements=True)
     _add_skip_steps(p)
     p.set_defaults(func=cmd_stats)
 
@@ -623,16 +632,10 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SingularSystemError, GAError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

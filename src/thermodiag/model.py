@@ -81,8 +81,8 @@ class Layer:
 
     def __post_init__(self):
         for name in ("thickness", "conductivity", "density", "specific_heat"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"layer {name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"layer {name} must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,15 @@ class EnvelopeComponent:
             raise ValueError("component name must be non-empty")
         if self.orientation not in ORIENTATIONS:
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        if self.area <= 0.0:
-            raise ValueError(f"component {self.name}: area must be positive")
+        if not 0.0 < self.area < np.inf:
+            raise ValueError(f"component {self.name}: area must be positive and finite")
         if not self.layers:
             raise ValueError(f"component {self.name}: at least one layer required")
         if not 0.0 <= self.absorptivity <= 1.0:
             raise ValueError(f"component {self.name}: absorptivity outside [0, 1]")
         for h in ("h_ci", "h_ce", "h_ri", "h_re"):
-            if getattr(self, h) < 0.0:
-                raise ValueError(f"component {self.name}: {h} must be >= 0")
+            if not 0.0 <= getattr(self, h) < np.inf:
+                raise ValueError(f"component {self.name}: {h} must be >= 0 and finite")
         if self.internal_node_count < 0:
             raise ValueError(f"component {self.name}: internal_node_count must be >= 0")
         if self.outside_boundary not in ("ambient", "null-flux"):
@@ -142,12 +142,12 @@ class AirZone:
     ventilation_flow: float   # outdoor air mass flow rate, kg/s
 
     def __post_init__(self):
-        if self.air_capacity <= 0.0:
-            raise ValueError("air_capacity must be positive")
-        if self.air_specific_heat <= 0.0:
-            raise ValueError("air_specific_heat must be positive")
-        if self.ventilation_flow < 0.0:
-            raise ValueError("ventilation_flow must be >= 0")
+        if not 0.0 < self.air_capacity < np.inf:
+            raise ValueError("air_capacity must be positive and finite")
+        if not 0.0 < self.air_specific_heat < np.inf:
+            raise ValueError("air_specific_heat must be positive and finite")
+        if not 0.0 <= self.ventilation_flow < np.inf:
+            raise ValueError("ventilation_flow must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

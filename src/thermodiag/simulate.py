@@ -33,6 +33,7 @@ simulation is inherently sequential (each step depends on the previous state).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 
@@ -69,6 +70,7 @@ class WeatherSeries:
 
     dt: float           # s
     values: np.ndarray  # (n_records, 7)
+    start: datetime | None = None  # first timestamp, when read from a file
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -98,6 +100,7 @@ class MeasurementSeries:
 
     dt: float                       # s
     series: dict[int, np.ndarray]   # node id -> °C values
+    start: datetime | None = None   # first timestamp, when read from a file
 
     def __post_init__(self):
         if self.dt <= 0.0:

@@ -160,16 +160,19 @@ def generate_pseudo_measurements(desc: BuildingDescription, weather: WeatherSeri
         if not 1 <= node <= model.n_nodes:
             raise ValueError(f"measured node {node} outside 1..{model.n_nodes}")
     traj = simulate(sm, weather)
-    nodes = sorted(set(measured_nodes) | {model.air_node})
-    series = {}
-    for node in nodes:
-        values = traj.node_series(node).copy()
-        if noise_sd > 0.0:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            values = values + rng.normal(0.0, noise_sd, size=values.shape)
-        series[node] = values
-    return MeasurementSeries(dt=weather.dt, series=series)
+    clean = MeasurementSeries(dt=weather.dt, series={
+        node: traj.node_series(node).copy()
+        for node in sorted(set(measured_nodes) | {model.air_node})})
+    if noise_sd > 0.0:
+        return _add_noise(clean, noise_sd, rng if rng is not None else np.random.default_rng(0))
+    return clean
+
+
+def _add_noise(meas: MeasurementSeries, noise_sd: float,
+               rng: np.random.Generator) -> MeasurementSeries:
+    return MeasurementSeries(dt=meas.dt, series={
+        node: values + rng.normal(0.0, noise_sd, size=values.shape)
+        for node, values in sorted(meas.series.items())})
 
 
 def expected_nodes(spec: DefectSpec, desc: BuildingDescription) -> frozenset:
@@ -191,73 +194,63 @@ def _judge(spec_kind: str, expected: frozenset, best_set: frozenset,
     return passed, criterion
 
 
+def _diagnose(desc: BuildingDescription, weather: WeatherSeries,
+              pseudo: MeasurementSeries, measured_nodes, config: GAConfig,
+              skip_steps: int):
+    model = build_mesh(desc)
+    config = replace(config, measurable_mask=measurable_mask(
+        model.n_nodes, measured_nodes, model.air_node))
+    report, _ = run_diagnosis(assemble(model, desc), weather, pseudo, model.air_node,
+                              config, skip_steps=skip_steps, exhaustive=True)
+    return report
+
+
+def _outcome(case_id: str, report, expected: frozenset, ratio: float | None,
+             passed: bool, criterion: str) -> VerificationOutcome:
+    return VerificationOutcome(
+        case_id=case_id, best_set=report.best_forcing, expected=expected,
+        J_best=report.best.J, J_unforced=report.unforced_J, ratio=ratio,
+        passed=passed, criterion=criterion,
+        ga_matches_oracle=report.oracle_best_J == report.best.J,
+        oracle_best=report.oracle_best, oracle_best_J=report.oracle_best_J)
+
+
 def run_case(spec: DefectSpec, reference: BuildingDescription,
              weather: WeatherSeries, measured_nodes, config: GAConfig,
-             skip_steps: int = 0, noise_sd: float = 0.0) -> VerificationOutcome:
-    """Diagnose the perturbed model against reference pseudo-data."""
-    ref_model = build_mesh(reference)
-    air = ref_model.air_node
-    noise_rng = np.random.default_rng(config.rng_seed) if noise_sd > 0.0 else None
-    pseudo = generate_pseudo_measurements(
-        reference, weather, measured_nodes, noise_sd, noise_rng)
+             skip_steps: int = 0, noise_sd: float = 0.0,
+             clean: MeasurementSeries | None = None) -> VerificationOutcome:
+    """Diagnose the perturbed model against reference pseudo-data.
 
+    ``clean`` is the reference's noise-free pseudo-measurements, when the
+    caller has them already.  The noise is drawn from ``config.rng_seed``,
+    so every case of one protocol sees the same noisy series.
+    """
+    pseudo = clean or generate_pseudo_measurements(reference, weather, measured_nodes)
+    if noise_sd > 0.0:
+        pseudo = _add_noise(pseudo, noise_sd, np.random.default_rng(config.rng_seed))
     perturbed_desc = inject_defect(reference, spec)
-    perturbed_sm = assemble(build_mesh(perturbed_desc), perturbed_desc)
-
-    config = replace(config, measurable_mask=measurable_mask(
-        ref_model.n_nodes, measured_nodes, air))
-    report, _ = run_diagnosis(perturbed_sm, weather, pseudo, air, config,
-                              skip_steps=skip_steps, exhaustive=True)
-
+    report = _diagnose(perturbed_desc, weather, pseudo, measured_nodes, config, skip_steps)
     expected = expected_nodes(spec, perturbed_desc)
     ratio = report.best.J / report.unforced_J if report.unforced_J > 0.0 else None
     passed, criterion = _judge(spec.kind, expected, report.best_forcing, ratio)
-    return VerificationOutcome(
-        case_id=spec.case_id,
-        best_set=report.best_forcing,
-        expected=expected,
-        J_best=report.best.J,
-        J_unforced=report.unforced_J,
-        ratio=ratio,
-        passed=passed,
-        criterion=criterion,
-        ga_matches_oracle=report.oracle_best_J == report.best.J,
-        oracle_best=report.oracle_best,
-        oracle_best_J=report.oracle_best_J,
-    )
+    return _outcome(spec.case_id, report, expected, ratio, passed, criterion)
 
 
 def run_control(reference: BuildingDescription, weather: WeatherSeries,
-                measured_nodes, config: GAConfig,
-                skip_steps: int = 0) -> VerificationOutcome:
+                measured_nodes, config: GAConfig, skip_steps: int = 0,
+                clean: MeasurementSeries | None = None) -> VerificationOutcome:
     """Diagnose the unperturbed model against its own pseudo-data.
 
     The model is perfect, so the unforced objective must be numerically zero
     and the search must settle on the empty set (forcing cannot improve a
-    perfect score, and ties break toward fewer nodes).
+    perfect score, and ties break toward fewer nodes).  ``clean`` is as in
+    :func:`run_case`.
     """
-    ref_model = build_mesh(reference)
-    air = ref_model.air_node
-    pseudo = generate_pseudo_measurements(reference, weather, measured_nodes)
-    sm = assemble(ref_model, reference)
-    config = replace(config, measurable_mask=measurable_mask(
-        ref_model.n_nodes, measured_nodes, air))
-    report, _ = run_diagnosis(sm, weather, pseudo, air, config,
-                              skip_steps=skip_steps, exhaustive=True)
+    pseudo = clean or generate_pseudo_measurements(reference, weather, measured_nodes)
+    report = _diagnose(reference, weather, pseudo, measured_nodes, config, skip_steps)
     passed = (not report.best_forcing) and report.unforced_J < CONTROL_J_MAX
-    return VerificationOutcome(
-        case_id="control",
-        best_set=report.best_forcing,
-        expected=frozenset(),
-        J_best=report.best.J,
-        J_unforced=report.unforced_J,
-        ratio=None,
-        passed=passed,
-        criterion=f"best set empty and unforced J < {CONTROL_J_MAX}",
-        ga_matches_oracle=report.oracle_best_J == report.best.J,
-        oracle_best=report.oracle_best,
-        oracle_best_J=report.oracle_best_J,
-    )
+    return _outcome("control", report, frozenset(), None, passed,
+                    f"best set empty and unforced J < {CONTROL_J_MAX}")
 
 
 def format_outcomes(outcomes) -> str:

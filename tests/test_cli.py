@@ -4,12 +4,18 @@ import os
 import re
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import thermodiag.cli
+import thermodiag.verify
 from thermodiag.cli import (
+    CSV_EPOCH,
     ParseError,
     default_cases,
     main,
@@ -21,7 +27,8 @@ from thermodiag.cli import (
     weather_csv,
     write_building,
 )
-from thermodiag.model import build_mesh
+from thermodiag.model import assemble, build_mesh
+from thermodiag.simulate import MeasurementSeries, WeatherSeries, simulate
 from thermodiag.testcell import example_cell, synthetic_weather
 
 DATA = "data"
@@ -37,6 +44,24 @@ def write_tmp(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def edit_record(text, record, column, cell):
+    """Replace one cell (column 0 is the timestamp) of a 1-based record."""
+    lines = text.split("\n")
+    cells = lines[record].split(",")
+    if cell is None:
+        del cells[column]
+    else:
+        cells[column] = cell
+    lines[record] = ",".join(cells)
+    return "\n".join(lines)
+
+
+#: Finite floats that stress the float repr: a signed zero, the smallest
+#: subnormal, and the exponent switch points of repr.
+EDGE_FLOATS = (-0.0, 5e-324, 1e-05, 1e+16)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestBuildingGrammar:
@@ -118,6 +143,36 @@ class TestWeatherGrammar:
         with pytest.raises(ParseError):
             parse_weather(path)
 
+    @settings(max_examples=60, deadline=None)
+    @given(dt=st.sampled_from([0.5, 60.0, 900.0]),
+           rows=st.lists(st.tuples(finite, finite, *[st.floats(
+               min_value=0.0, allow_infinity=False)] * 5), min_size=2, max_size=6))
+    @example(dt=900.0, rows=[EDGE_FLOATS + (0.0, 1e-05, 1e+16),
+                             (1e+16, 1e-05, 5e-324, -0.0, 1e+16, 5e-324, 0.0)])
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, dt, rows):
+        weather = WeatherSeries(dt=dt, values=np.array(rows, dtype=float))
+        path = tmp_path_factory.mktemp("w") / "w.csv"
+        path.write_text(weather_csv(weather), encoding="utf-8")
+        again = parse_weather(str(path))
+        assert again.dt == dt
+        assert again.start == CSV_EPOCH
+        assert again.values.tobytes() == weather.values.tobytes()
+
+    def test_blank_lines_between_records_skipped(self, tmp_path):
+        weather = synthetic_weather(days=1)
+        lines = weather_csv(weather).split("\n")
+        lines.insert(4, "")
+        path = write_tmp(tmp_path, "blank.csv", "\n".join(lines) + "\n\n")
+        again = parse_weather(path)
+        assert again.n_records == weather.n_records
+        assert np.array_equal(again.values, weather.values)
+
+    def test_oversized_field_names_file(self, tmp_path):
+        text = edit_record(weather_csv(synthetic_weather(days=1)), 3, 2, "1" * 200_000)
+        path = write_tmp(tmp_path, "huge.csv", text)
+        with pytest.raises(ParseError, match="huge.csv: line 4"):
+            parse_weather(path)
+
     def test_non_numeric_cell_rejected(self, tmp_path):
         text = weather_csv(synthetic_weather(days=1))
         lines = text.strip().split("\n")
@@ -143,6 +198,23 @@ class TestMeasurementGrammar:
         for node in meas.node_ids:
             assert np.array_equal(again.node_series(node),
                                   meas.node_series(node))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), nodes=st.sets(st.integers(1, 999), min_size=1, max_size=4),
+           n_samples=st.integers(2, 6))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, data, nodes, n_samples):
+        cells = st.one_of(finite, st.sampled_from(EDGE_FLOATS))
+        meas = MeasurementSeries(dt=60.0, series={
+            node: np.array(data.draw(st.lists(cells, min_size=n_samples,
+                                              max_size=n_samples)))
+            for node in nodes})
+        path = tmp_path_factory.mktemp("m") / "m.csv"
+        path.write_text(measurements_csv(meas), encoding="utf-8")
+        again = parse_measurements(str(path))
+        assert again.node_ids == meas.node_ids
+        assert again.dt == 60.0
+        for node in nodes:
+            assert again.node_series(node).tobytes() == meas.node_series(node).tobytes()
 
     def test_bad_column_name_rejected(self, tmp_path):
         text = measurements_csv(
@@ -186,6 +258,69 @@ class TestMainSimulate:
         assert header.startswith("step,node_1,")
         assert header.endswith("node_23")
         assert len(text.strip().split("\n")) == 1 + 480
+
+    @pytest.mark.parametrize("block,days", [(None, 43), (100, 5)])
+    def test_trajectory_is_per_value_repr(self, tmp_path, monkeypatch, block, days):
+        # written in row blocks, over a horizon that is not a multiple of the
+        # block, the file is still one Python float repr per value
+        if block is not None:
+            monkeypatch.setattr(thermodiag.cli, "WRITE_BLOCK", block)
+        weather = synthetic_weather(days=days)
+        assert weather.n_records % thermodiag.cli.WRITE_BLOCK != 0
+        assert weather.n_records > thermodiag.cli.WRITE_BLOCK
+        wpath = write_tmp(tmp_path, "w.csv", weather_csv(weather))
+        rc = main(["simulate", "--building", f"{DATA}/example_cell.building",
+                   "--weather", wpath, "--out", str(tmp_path / "sim")])
+        assert rc == 0
+        desc = example_cell()
+        model = build_mesh(desc)
+        traj = simulate(assemble(model, desc), weather)
+        lines = ["step," + ",".join(f"node_{n.node_id}" for n in model.nodes)]
+        for k in range(traj.n_steps):
+            lines.append(f"{k}," + ",".join(repr(float(v)) for v in traj.values[:, k]))
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / "sim" / "trajectory.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("record,column,cell,message", [
+        (96, 4, "warm", "record 96: bad value for I_S: 'warm'"),
+        (50, 7, None, "record 50: expected 8 fields"),
+        (7, 0, "2000-13-01T00:00:00", "record 7: bad timestamp '2000-13-01T00:00:00'"),
+        (9, 0, "2000-03-01T02:00:00+00:00", "record 9: bad timestamp"),
+    ])
+    def test_bad_weather_record_named(self, tmp_path, capsys, record, column, cell,
+                                      message):
+        text = edit_record(weather_csv(synthetic_weather(days=1)), record, column, cell)
+        wpath = write_tmp(tmp_path, "bad.csv", text)
+        rc = main(["simulate", "--building", f"{DATA}/example_cell.building",
+                   "--weather", wpath, "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert wpath in err
+        assert message in err
+
+    @pytest.mark.parametrize("line,section,field", [
+        ("area = nan", "[component wall_east]", "area"),
+        ("h_ci = inf", "[component wall_east]", "h_ci"),
+        ("h_re = nan", "[component wall_east]", "h_re"),
+        ("absorptivity = nan", "[component wall_east]", "absorptivity"),
+        ("layers = 0.15 inf 2200.0 900.0", "[component wall_east]", "conductivity"),
+        ("air_capacity = inf", "[zone]", "air_capacity"),
+        ("ventilation_flow = nan", "[zone]", "ventilation_flow"),
+    ])
+    def test_non_finite_building_field_exits_2(self, tmp_path, capsys, building_text,
+                                               line, section, field):
+        # nan <= 0.0 is False, so a plain sign check lets nan through
+        key = line.split(" = ")[0]
+        text = re.sub(rf"(?m)^{key} = .*$", line, building_text, count=1)
+        bpath = write_tmp(tmp_path, "nonfinite.building", text)
+        rc = main(["simulate", "--building", bpath,
+                   "--weather", f"{DATA}/example_weather.csv",
+                   "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert bpath in err
+        assert section in err
+        assert field in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["simulate",
@@ -244,6 +379,35 @@ class TestMainDiagnose:
         assert rc == 2
         assert "node_23" in capsys.readouterr().err
 
+    def test_shifted_measurements_exit_2(self, tmp_path, capsys):
+        meas = parse_measurements(f"{DATA}/example_measurements.csv")
+        shifted = write_tmp(tmp_path, "shifted.csv", measurements_csv(
+            meas, start=CSV_EPOCH + timedelta(days=1)))
+        inputs = ["--building", f"{DATA}/example_cell.building",
+                  "--weather", f"{DATA}/example_weather.csv", "--measurements", shifted]
+        for argv in (["diagnose", *inputs, "--out", str(tmp_path / "d")],
+                     ["stats", *inputs]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "2000-03-01T00:00:00" in err
+            assert "2000-03-02T00:00:00" in err
+
+    @pytest.mark.parametrize("record,column,cell,message", [
+        (480, 3, "n/a", "record 480: bad value for node_16: 'n/a'"),
+        (1, 2, None, "record 1: expected 7 fields"),
+        (2, 0, "yesterday", "record 2: bad timestamp 'yesterday'"),
+    ])
+    def test_bad_measurement_record_named(self, tmp_path, capsys, record, column,
+                                          cell, message):
+        text = open(f"{DATA}/example_measurements.csv", encoding="utf-8").read()
+        mpath = write_tmp(tmp_path, "bad.csv", edit_record(text, record, column, cell))
+        rc = main(["stats", "--building", f"{DATA}/example_cell.building",
+                   "--weather", f"{DATA}/example_weather.csv", "--measurements", mpath])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert mpath in err
+        assert message in err
+
     def test_singular_building_exits_3(self, tmp_path, capsys, building_text):
         # radiant node loses every link when h_ri vanishes
         bad = building_text.replace("h_ri = 5.0", "h_ri = 0.0")
@@ -267,6 +431,18 @@ class TestMainVerify:
         text = (out / "verify_report.txt").read_text()
         assert "4/4 cases passed" in text
         assert (out / "verify_report.kv").exists()
+
+    def test_reference_marched_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(thermodiag.verify, "simulate", counted)
+        main(["verify", "--generations", "5", "--noise-sd", "0.05",
+              "--out", str(tmp_path / "v")])
+        assert len(calls) == 1
 
     def test_corrupt_cases_file_exits_2(self, tmp_path, capsys):
         bad = write_tmp(tmp_path, "bad_cases.txt", "kind = nonsense\n")

@@ -209,6 +209,22 @@ class TestRunCase:
         assert outcome.best_set == frozenset()
         assert outcome.J_best == 0.0
 
+    def test_shared_clean_series_reproduces_each_case(self, setting):
+        # the protocol marches the reference once and hands every case the
+        # same clean series; each case reseeds its noise from the GA seed
+        desc, model, weather, measured = setting
+        spec = DefectSpec("door", "layer_conductivity", base=0.23,
+                          perturbed=0.78, component="door")
+        config = base_config(model, measured)
+        clean = generate_pseudo_measurements(desc, weather, measured)
+        for noise_sd in (0.0, 0.05):
+            alone = run_case(spec, desc, weather, measured, config, noise_sd=noise_sd)
+            shared = run_case(spec, desc, weather, measured, config,
+                              noise_sd=noise_sd, clean=clean)
+            assert shared == alone
+        assert run_control(desc, weather, measured, config, clean=clean) == \
+            run_control(desc, weather, measured, config)
+
 
 @pytest.fixture(scope="module")
 def outcomes(setting):
