@@ -19,7 +19,6 @@ from thermodiag import (
     format_report,
     generate_pseudo_measurements,
     inject_defect,
-    measurable_mask,
     run_diagnosis,
     synthetic_weather,
 )
@@ -35,14 +34,13 @@ weather = synthetic_weather(days=5)
 measured = default_measured_nodes(model)
 meas = generate_pseudo_measurements(damaged, weather, measured)
 
-# 2. GA setup: one bit per candidate node, air node excluded
+# 2. GA setup; the search has one bit per measured node, air node excluded
 config = GAConfig(
     population_size=30,
     crossover_probability=0.8,
     mutation_probability=0.03,
     max_generations=400,
     rng_seed=0,
-    measurable_mask=measurable_mask(model.n_nodes, measured, model.air_node),
 )
 
 # 3. run, with the 32-subset exhaustive search as a cross-check

@@ -19,7 +19,7 @@ from thermodiag import (
     default_measured_nodes,
     example_cell,
     format_outcomes,
-    measurable_mask,
+    generate_pseudo_measurements,
     run_case,
     run_control,
     synthetic_weather,
@@ -29,7 +29,8 @@ from thermodiag.cli import default_cases
 reference = example_cell()
 model = build_mesh(reference)
 weather = synthetic_weather(days=5)
-measured = default_measured_nodes(model)
+# the reference is marched once; every case searches the nodes it measures
+pseudo = generate_pseudo_measurements(reference, weather, default_measured_nodes(model))
 
 config = GAConfig(
     population_size=30,
@@ -37,12 +38,11 @@ config = GAConfig(
     mutation_probability=0.03,
     max_generations=400,
     rng_seed=0,
-    measurable_mask=measurable_mask(model.n_nodes, measured, model.air_node),
 )
 
-outcomes = [run_case(spec, reference, weather, measured, config)
+outcomes = [run_case(spec, reference, weather, pseudo, config)
             for spec in default_cases()]
-outcomes.append(run_control(reference, weather, measured, config))
+outcomes.append(run_control(reference, weather, pseudo, config))
 
 print(format_outcomes(outcomes))
 

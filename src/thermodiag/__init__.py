@@ -32,7 +32,6 @@ from .diagnose import (
     DiagnosisReport,
     exhaustive_search,
     format_report,
-    measurable_mask,
     objective,
     per_node_scores,
     residual_stats,
@@ -78,7 +77,6 @@ __all__ = [
     "DiagnosisReport",
     "exhaustive_search",
     "format_report",
-    "measurable_mask",
     "objective",
     "per_node_scores",
     "residual_stats",

@@ -70,7 +70,6 @@ from .diagnose import (
     air_comparison_csv,
     format_report,
     history_csv,
-    measurable_mask,
     objective,
     report_key_values,
     residual_stats,
@@ -165,6 +164,13 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _to_fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{value!r} outside [0, 1]")
+    return value
+
+
 def _parse_layers(raw: str) -> tuple:
     layers = []
     for i, segment in enumerate(raw.replace("\n", " ").split(";")):
@@ -224,13 +230,10 @@ def parse_building(path: str) -> BuildingDescription:
         )
     except ValueError as exc:
         raise ParseError(f"{path}: [zone]: {exc}") from exc
+    glazing = _field(cp, "zone", "glazing_transmitted_fraction", path, _to_fraction, 0.0)
     try:
         return BuildingDescription(
-            components=tuple(components),
-            zone=zone,
-            glazing_transmitted_fraction=_field(
-                cp, "zone", "glazing_transmitted_fraction", path, float, 0.0),
-        )
+            components=tuple(components), zone=zone, glazing_transmitted_fraction=glazing)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -450,20 +453,23 @@ def _load_measured_case(args):
         raise ParseError(
             f"length mismatch: {weather.n_records} weather records, "
             f"{meas.n_samples} measurement records")
+    for node in sorted(meas.node_ids):
+        if not 1 <= node <= model.n_nodes:
+            raise ParseError(f"{args.measurements}: column node_{node} is not a node "
+                             f"of the building (1..{model.n_nodes})")
     if model.air_node not in meas.node_ids:
         raise ParseError(
             f"{args.measurements}: missing the air-node column node_{model.air_node}")
     return model, sm, weather, meas
 
 
-def _ga_config(args, mask) -> GAConfig:
+def _ga_config(args) -> GAConfig:
     return GAConfig(
         population_size=args.pop_size,
         crossover_probability=args.pc,
         mutation_probability=args.pm,
         max_generations=args.generations,
         rng_seed=args.seed,
-        measurable_mask=mask,
         elitism=not args.no_elitism,
     )
 
@@ -483,13 +489,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     model, sm, weather, meas = _load_measured_case(args)
-    air = model.air_node
-    measured = sorted(meas.node_ids - {air})
-    mask = measurable_mask(model.n_nodes, measured, air)
-    config = _ga_config(args, mask)
-
     report, evaluator = run_diagnosis(
-        sm, weather, meas, air, config,
+        sm, weather, meas, model.air_node, _ga_config(args),
         skip_steps=args.skip_steps, exhaustive=args.exhaustive)
 
     text = format_report(report, model)
@@ -504,6 +505,11 @@ def cmd_diagnose(args) -> int:
 def cmd_verify(args) -> int:
     desc = parse_building(args.building) if args.building else example_cell()
     cases = parse_cases(args.cases) if args.cases else default_cases()
+    names = [c.name for c in desc.components]
+    for spec in cases:
+        if spec.component is not None and spec.component not in names:
+            raise ParseError(f"{args.cases or 'bundled cases'}: [case {spec.case_id}]: "
+                             f"the building has no component {spec.component!r}")
     if args.weather:
         weather = parse_weather(args.weather)
         _check_dt(args, weather)
@@ -516,16 +522,15 @@ def cmd_verify(args) -> int:
     except KeyError:
         # custom building: fall back to every inside surface
         measured = tuple(model.inside_surface_node(c.name) for c in desc.components)
-    config = _ga_config(args, measurable_mask(model.n_nodes, measured, model.air_node))
+    config = _ga_config(args)
 
-    clean = generate_pseudo_measurements(desc, weather, measured)
+    pseudo = generate_pseudo_measurements(desc, weather, measured)
     outcomes = [
-        run_case(spec, desc, weather, measured, config,
-                 skip_steps=args.skip_steps, noise_sd=args.noise_sd, clean=clean)
+        run_case(spec, desc, weather, pseudo, config,
+                 skip_steps=args.skip_steps, noise_sd=args.noise_sd)
         for spec in cases
     ]
-    outcomes.append(run_control(desc, weather, measured, config,
-                                skip_steps=args.skip_steps, clean=clean))
+    outcomes.append(run_control(desc, weather, pseudo, config, skip_steps=args.skip_steps))
 
     table = format_outcomes(outcomes)
     _write(args.out, "verify_report.txt", table)

@@ -30,7 +30,6 @@ from .simulate import (
 __all__ = [
     "DiagnosisReport",
     "ChromosomeEvaluator",
-    "measurable_mask",
     "objective",
     "exhaustive_search",
     "per_node_scores",
@@ -65,23 +64,6 @@ def residual_stats(sim_air: np.ndarray, meas_air: np.ndarray) -> tuple[float, fl
         raise ValueError("residual statistics need at least two samples")
     residuals = meas_air - sim_air
     return float(np.mean(residuals)), float(np.std(residuals, ddof=1))
-
-
-def measurable_mask(n_nodes: int, measured_nodes: Iterable[int],
-                    air_node: int) -> tuple:
-    """Chromosome mask over nodes 1..n_nodes-1: 1 where a measurement exists.
-
-    The air node is the comparison output and is excluded from the chromosome
-    (it is the last node, so the mask simply has length n_nodes - 1).
-    """
-    mask = [0] * (n_nodes - 1)
-    for node in measured_nodes:
-        if node == air_node:
-            continue
-        if not 1 <= node < n_nodes:
-            raise ValueError(f"measured node {node} outside 1..{n_nodes - 1}")
-        mask[node - 1] = 1
-    return tuple(mask)
 
 
 #: Most forcing sets marched in one kernel call; bounds the stacked step
@@ -192,7 +174,6 @@ class DiagnosisReport:
     skip_steps: int
     oracle_best: frozenset | None = None
     oracle_best_J: float | None = None
-    oracle_table: dict | None = None
 
 
 def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
@@ -201,16 +182,18 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
                   ) -> tuple[DiagnosisReport, ChromosomeEvaluator]:
     """Run the GA (and optionally the oracle) and assemble the report.
 
-    The best set is the lower, in the GA's order, of the GA's best and the
-    already scored empty set.  The air series of the empty
-    and the best set are simulated once each and kept in the report.  Also
-    returns the evaluator, whose cache holds every J computed.
+    The nodes ``meas`` holds a series for, the air node excluded, are the
+    GA's loci, the oracle's nodes and the per-node table's rows.  The best
+    set is the lower, in the GA's order, of the GA's best and the already
+    scored empty set.  The air series of the empty and the best set are
+    simulated once each and kept in the report.  Also returns the
+    evaluator, whose cache holds every J computed.
     """
     evaluator = ChromosomeEvaluator(sm, weather, meas, air_node, skip_steps)
     length = evaluator.chromosome_length
     measured = sorted(meas.node_ids - {air_node})
 
-    best, history = run_ga(config, evaluator)
+    best, history = run_ga(config, evaluator, encode(measured, length))
     scores = per_node_scores(measured, evaluator, length)
     unforced_J = scores[0]
     # the GA can stop on a set whose J is round-off above the empty set's
@@ -224,7 +207,7 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
     before = residual_stats(air_unforced[skip_steps:], meas_air)
     after = residual_stats(air_best[skip_steps:], meas_air)
 
-    oracle_best = oracle_J = oracle_table = None
+    oracle_best = oracle_J = None
     if exhaustive:
         oracle_best, oracle_table = exhaustive_search(measured, evaluator, length)
         oracle_J = oracle_table[oracle_best]
@@ -244,7 +227,6 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
         skip_steps=skip_steps,
         oracle_best=oracle_best,
         oracle_best_J=oracle_J,
-        oracle_table=oracle_table,
     )
     return report, evaluator
 

@@ -8,7 +8,8 @@ maximised by selection is f = 1/(1+J).
 Chromosome bits are aligned with mesh node ids (bit k, 1-based, selects node
 k), and the chromosome excludes the output air node, so its length is one
 less than the node count.  Loci of nodes without a measurement are kept at
-zero by a mask rather than by shortening the string.
+zero by a mask, given to :func:`run_ga`, rather than by shortening the
+string.
 
 Reproducibility: every stochastic draw comes from one sequential generator,
 consumed in a fixed order per pair of children (parent selection, parent
@@ -62,7 +63,6 @@ class GAConfig:
     mutation_probability: float        # applied per bit
     max_generations: int
     rng_seed: int
-    measurable_mask: tuple             # 1 at loci that may be set, 0 elsewhere
     elitism: bool = True
 
     def __post_init__(self):
@@ -74,14 +74,6 @@ class GAConfig:
             raise ValueError("mutation_probability outside [0, 1]")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-        mask = tuple(int(b) for b in self.measurable_mask)
-        if not mask or any(b not in (0, 1) for b in mask):
-            raise ValueError("measurable_mask must be a non-empty 0/1 sequence")
-        object.__setattr__(self, "measurable_mask", mask)
-
-    @property
-    def chromosome_length(self) -> int:
-        return len(self.measurable_mask)
 
 
 @dataclass(frozen=True)
@@ -163,7 +155,7 @@ def crossover(p1: Chromosome, p2: Chromosome, crossover_probability: float,
 
 
 def mutate(chromosome: Chromosome, mutation_probability: float,
-           rng: np.random.Generator, measurable_mask: Sequence) -> Chromosome:
+           rng: np.random.Generator, mask: Sequence) -> Chromosome:
     """Flip each maskable bit independently; masked loci stay 0.
 
     One uniform is drawn per locus (masked ones included) so the stream
@@ -172,7 +164,7 @@ def mutate(chromosome: Chromosome, mutation_probability: float,
     draws = rng.random(len(chromosome))
     return tuple(
         (b ^ 1 if u < mutation_probability else b) if m else 0
-        for b, u, m in zip(chromosome, draws, measurable_mask)
+        for b, u, m in zip(chromosome, draws, mask)
     )
 
 
@@ -188,8 +180,9 @@ def _score(bits_list, evaluator: Evaluator) -> list[ScoredIndividual]:
 
 
 def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
-           rng: np.random.Generator, evaluator: Evaluator) -> list[ScoredIndividual]:
-    """Produce and score the next generation.
+           rng: np.random.Generator, evaluator: Evaluator,
+           mask: Sequence) -> list[ScoredIndividual]:
+    """Produce and score the next generation; loci where ``mask`` is 0 stay 0.
 
     Pairs are drawn by roulette, crossed and mutated until the population is
     refilled.  With elitism the best parent replaces the worst child, which
@@ -200,8 +193,8 @@ def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
         p1 = select_roulette(population, rng).chromosome
         p2 = select_roulette(population, rng).chromosome
         c1, c2 = crossover(p1, p2, config.crossover_probability, rng)
-        offspring.append(mutate(c1, config.mutation_probability, rng, config.measurable_mask))
-        offspring.append(mutate(c2, config.mutation_probability, rng, config.measurable_mask))
+        offspring.append(mutate(c1, config.mutation_probability, rng, mask))
+        offspring.append(mutate(c2, config.mutation_probability, rng, mask))
     offspring = offspring[:config.population_size]
     scored = _score(offspring, evaluator)
     if config.elitism:
@@ -212,19 +205,22 @@ def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
     return scored
 
 
-def run_ga(config: GAConfig, evaluator: Evaluator) -> tuple[ScoredIndividual, GAHistory]:
+def run_ga(config: GAConfig, evaluator: Evaluator,
+           mask: Sequence) -> tuple[ScoredIndividual, GAHistory]:
     """Run the full generation loop and return the best individual ever seen.
 
-    The initial population is uniform over the maskable loci.  The loop stops
-    at ``max_generations`` or earlier once the best J has stagnated for
-    STAGNATION_WINDOW generations.
+    ``mask`` has one 0/1 entry per locus, 1 where the bit may be set; its
+    length is the chromosome length.  The initial population is uniform over
+    the maskable loci.  The loop stops at ``max_generations`` or earlier once
+    the best J has stagnated for STAGNATION_WINDOW generations.
     """
+    mask = tuple(int(b) for b in mask)
+    if not mask or any(b not in (0, 1) for b in mask):
+        raise ValueError("mask must be a non-empty 0/1 sequence")
     rng = np.random.default_rng(config.rng_seed)
-    length = config.chromosome_length
-    mask = config.measurable_mask
 
     initial = [
-        tuple(int(b) & m for b, m in zip(rng.integers(0, 2, size=length), mask))
+        tuple(int(b) & m for b, m in zip(rng.integers(0, 2, size=len(mask)), mask))
         for _ in range(config.population_size)
     ]
     population = _score(initial, evaluator)
@@ -234,7 +230,7 @@ def run_ga(config: GAConfig, evaluator: Evaluator) -> tuple[ScoredIndividual, GA
     best = min(population, key=_order_key)
     stagnant = 0
     for _ in range(config.max_generations):
-        population = evolve(population, config, rng, evaluator)
+        population = evolve(population, config, rng, evaluator, mask)
         history.record(population)
         generation_best = min(population, key=_order_key)
         if generation_best.J < best.J - STAGNATION_EPS:

@@ -213,9 +213,6 @@ class NodalModel:
     def mean_radiant_node(self) -> int:
         return self.n_nodes - 1
 
-    def conductance(self, i: int, j: int) -> float:
-        return self.conductances.get((min(i, j), max(i, j)), 0.0)
-
     def nodes_of(self, component: str, role: str | None = None) -> list[MeshNode]:
         return [
             n for n in self.nodes

@@ -90,9 +90,6 @@ class WeatherSeries:
     def n_records(self) -> int:
         return self.values.shape[0]
 
-    def channel(self, name: str) -> np.ndarray:
-        return self.values[:, INPUT_CHANNELS.index(name)]
-
 
 @dataclass(frozen=True)
 class MeasurementSeries:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnose import _set_label, measurable_mask, run_diagnosis
+from .diagnose import _set_label, run_diagnosis
 from .ga import GAConfig
 from .model import BuildingDescription, assemble, build_mesh
 from .simulate import MeasurementSeries, WeatherSeries, simulate
@@ -145,14 +145,11 @@ def inject_defect(desc: BuildingDescription, spec: DefectSpec) -> BuildingDescri
 
 
 def generate_pseudo_measurements(desc: BuildingDescription, weather: WeatherSeries,
-                                 measured_nodes, noise_sd: float = 0.0,
-                                 rng: np.random.Generator | None = None
-                                 ) -> MeasurementSeries:
+                                 measured_nodes) -> MeasurementSeries:
     """Simulate the reference unforced and read off the sensor series.
 
     The air node is always included: it is the comparison output every
-    diagnosis needs.  Optional Gaussian noise (standard deviation in °C) is
-    added to every series to emulate imperfect sensors.
+    diagnosis needs.
     """
     model = build_mesh(desc)
     sm = assemble(model, desc)
@@ -160,19 +157,9 @@ def generate_pseudo_measurements(desc: BuildingDescription, weather: WeatherSeri
         if not 1 <= node <= model.n_nodes:
             raise ValueError(f"measured node {node} outside 1..{model.n_nodes}")
     traj = simulate(sm, weather)
-    clean = MeasurementSeries(dt=weather.dt, series={
+    return MeasurementSeries(dt=weather.dt, series={
         node: traj.node_series(node).copy()
         for node in sorted(set(measured_nodes) | {model.air_node})})
-    if noise_sd > 0.0:
-        return _add_noise(clean, noise_sd, rng if rng is not None else np.random.default_rng(0))
-    return clean
-
-
-def _add_noise(meas: MeasurementSeries, noise_sd: float,
-               rng: np.random.Generator) -> MeasurementSeries:
-    return MeasurementSeries(dt=meas.dt, series={
-        node: values + rng.normal(0.0, noise_sd, size=values.shape)
-        for node, values in sorted(meas.series.items())})
 
 
 def expected_nodes(spec: DefectSpec, desc: BuildingDescription) -> frozenset:
@@ -195,11 +182,8 @@ def _judge(spec_kind: str, expected: frozenset, best_set: frozenset,
 
 
 def _diagnose(desc: BuildingDescription, weather: WeatherSeries,
-              pseudo: MeasurementSeries, measured_nodes, config: GAConfig,
-              skip_steps: int):
+              pseudo: MeasurementSeries, config: GAConfig, skip_steps: int):
     model = build_mesh(desc)
-    config = replace(config, measurable_mask=measurable_mask(
-        model.n_nodes, measured_nodes, model.air_node))
     report, _ = run_diagnosis(assemble(model, desc), weather, pseudo, model.air_node,
                               config, skip_steps=skip_steps, exhaustive=True)
     return report
@@ -216,20 +200,22 @@ def _outcome(case_id: str, report, expected: frozenset, ratio: float | None,
 
 
 def run_case(spec: DefectSpec, reference: BuildingDescription,
-             weather: WeatherSeries, measured_nodes, config: GAConfig,
-             skip_steps: int = 0, noise_sd: float = 0.0,
-             clean: MeasurementSeries | None = None) -> VerificationOutcome:
-    """Diagnose the perturbed model against reference pseudo-data.
+             weather: WeatherSeries, pseudo: MeasurementSeries, config: GAConfig,
+             skip_steps: int = 0, noise_sd: float = 0.0) -> VerificationOutcome:
+    """Diagnose the perturbed model against the reference's pseudo-data.
 
-    ``clean`` is the reference's noise-free pseudo-measurements, when the
-    caller has them already.  The noise is drawn from ``config.rng_seed``,
-    so every case of one protocol sees the same noisy series.
+    ``pseudo`` is the reference's noise-free pseudo-measurements; its nodes
+    are the ones searched.  Gaussian noise of ``noise_sd`` °C, drawn from
+    ``config.rng_seed``, is added to every series, so every case of one
+    protocol sees the same noisy series.
     """
-    pseudo = clean or generate_pseudo_measurements(reference, weather, measured_nodes)
     if noise_sd > 0.0:
-        pseudo = _add_noise(pseudo, noise_sd, np.random.default_rng(config.rng_seed))
+        rng = np.random.default_rng(config.rng_seed)
+        pseudo = MeasurementSeries(dt=pseudo.dt, series={
+            node: values + rng.normal(0.0, noise_sd, size=values.shape)
+            for node, values in sorted(pseudo.series.items())})
     perturbed_desc = inject_defect(reference, spec)
-    report = _diagnose(perturbed_desc, weather, pseudo, measured_nodes, config, skip_steps)
+    report = _diagnose(perturbed_desc, weather, pseudo, config, skip_steps)
     expected = expected_nodes(spec, perturbed_desc)
     ratio = report.best.J / report.unforced_J if report.unforced_J > 0.0 else None
     passed, criterion = _judge(spec.kind, expected, report.best_forcing, ratio)
@@ -237,17 +223,16 @@ def run_case(spec: DefectSpec, reference: BuildingDescription,
 
 
 def run_control(reference: BuildingDescription, weather: WeatherSeries,
-                measured_nodes, config: GAConfig, skip_steps: int = 0,
-                clean: MeasurementSeries | None = None) -> VerificationOutcome:
+                pseudo: MeasurementSeries, config: GAConfig,
+                skip_steps: int = 0) -> VerificationOutcome:
     """Diagnose the unperturbed model against its own pseudo-data.
 
     The model is perfect, so the unforced objective must be numerically zero
     and the search must settle on the empty set (forcing cannot improve a
-    perfect score, and ties break toward fewer nodes).  ``clean`` is as in
+    perfect score, and ties break toward fewer nodes).  ``pseudo`` is as in
     :func:`run_case`.
     """
-    pseudo = clean or generate_pseudo_measurements(reference, weather, measured_nodes)
-    report = _diagnose(reference, weather, pseudo, measured_nodes, config, skip_steps)
+    report = _diagnose(reference, weather, pseudo, config, skip_steps)
     passed = (not report.best_forcing) and report.unforced_J < CONTROL_J_MAX
     return _outcome("control", report, frozenset(), None, passed,
                     f"best set empty and unforced J < {CONTROL_J_MAX}")

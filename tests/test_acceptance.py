@@ -14,12 +14,12 @@ import pytest
 from thermodiag.diagnose import (
     ChromosomeEvaluator,
     exhaustive_search,
-    measurable_mask,
     residual_stats,
 )
 from thermodiag.ga import (
     GAConfig,
     ScoredIndividual,
+    encode,
     fitness,
     mutate,
     run_ga,
@@ -51,12 +51,16 @@ def cell():
     return desc, model, weather, measured
 
 
-def ga_config(model, measured, seed):
+@pytest.fixture(scope="module")
+def pseudo(cell):
+    desc, _, weather, measured = cell
+    return generate_pseudo_measurements(desc, weather, measured)
+
+
+def ga_config(seed):
     return GAConfig(
         population_size=30, crossover_probability=0.8,
-        mutation_probability=0.03, max_generations=400, rng_seed=seed,
-        measurable_mask=measurable_mask(
-            model.n_nodes, measured, model.air_node))
+        mutation_probability=0.03, max_generations=400, rng_seed=seed)
 
 
 def door_defect():
@@ -64,11 +68,10 @@ def door_defect():
                       perturbed=0.78, component="door")
 
 
-def test_ga_matches_exhaustive_oracle_across_seeds(cell):
+def test_ga_matches_exhaustive_oracle_across_seeds(cell, pseudo):
     desc, model, weather, measured = cell
     perturbed = inject_defect(desc, door_defect())
     sm = assemble(build_mesh(perturbed), perturbed)
-    pseudo = generate_pseudo_measurements(desc, weather, measured)
     evaluator = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
 
     oracle_best, table = exhaustive_search(
@@ -79,7 +82,8 @@ def test_ga_matches_exhaustive_oracle_across_seeds(cell):
     slowest = 0.0
     for seed in range(20):
         t0 = time.perf_counter()
-        best, _ = run_ga(ga_config(model, measured, seed), evaluator)
+        best, _ = run_ga(ga_config(seed), evaluator,
+                         encode(measured, evaluator.chromosome_length))
         elapsed = time.perf_counter() - t0
         slowest = max(slowest, elapsed)
         if best.J == oracle_J:
@@ -89,33 +93,30 @@ def test_ga_matches_exhaustive_oracle_across_seeds(cell):
     assert slowest < 60.0
 
 
-def test_door_conductivity_defect_localized(cell):
-    desc, model, weather, measured = cell
-    outcome = run_case(door_defect(), desc, weather, measured,
-                       ga_config(model, measured, 0))
+def test_door_conductivity_defect_localized(cell, pseudo):
+    desc, model, weather, _ = cell
+    outcome = run_case(door_defect(), desc, weather, pseudo, ga_config(0))
     print(f"door case: best set {sorted(outcome.best_set)}, "
           f"ratio {outcome.ratio:.4g}")
     assert model.inside_surface_node("door") in outcome.best_set
     assert outcome.ratio < 0.2
 
 
-def test_roof_absorptivity_defect_localized(cell):
-    desc, model, weather, measured = cell
+def test_roof_absorptivity_defect_localized(cell, pseudo):
+    desc, model, weather, _ = cell
     spec = DefectSpec("roof", "absorptivity", base=0.3, perturbed=0.9,
                       component="roof")
-    outcome = run_case(spec, desc, weather, measured,
-                       ga_config(model, measured, 0))
+    outcome = run_case(spec, desc, weather, pseudo, ga_config(0))
     print(f"roof case: best set {sorted(outcome.best_set)}, "
           f"ratio {outcome.ratio:.4g}")
     assert model.inside_surface_node("roof") in outcome.best_set
     assert outcome.ratio < 0.2
 
 
-def test_global_convection_defect_yields_no_forcing(cell):
-    desc, model, weather, measured = cell
+def test_global_convection_defect_yields_no_forcing(cell, pseudo):
+    desc, _, weather, _ = cell
     spec = DefectSpec("conv", "h_ci", base=5.0, perturbed=0.1)
-    outcome = run_case(spec, desc, weather, measured,
-                       ga_config(model, measured, 0))
+    outcome = run_case(spec, desc, weather, pseudo, ga_config(0))
     print(f"convection case: best set {sorted(outcome.best_set)}, "
           f"ratio {outcome.ratio}")
     assert outcome.best_set == frozenset() or outcome.ratio > 0.9
@@ -164,10 +165,9 @@ def test_physics_sanity_constant_boundary_and_analytic_decay(cell):
     assert max_err / 10.0 < 0.02
 
 
-def test_unperturbed_model_self_consistency(cell):
-    desc, model, weather, measured = cell
-    outcome = run_control(desc, weather, measured,
-                          ga_config(model, measured, 0))
+def test_unperturbed_model_self_consistency(cell, pseudo):
+    desc, _, weather, _ = cell
+    outcome = run_control(desc, weather, pseudo, ga_config(0))
     print(f"control: best set {sorted(outcome.best_set)}, "
           f"unforced J {outcome.J_unforced:.3g}")
     assert outcome.best_set == frozenset()
@@ -213,9 +213,8 @@ def test_ga_operator_statistical_properties():
 
     config = GAConfig(
         population_size=20, crossover_probability=0.8,
-        mutation_probability=0.05, max_generations=80, rng_seed=5,
-        measurable_mask=mask)
-    _, history = run_ga(config, rugged)
+        mutation_probability=0.05, max_generations=80, rng_seed=5)
+    _, history = run_ga(config, rugged, mask)
     assert all(a >= b for a, b in zip(history.best_J, history.best_J[1:]))
 
     # OneMax on the full chromosome length solved on at least 19/20 seeds
@@ -226,9 +225,8 @@ def test_ga_operator_statistical_properties():
     for seed in range(20):
         config = GAConfig(
             population_size=30, crossover_probability=0.8,
-            mutation_probability=0.03, max_generations=400, rng_seed=seed,
-            measurable_mask=mask)
-        best, _ = run_ga(config, one_max)
+            mutation_probability=0.03, max_generations=400, rng_seed=seed)
+        best, _ = run_ga(config, one_max, mask)
         solved += best.J == 0.0
     print(f"roulette gap {worst_gap:.4f}, mutation flips {flips} "
           f"(mean {mean:.0f}), OneMax solved {solved}/20")

@@ -1,5 +1,6 @@
 """File grammars and command-line entry points, end to end."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -27,11 +28,14 @@ from thermodiag.cli import (
     weather_csv,
     write_building,
 )
-from thermodiag.model import assemble, build_mesh
+from thermodiag.model import (
+    ORIENTATIONS, AirZone, BuildingDescription, EnvelopeComponent, Layer, assemble, build_mesh,
+)
 from thermodiag.simulate import MeasurementSeries, WeatherSeries, simulate
 from thermodiag.testcell import example_cell, synthetic_weather
 
 DATA = "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -62,6 +66,50 @@ def edit_record(text, record, column, cell):
 #: subnormal, and the exponent switch points of repr.
 EDGE_FLOATS = (-0.0, 5e-324, 1e-05, 1e+16)
 finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                     st.sampled_from((5e-324, 1e-05, 1e+16)))
+non_negative = st.one_of(positive, st.sampled_from((0.0, -0.0)))
+fraction = st.one_of(st.floats(0.0, 1.0), st.sampled_from((-0.0, 5e-324, 1e-05)))
+
+
+def components(names):
+    return st.tuples(*[st.builds(
+        EnvelopeComponent, name=st.just(name), orientation=st.sampled_from(ORIENTATIONS),
+        area=positive, layers=st.lists(st.builds(Layer, positive, positive, positive, positive),
+                                       min_size=1, max_size=3).map(tuple),
+        h_ci=non_negative, h_ce=non_negative, h_ri=non_negative, h_re=non_negative,
+        absorptivity=fraction, internal_node_count=st.integers(0, 3),
+        is_glazing=st.booleans()) for name in names])
+
+
+def with_null_flux_floor(comps, floor):
+    # at most one component, a floor, may sit on the adiabatic boundary
+    if not floor:
+        return comps
+    first = dataclasses.replace(comps[0], orientation="horizontal-down",
+                                outside_boundary="null-flux")
+    return (first, *comps[1:])
+
+
+buildings = st.builds(
+    BuildingDescription,
+    components=st.builds(
+        with_null_flux_floor,
+        st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True), min_size=1,
+                 max_size=3, unique=True).flatmap(components),
+        st.booleans()),
+    zone=st.builds(AirZone, positive, positive, non_negative),
+    glazing_transmitted_fraction=fraction)
+
+#: The bundled cell with the repr edge cases in every kind of field.
+EDGE_BUILDING = dataclasses.replace(
+    example_cell(),
+    zone=AirZone(air_capacity=5e-324, air_specific_heat=1e+16, ventilation_flow=-0.0),
+    glazing_transmitted_fraction=5e-324,
+    components=tuple(
+        dataclasses.replace(c, area=1e+16, h_ci=5e-324, h_re=-0.0, absorptivity=1e-05,
+                            layers=(Layer(5e-324, 1e+16, 1e-05, 5e-324), *c.layers))
+        for c in example_cell().components))
 
 
 class TestBuildingGrammar:
@@ -74,6 +122,16 @@ class TestBuildingGrammar:
         desc = example_cell()
         path = write_tmp(tmp_path, "cell.building", write_building(desc))
         assert parse_building(path) == desc
+
+    @settings(max_examples=60, deadline=None)
+    @given(desc=buildings)
+    @example(desc=EDGE_BUILDING)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, desc):
+        path = tmp_path_factory.mktemp("b") / "cell.building"
+        path.write_text(write_building(desc), encoding="utf-8")
+        again = parse_building(str(path))
+        # repr tells -0.0 from 0.0 and prints each float's shortest exact form
+        assert again == desc and repr(again) == repr(desc)
 
     def test_unphysical_absorptivity_names_section(self, tmp_path, building_text):
         bad = building_text.replace("absorptivity = 0.3", "absorptivity = 1.2")
@@ -306,6 +364,7 @@ class TestMainSimulate:
         ("layers = 0.15 inf 2200.0 900.0", "[component wall_east]", "conductivity"),
         ("air_capacity = inf", "[zone]", "air_capacity"),
         ("ventilation_flow = nan", "[zone]", "ventilation_flow"),
+        ("glazing_transmitted_fraction = nan", "[zone]", "glazing_transmitted_fraction"),
     ])
     def test_non_finite_building_field_exits_2(self, tmp_path, capsys, building_text,
                                                line, section, field):
@@ -408,6 +467,20 @@ class TestMainDiagnose:
         assert mpath in err
         assert message in err
 
+    @pytest.mark.parametrize("column", ["node_0", "node_30"])
+    def test_column_outside_mesh_exits_2(self, tmp_path, capsys, column):
+        # node 3 is a measured inside surface; renamed, it names no mesh node
+        text = open(f"{DATA}/example_measurements.csv", encoding="utf-8").read()
+        mpath = write_tmp(tmp_path, "outside.csv", text.replace("node_3,", f"{column},", 1))
+        inputs = ["--building", f"{DATA}/example_cell.building",
+                  "--weather", f"{DATA}/example_weather.csv", "--measurements", mpath]
+        for argv in (["diagnose", *inputs, "--out", str(tmp_path / "d")],
+                     ["stats", *inputs]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert mpath in err
+            assert column in err
+
     def test_singular_building_exits_3(self, tmp_path, capsys, building_text):
         # radiant node loses every link when h_ri vanishes
         bad = building_text.replace("h_ri = 5.0", "h_ri = 0.0")
@@ -449,6 +522,17 @@ class TestMainVerify:
         rc = main(["verify", "--cases", bad, "--out", str(tmp_path / "v")])
         assert rc == 2
 
+    def test_unknown_component_exits_2(self, tmp_path, capsys):
+        cases = write_tmp(tmp_path, "chimney.txt",
+                          "[case smoke]\nkind = absorptivity\ncomponent = chimney\n"
+                          "base = 0.3\nperturbed = 0.9\n")
+        rc = main(["verify", "--cases", cases, "--out", str(tmp_path / "v")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert cases in err
+        assert "[case smoke]" in err
+        assert "chimney" in err
+
 
 class TestMainStats:
     def test_self_comparison_reports_zero(self, tmp_path, capsys):
@@ -464,17 +548,23 @@ class TestMainStats:
 
 
 class TestBundledData:
+    @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))
+    def test_demo_runs(self, tmp_path, demo):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_make_inputs_rebuilds_data_byte_for_byte(self, tmp_path):
         # data/ is generated by the package; a kernel change that moves the
         # pseudo-measurements must come with regenerated files
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        subprocess.run([sys.executable, str(root / "demos" / "make_inputs.py")],
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        subprocess.run([sys.executable, str(ROOT / "demos" / "make_inputs.py")],
                        cwd=tmp_path, env=env, check=True, capture_output=True)
         rebuilt = sorted((tmp_path / "data").iterdir())
         assert [p.name for p in rebuilt] == [
             "example_cell.building", "example_cell_door_defect.building",
             "example_measurements.csv", "example_weather.csv"]
         stale = [p.name for p in rebuilt
-                 if p.read_bytes() != (root / "data" / p.name).read_bytes()]
+                 if p.read_bytes() != (ROOT / "data" / p.name).read_bytes()]
         assert not stale, f"data/ is stale; run python3 demos/make_inputs.py: {stale}"

@@ -11,16 +11,15 @@ from thermodiag.diagnose import (
     exhaustive_search,
     format_report,
     history_csv,
-    measurable_mask,
     objective,
     per_node_scores,
     report_key_values,
     residual_stats,
     run_diagnosis,
 )
-from thermodiag.ga import GAConfig, encode, run_ga
+from thermodiag.ga import GAConfig, decode, encode, run_ga
 from thermodiag.model import assemble, build_mesh
-from thermodiag.simulate import simulate, simulate_batch
+from thermodiag.simulate import MeasurementSeries, simulate, simulate_batch
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
 from thermodiag.verify import generate_pseudo_measurements
 
@@ -82,19 +81,42 @@ class TestResidualStats:
             residual_stats(np.zeros(1), np.zeros(1))
 
 
+SHORT_GA = GAConfig(population_size=4, crossover_probability=0.8,
+                    mutation_probability=0.03, max_generations=2, rng_seed=0)
+
+
 class TestMeasurableMask:
-    def test_mask_length_and_loci(self):
-        mask = measurable_mask(23, (3, 14, 16, 19, 20), 23)
+    """The mask run_diagnosis gives the GA comes from the measurement series."""
+
+    def masks(self, cell, nodes, monkeypatch):
+        import thermodiag.diagnose as diagnose
+
+        _, model, sm, weather, _, pseudo = cell
+        masks = []
+
+        def recording_run_ga(config, evaluator, mask):
+            masks.append(mask)
+            return run_ga(config, evaluator, mask)
+
+        monkeypatch.setattr(diagnose, "run_ga", recording_run_ga)
+        air = pseudo.node_series(model.air_node)
+        meas = MeasurementSeries(dt=pseudo.dt, series={
+            n: pseudo.node_series(n) if n in pseudo.node_ids else air for n in nodes})
+        run_diagnosis(sm, weather, meas, model.air_node, SHORT_GA)
+        return masks
+
+    def test_mask_length_and_loci(self, cell, monkeypatch):
+        [mask] = self.masks(cell, (3, 14, 16, 19, 20, 23), monkeypatch)
         assert len(mask) == 22
         assert [i + 1 for i, b in enumerate(mask) if b] == [3, 14, 16, 19, 20]
 
-    def test_air_node_silently_excluded(self):
-        mask = measurable_mask(23, (3, 23), 23)
+    def test_air_node_silently_excluded(self, cell, monkeypatch):
+        [mask] = self.masks(cell, (3, 23), monkeypatch)
         assert [i + 1 for i, b in enumerate(mask) if b] == [3]
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            measurable_mask(23, (24,), 23)
+    def test_out_of_range_rejected(self, cell, monkeypatch):
+        with pytest.raises(ValueError, match="24"):
+            self.masks(cell, (3, 23, 24), monkeypatch)
 
 
 class TestChromosomeEvaluator:
@@ -212,15 +234,14 @@ class TestPerNodeScores:
 
 
 def diagnose_door_defect(cell):
-    desc, model, sm, weather, measured, pseudo = cell
+    desc, model, sm, weather, _, pseudo = cell
     from thermodiag.verify import inject_defect, DefectSpec
     perturbed = inject_defect(desc, DefectSpec(
         "d", "layer_conductivity", base=0.23, perturbed=0.78, component="door"))
     psm = assemble(build_mesh(perturbed), perturbed)
     config = GAConfig(
         population_size=30, crossover_probability=0.8,
-        mutation_probability=0.03, max_generations=400, rng_seed=1,
-        measurable_mask=measurable_mask(model.n_nodes, measured, model.air_node))
+        mutation_probability=0.03, max_generations=400, rng_seed=1)
     return run_diagnosis(psm, weather, pseudo, model.air_node, config, exhaustive=True)
 
 
@@ -267,9 +288,9 @@ class TestRunDiagnosis:
             marched.append(1)
             return simulate(*args, **kwargs)
 
-        def counting_run_ga(config, evaluator):
+        def counting_run_ga(config, evaluator, mask):
             before = len(marched)
-            best, history = run_ga(config, evaluator)
+            best, history = run_ga(config, evaluator, mask)
             ga_calls.append((len(marched) - before, history.generations))
             return best, history
 
@@ -284,6 +305,25 @@ class TestRunDiagnosis:
         # the GA marches each generation's uncached chromosomes in one call
         [(kernel_calls, generations)] = ga_calls
         assert kernel_calls <= generations
+
+    def test_ga_searches_exactly_the_measured_nodes(self, cell, monkeypatch):
+        import thermodiag.diagnose as diagnose
+
+        _, model, *_ = cell
+        seen = []  # forcing sets of every chromosome the evaluator is given
+
+        class Recording(ChromosomeEvaluator):
+            def __call__(self, chromosomes):
+                seen.extend(decode(c) for c in chromosomes)
+                return super().__call__(chromosomes)
+
+        monkeypatch.setattr(diagnose, "ChromosomeEvaluator", Recording)
+        rep, evaluator = diagnose_door_defect(cell)
+        loci = evaluator.meas.node_ids - {model.air_node}
+        assert loci == set(rep.measured_nodes) == {3, 14, 16, 19, 20}
+        assert all(forcing <= loci for forcing in seen)
+        # the oracle's full subset is among them, so every locus is searched
+        assert frozenset().union(*seen) == loci
 
     def test_history_csv_shape(self, report):
         rep, _ = report

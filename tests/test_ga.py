@@ -30,7 +30,6 @@ def config(**overrides):
         mutation_probability=0.03,
         max_generations=400,
         rng_seed=0,
-        measurable_mask=FULL_MASK,
     )
     fields.update(overrides)
     return GAConfig(**fields)
@@ -219,7 +218,7 @@ class TestMutate:
 class TestEvolve:
     def test_population_size_preserved(self):
         pop = [scored(np.random.default_rng(i).integers(0, 2, L)) for i in range(30)]
-        out = evolve(pop, config(), np.random.default_rng(1), onemax)
+        out = evolve(pop, config(), np.random.default_rng(1), onemax, FULL_MASK)
         assert len(out) == 30
 
     def test_elitism_keeps_best_J_non_increasing(self):
@@ -228,7 +227,7 @@ class TestEvolve:
         pop = [scored(rng.integers(0, 2, L)) for _ in range(cfg.population_size)]
         best = min(ind.J for ind in pop)
         for _ in range(60):
-            pop = evolve(pop, cfg, rng, onemax)
+            pop = evolve(pop, cfg, rng, onemax, FULL_MASK)
             generation_best = min(ind.J for ind in pop)
             assert generation_best <= best
             best = generation_best
@@ -238,51 +237,51 @@ class TestEvolve:
         rng = np.random.default_rng(12)
         pop = [scored(rng.integers(0, 2, L)) for _ in range(cfg.population_size)]
         for _ in range(50):
-            pop = evolve(pop, cfg, rng, onemax)
+            pop = evolve(pop, cfg, rng, onemax, FULL_MASK)
         patterns = {ind.chromosome for ind in pop}
         assert len(patterns) <= 2
 
     def test_mask_discipline_on_all_offspring(self):
         mask = tuple(1 if i < 5 else 0 for i in range(L))
-        cfg = config(measurable_mask=mask, mutation_probability=0.2)
+        cfg = config(mutation_probability=0.2)
         rng = np.random.default_rng(4)
         pop = [scored(tuple(int(b) & m for b, m in zip(rng.integers(0, 2, L), mask)))
                for _ in range(cfg.population_size)]
         for _ in range(20):
-            pop = evolve(pop, cfg, rng, onemax)
+            pop = evolve(pop, cfg, rng, onemax, mask)
             for ind in pop:
                 assert all(b == 0 for b, m in zip(ind.chromosome, mask) if not m)
 
 
 class TestRunGA:
     def test_constant_evaluator_stops_by_stagnation(self):
-        best, history = run_ga(config(), batched(lambda bits: 7.0))
+        best, history = run_ga(config(), batched(lambda bits: 7.0), FULL_MASK)
         assert best.J == 7.0
         assert best.f == fitness(7.0)
         # initial entry + 50 stagnant generations
         assert history.generations == 51
 
     def test_generation_cap_honored(self):
-        best, history = run_ga(config(max_generations=30), onemax)
+        best, history = run_ga(config(max_generations=30), onemax, FULL_MASK)
         assert history.generations <= 31
 
     def test_onemax_solved_on_most_seeds(self):
         solved = 0
         for seed in range(20):
-            best, _ = run_ga(config(rng_seed=seed), onemax)
+            best, _ = run_ga(config(rng_seed=seed), onemax, FULL_MASK)
             solved += best.J == 0.0
         assert solved >= 19
 
     def test_deterministic_per_seed(self):
-        best_a, hist_a = run_ga(config(rng_seed=17), onemax)
-        best_b, hist_b = run_ga(config(rng_seed=17), onemax)
+        best_a, hist_a = run_ga(config(rng_seed=17), onemax, FULL_MASK)
+        best_b, hist_b = run_ga(config(rng_seed=17), onemax, FULL_MASK)
         assert best_a == best_b
         assert hist_a.best_J == hist_b.best_J
         assert hist_a.mean_fitness == hist_b.mean_fitness
         assert hist_a.best_individual == hist_b.best_individual
 
     def test_elitist_history_monotone(self):
-        _, history = run_ga(config(rng_seed=2), onemax)
+        _, history = run_ga(config(rng_seed=2), onemax, FULL_MASK)
         assert all(a >= b for a, b in zip(history.best_J, history.best_J[1:]))
 
     def test_evaluator_failure_is_diagnosed(self):
@@ -291,7 +290,7 @@ class TestRunGA:
             raise RuntimeError("boom")
 
         with pytest.raises(GAError, match="evaluator failed"):
-            run_ga(config(), broken)
+            run_ga(config(), broken, FULL_MASK)
 
     def test_one_evaluator_call_per_generation(self):
         batches = []
@@ -300,11 +299,28 @@ class TestRunGA:
             batches.append(len(chromosomes))
             return onemax(chromosomes)
 
-        _, history = run_ga(config(max_generations=25), counting)
+        _, history = run_ga(config(max_generations=25), counting, FULL_MASK)
         assert batches == [30] * history.generations
 
+    def test_mask_values_checked(self):
+        for mask in ((0, 1, 2), ()):
+            with pytest.raises(ValueError, match="mask"):
+                run_ga(config(), onemax, mask)
+
+    def test_masked_loci_never_evaluated(self):
+        mask = tuple(1 if i % 4 == 0 else 0 for i in range(L))
+        seen = set()
+
+        def recording(chromosomes):
+            seen.update(chromosomes)
+            return onemax(chromosomes)
+
+        run_ga(config(max_generations=40), recording, mask)
+        assert seen and all(len(bits) == L for bits in seen)
+        assert all(b == 0 for bits in seen for b, m in zip(bits, mask) if not m)
+
     def test_no_elitism_still_returns_best_ever_seen(self):
-        best, history = run_ga(config(rng_seed=5, elitism=False), onemax)
+        best, history = run_ga(config(rng_seed=5, elitism=False), onemax, FULL_MASK)
         assert best.J == min(history.best_J)
 
 
@@ -318,10 +334,6 @@ class TestGAConfig:
             config(crossover_probability=1.5)
         with pytest.raises(ValueError):
             config(mutation_probability=-0.1)
-
-    def test_mask_values_checked(self):
-        with pytest.raises(ValueError):
-            config(measurable_mask=(0, 1, 2))
 
     def test_fitness_objective_order_equivalence(self):
         rng = np.random.default_rng(14)

@@ -178,12 +178,6 @@ class TestBuildMesh:
         zero = [i + 1 for i, c in enumerate(model.capacities) if c == 0.0]
         assert zero == [model.mean_radiant_node]
 
-    def test_conductance_accessor_is_symmetric(self):
-        model = build_mesh(example_cell())
-        for (i, j), g in model.conductances.items():
-            assert model.conductance(i, j) == g
-            assert model.conductance(j, i) == g
-
 
 class TestAssemble:
     def test_minimal_mesh_structure(self):

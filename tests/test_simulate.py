@@ -402,7 +402,3 @@ class TestSeriesValidation:
     def test_measurements_reject_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             MeasurementSeries(dt=900.0, series={1: np.array([1.0, np.nan])})
-
-    def test_weather_channel_accessor(self):
-        weather = synthetic_weather(days=1)
-        assert np.array_equal(weather.channel("T_ae"), weather.values[:, 0])

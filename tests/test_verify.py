@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from thermodiag.diagnose import ChromosomeEvaluator, measurable_mask
-from thermodiag.ga import GAConfig, decode, run_ga
+from thermodiag.diagnose import ChromosomeEvaluator
+from thermodiag.ga import GAConfig, decode, encode, run_ga
 from thermodiag.model import ROLE_INSIDE, assemble, build_mesh
 from thermodiag.simulate import simulate
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
@@ -32,12 +32,20 @@ def setting():
     return desc, model, weather, measured
 
 
-def base_config(model, measured):
+@pytest.fixture(scope="module")
+def pseudo(setting):
+    desc, _, weather, measured = setting
+    return generate_pseudo_measurements(desc, weather, measured)
+
+
+def base_config():
     return GAConfig(
         population_size=20, crossover_probability=0.8,
-        mutation_probability=0.03, max_generations=200, rng_seed=3,
-        measurable_mask=measurable_mask(
-            model.n_nodes, measured, model.air_node))
+        mutation_probability=0.03, max_generations=200, rng_seed=3)
+
+
+DOOR = DefectSpec("door", "layer_conductivity", base=0.23, perturbed=0.78,
+                  component="door")
 
 
 class TestDefectSpec:
@@ -128,26 +136,23 @@ class TestPseudoMeasurements:
         pseudo = generate_pseudo_measurements(desc, weather, measured)
         assert model.air_node in pseudo.node_ids
 
-    def test_noise_reproducible_under_seed(self, setting):
-        desc, _, weather, measured = setting
-        a = generate_pseudo_measurements(
-            desc, weather, measured, noise_sd=0.1,
-            rng=np.random.default_rng(42))
-        b = generate_pseudo_measurements(
-            desc, weather, measured, noise_sd=0.1,
-            rng=np.random.default_rng(42))
-        for node in a.node_ids:
-            assert np.array_equal(a.node_series(node), b.node_series(node))
+    # run_case adds the noise, drawn from the GA seed, to the pseudo-data
 
-    def test_noise_actually_perturbs(self, setting):
-        desc, model, weather, measured = setting
-        clean = generate_pseudo_measurements(desc, weather, measured)
-        noisy = generate_pseudo_measurements(
-            desc, weather, measured, noise_sd=0.1,
-            rng=np.random.default_rng(0))
-        node = measured[0]
-        assert not np.array_equal(clean.node_series(node),
-                                  noisy.node_series(node))
+    def test_noise_reproducible_under_seed(self, setting, pseudo):
+        desc, _, weather, _ = setting
+        config = base_config()
+        a = run_case(DOOR, desc, weather, pseudo, config, noise_sd=0.1)
+        b = run_case(DOOR, desc, weather, pseudo, config, noise_sd=0.1)
+        assert a == b
+        other = run_case(DOOR, desc, weather, pseudo,
+                         dataclasses.replace(config, rng_seed=4), noise_sd=0.1)
+        assert other.J_unforced != a.J_unforced
+
+    def test_noise_actually_perturbs(self, setting, pseudo):
+        desc, _, weather, _ = setting
+        clean = run_case(DOOR, desc, weather, pseudo, base_config())
+        noisy = run_case(DOOR, desc, weather, pseudo, base_config(), noise_sd=0.1)
+        assert noisy.J_unforced != clean.J_unforced
 
 
 class TestExpectedNodes:
@@ -164,77 +169,67 @@ class TestExpectedNodes:
 
 
 class TestRunCase:
-    def test_door_defect_localized(self, setting):
-        desc, model, weather, measured = setting
-        spec = DefectSpec("door", "layer_conductivity", base=0.23,
-                          perturbed=0.78, component="door")
-        outcome = run_case(spec, desc, weather, measured,
-                           base_config(model, measured))
+    def test_door_defect_localized(self, setting, pseudo):
+        desc, model, weather, _ = setting
+        outcome = run_case(DOOR, desc, weather, pseudo, base_config())
         assert outcome.passed
         assert model.inside_surface_node("door") in outcome.best_set
         assert outcome.ratio < 0.2
         assert outcome.ga_matches_oracle
 
-    def test_global_defect_gains_little(self, setting):
-        desc, model, weather, measured = setting
+    def test_global_defect_gains_little(self, setting, pseudo):
+        desc, _, weather, _ = setting
         spec = DefectSpec("conv", "h_ci", base=5.0, perturbed=0.1)
-        outcome = run_case(spec, desc, weather, measured,
-                           base_config(model, measured))
+        outcome = run_case(spec, desc, weather, pseudo, base_config())
         assert outcome.passed
         assert outcome.best_set == frozenset() or outcome.ratio > 0.9
 
-    def test_control_run_is_silent(self, setting):
-        desc, model, weather, measured = setting
-        outcome = run_control(desc, weather, measured,
-                              base_config(model, measured))
+    def test_control_run_is_silent(self, setting, pseudo):
+        desc, _, weather, _ = setting
+        outcome = run_control(desc, weather, pseudo, base_config())
         assert outcome.passed
         assert outcome.best_set == frozenset()
         assert outcome.J_unforced <= CONTROL_J_MAX
 
-    def test_control_passes_when_ga_stops_on_round_off(self, setting):
+    def test_control_passes_when_ga_stops_on_round_off(self, setting, pseudo):
         # with this seed the GA on its own stops on a non-empty set whose J
         # is round-off above 0 ({3, 16, 20}, J = 3.2e-27); the empty set,
         # which scores exactly 0, must still be reported
         desc, model, weather, measured = setting
-        config = dataclasses.replace(base_config(model, measured), rng_seed=1)
-        pseudo = generate_pseudo_measurements(desc, weather, measured)
+        config = dataclasses.replace(base_config(), rng_seed=1)
         evaluator = ChromosomeEvaluator(assemble(model, desc), weather, pseudo,
                                         model.air_node)
-        ga_best, _ = run_ga(config, evaluator)
+        ga_best, _ = run_ga(config, evaluator, encode(measured, model.n_nodes - 1))
         assert decode(ga_best.chromosome)
         assert 0.0 < ga_best.J < CONTROL_J_MAX
 
-        outcome = run_control(desc, weather, measured, config)
+        outcome = run_control(desc, weather, pseudo, config)
         assert outcome.passed
         assert outcome.best_set == frozenset()
         assert outcome.J_best == 0.0
 
     def test_shared_clean_series_reproduces_each_case(self, setting):
         # the protocol marches the reference once and hands every case the
-        # same clean series; each case reseeds its noise from the GA seed
-        desc, model, weather, measured = setting
-        spec = DefectSpec("door", "layer_conductivity", base=0.23,
-                          perturbed=0.78, component="door")
-        config = base_config(model, measured)
-        clean = generate_pseudo_measurements(desc, weather, measured)
+        # same clean series; a noisy case must leave it clean for the next
+        desc, _, weather, measured = setting
+        config = base_config()
+        shared = generate_pseudo_measurements(desc, weather, measured)
         for noise_sd in (0.0, 0.05):
-            alone = run_case(spec, desc, weather, measured, config, noise_sd=noise_sd)
-            shared = run_case(spec, desc, weather, measured, config,
-                              noise_sd=noise_sd, clean=clean)
-            assert shared == alone
-        assert run_control(desc, weather, measured, config, clean=clean) == \
-            run_control(desc, weather, measured, config)
+            fresh = generate_pseudo_measurements(desc, weather, measured)
+            alone = run_case(DOOR, desc, weather, fresh, config, noise_sd=noise_sd)
+            assert run_case(DOOR, desc, weather, shared, config,
+                            noise_sd=noise_sd) == alone
+            for node in fresh.node_ids:
+                assert np.array_equal(shared.node_series(node), fresh.node_series(node))
+        assert run_control(desc, weather, shared, config) == \
+            run_control(desc, weather, fresh, config)
 
 
 @pytest.fixture(scope="module")
-def outcomes(setting):
-    desc, model, weather, measured = setting
-    spec = DefectSpec("door", "layer_conductivity", base=0.23,
-                      perturbed=0.78, component="door")
-    case = run_case(spec, desc, weather, measured,
-                    base_config(model, measured))
-    control = run_control(desc, weather, measured,
-                          base_config(model, measured))
+def outcomes(setting, pseudo):
+    desc, _, weather, _ = setting
+    case = run_case(DOOR, desc, weather, pseudo, base_config())
+    control = run_control(desc, weather, pseudo, base_config())
     return [case, control]
 
 
