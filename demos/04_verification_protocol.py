@@ -46,6 +46,7 @@ outcomes.append(run_control(reference, weather, pseudo, config))
 
 print(format_outcomes(outcomes))
 
-# each outcome also records whether the GA found the oracle optimum
+# each outcome holds its diagnosis report, which says whether the GA
+# found the oracle optimum
 for o in outcomes:
-    print(f"{o.case_id:>20}: GA matches oracle = {o.ga_matches_oracle}")
+    print(f"{o.case_id:>20}: GA matches oracle = {o.report.ga_matches_oracle}")

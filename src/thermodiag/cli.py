@@ -7,6 +7,11 @@ diagnose   search for the forcing set that best repairs the air prediction
 verify     plant known defects and check the search localizes them
 stats      residual statistics of the plain model against measurements
 
+``simulate``, ``diagnose`` and ``stats`` take the time step from their files.
+``verify --dt`` is the step of its synthetic weather, so it cannot be given
+with ``--weather``.  Each verify outcome holds its case's diagnosis report;
+the J ratio and the GA/oracle agreement the tables print are read from it.
+
 File formats
 ------------
 Building description (INI-style, sections in declaration order)::
@@ -42,6 +47,10 @@ Defect cases (INI-style)::
     base = 0.23
     perturbed = 0.78
 
+``verify`` checks every case against the building (component, layer, base
+value) before it marches anything; a bad case exits 2 naming the file and
+its ``[case <id>]`` section.
+
 Weather CSV header: ``timestamp,T_ae,T_sky,I_N,I_S,I_E,I_W,I_H`` with
 ISO-8601 timestamps, temperatures in °C, fluxes in W/m².  Measurement CSV
 header: ``timestamp,node_<k>,...``, one column per measured node id.  Both
@@ -59,6 +68,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from array import array
@@ -96,6 +106,7 @@ from .verify import (
     DefectSpec,
     format_outcomes,
     generate_pseudo_measurements,
+    inject_defect,
     outcomes_key_values,
     run_case,
     run_control,
@@ -428,12 +439,6 @@ def _write(out_dir: str, name: str, text) -> str:
     return path
 
 
-def _check_dt(args, weather: WeatherSeries) -> None:
-    if args.dt is not None and abs(weather.dt - args.dt) > 1e-9:
-        raise ParseError(
-            f"--dt {args.dt} does not match the weather file step {weather.dt} s")
-
-
 def _load_measured_case(args):
     """Parse the building, weather and measurement files and check they fit."""
     desc = parse_building(args.building)
@@ -441,7 +446,6 @@ def _load_measured_case(args):
     sm = assemble(model, desc)
     weather = parse_weather(args.weather)
     meas = parse_measurements(args.measurements)
-    _check_dt(args, weather)
     if meas.dt != weather.dt:
         raise ParseError(
             f"dt mismatch: weather step {weather.dt} s, measurements step {meas.dt} s")
@@ -479,7 +483,6 @@ def cmd_simulate(args) -> int:
     model = build_mesh(desc)
     sm = assemble(model, desc)
     weather = parse_weather(args.weather)
-    _check_dt(args, weather)
     traj = simulate(sm, weather)
     path = _write(args.out, "trajectory.csv", _csv_blocks(
         "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), lambda k: k, traj.values.T))
@@ -503,18 +506,23 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.weather and args.dt is not None:
+        raise ParseError("--dt sets the synthetic weather's step; "
+                         "it cannot be given with --weather")
+    dt = 900.0 if args.dt is None else args.dt
+    if not 0.0 < dt < math.inf:
+        raise ParseError(f"--dt must be a positive number of seconds, got {dt!r}")
+    if not 0.0 <= args.noise_sd < math.inf:
+        raise ParseError(f"--noise-sd must be a finite sd >= 0 °C, got {args.noise_sd!r}")
     desc = parse_building(args.building) if args.building else example_cell()
     cases = parse_cases(args.cases) if args.cases else default_cases()
-    names = [c.name for c in desc.components]
-    for spec in cases:
-        if spec.component is not None and spec.component not in names:
-            raise ParseError(f"{args.cases or 'bundled cases'}: [case {spec.case_id}]: "
-                             f"the building has no component {spec.component!r}")
-    if args.weather:
-        weather = parse_weather(args.weather)
-        _check_dt(args, weather)
-    else:
-        weather = synthetic_weather(days=5, dt=args.dt if args.dt else 900.0)
+    for spec in cases:  # every case, before the reference is marched
+        try:
+            inject_defect(desc, spec)
+        except ValueError as exc:
+            raise ParseError(
+                f"{args.cases or 'bundled cases'}: [case {spec.case_id}]: {exc}") from exc
+    weather = parse_weather(args.weather) if args.weather else synthetic_weather(days=5, dt=dt)
 
     model = build_mesh(desc)
     try:
@@ -582,9 +590,6 @@ def _add_inputs(p: argparse.ArgumentParser, measurements: bool) -> None:
     p.add_argument("--weather", required=True, help="weather CSV")
     if measurements:
         p.add_argument("--measurements", required=True, help="measurement CSV")
-    p.add_argument("--dt", type=float, default=None, metavar="S",
-                   help=f"expected {'series' if measurements else 'weather'} step "
-                        "in seconds (checked)")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -617,7 +622,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", default=None,
                    help="defect case file (default: bundled cases)")
     p.add_argument("--dt", type=float, default=None, metavar="S",
-                   help="synthetic weather step in seconds (default 900)")
+                   help="synthetic weather step in seconds (default 900; "
+                        "not with --weather)")
     _add_ga_flags(p)
     _add_skip_steps(p)
     p.add_argument("--noise-sd", type=float, default=0.0, metavar="SD",

@@ -23,9 +23,7 @@ from .ga import (
     GAConfig, GAHistory, ScoredIndividual, _order_key, decode, encode, fitness, run_ga,
 )
 from .model import NodalModel, StateMatrices
-from .simulate import (
-    MeasurementSeries, WeatherSeries, initial_state, simulate, simulate_batch,
-)
+from .simulate import MeasurementSeries, WeatherSeries, simulate, simulate_batch
 
 __all__ = [
     "DiagnosisReport",
@@ -92,7 +90,6 @@ class ChromosomeEvaluator:
         self.air_node = air_node
         self.skip_steps = skip_steps
         self.chromosome_length = sm.n_nodes - 1
-        self._T0 = initial_state(sm, weather.values[0])
         self._cache: dict[tuple, float] = {}
 
     @property
@@ -107,7 +104,7 @@ class ChromosomeEvaluator:
 
     def air_series(self, chromosome: tuple) -> np.ndarray:
         """Simulated air-node series under the chromosome's forcing (full horizon)."""
-        traj = simulate(self.sm, self.weather, self._forcing(chromosome), self.meas, self._T0)
+        traj = simulate(self.sm, self.weather, self._forcing(chromosome), self.meas)
         return traj.node_series(self.air_node)
 
     def __call__(self, chromosomes) -> list[float]:
@@ -121,7 +118,7 @@ class ChromosomeEvaluator:
         for start in range(0, len(todo), MAX_BATCH):
             batch = todo[start:start + MAX_BATCH]
             air = simulate_batch(self.sm, self.weather, [self._forcing(k) for k in batch],
-                                 self.meas, self._T0, rows=(self.air_node,))
+                                 self.meas, rows=(self.air_node,))
             for key, sim_air in zip(batch, air[:, 0, self.skip_steps:]):
                 self._cache[key] = objective(sim_air, meas_air)
         return [self._cache[k] for k in keys]
@@ -174,6 +171,16 @@ class DiagnosisReport:
     skip_steps: int
     oracle_best: frozenset | None = None
     oracle_best_J: float | None = None
+
+    @property
+    def ratio(self) -> float | None:
+        """J best over J unforced; None when the unforced J is 0."""
+        return self.best.J / self.unforced_J if self.unforced_J > 0.0 else None
+
+    @property
+    def ga_matches_oracle(self) -> bool | None:
+        """Whether the GA reached the oracle's J; None without the oracle."""
+        return None if self.oracle_best_J is None else self.oracle_best_J == self.best.J
 
 
 def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
@@ -257,15 +264,14 @@ def format_report(report: DiagnosisReport, model: NodalModel | None = None) -> s
     lines.append(f"best forcing set: {_set_label(report.best_forcing)}")
     lines.append(f"J best:     {_fmt(report.best.J)}")
     lines.append(f"J unforced: {_fmt(report.unforced_J)}")
-    if report.unforced_J > 0.0:
-        lines.append(f"J ratio:    {_fmt(report.best.J / report.unforced_J)}")
+    if report.ratio is not None:
+        lines.append(f"J ratio:    {_fmt(report.ratio)}")
     lines.append(f"generations: {report.history.generations - 1}")
     if report.oracle_best is not None:
         lines.append("")
         lines.append(f"oracle best set: {_set_label(report.oracle_best)}")
         lines.append(f"oracle best J:   {_fmt(report.oracle_best_J)}")
-        agree = report.oracle_best_J == report.best.J
-        lines.append(f"ga matches oracle J: {'yes' if agree else 'no'}")
+        lines.append(f"ga matches oracle J: {'yes' if report.ga_matches_oracle else 'no'}")
     lines.append("")
     lines.append("single-node forcing scores")
     lines.append("--------------------------")
@@ -307,7 +313,7 @@ def report_key_values(report: DiagnosisReport) -> str:
     if report.oracle_best is not None:
         kv.append(("oracle_best_set", _set_label(report.oracle_best)))
         kv.append(("oracle_best_J", repr(report.oracle_best_J)))
-        kv.append(("ga_matches_oracle", int(report.oracle_best_J == report.best.J)))
+        kv.append(("ga_matches_oracle", int(report.ga_matches_oracle)))
     return "\n".join(f"{k} = {v}" for k, v in kv) + "\n"
 
 

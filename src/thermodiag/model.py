@@ -246,14 +246,13 @@ class StateMatrices:
     capacity: np.ndarray        # (N,) J/K
     exchange: np.ndarray        # (N, N) W/K
     input_coupling: np.ndarray  # (N, M)
-    input_channels: tuple[str, ...] = INPUT_CHANNELS
 
     @property
     def n_nodes(self) -> int:
         return self.capacity.shape[0]
 
     def channel_index(self, channel: str) -> int:
-        return self.input_channels.index(channel)
+        return INPUT_CHANNELS.index(channel)
 
 
 def layer_stack_to_rc(layers: Iterable[Layer], area: float,

@@ -15,8 +15,9 @@ model.  Diagnosing the perturbed model against them must localize the defect:
 * a control run (no defect at all) passes when the best set is empty and the
   unforced objective is numerically zero.
 
-Each case also runs the exhaustive oracle over the measurable nodes and
-records whether the GA reached the oracle's optimum.
+Each outcome holds its case's diagnosis report, which also runs the
+exhaustive oracle over the measured nodes and says whether the GA reached
+the oracle's optimum.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnose import _set_label, run_diagnosis
+from .diagnose import DiagnosisReport, _set_label, run_diagnosis
 from .ga import GAConfig
-from .model import BuildingDescription, assemble, build_mesh
+from .model import BuildingDescription, EnvelopeComponent, assemble, build_mesh
 from .simulate import MeasurementSeries, WeatherSeries, simulate
 
 __all__ = [
@@ -72,76 +73,68 @@ class DefectSpec:
         if self.kind not in DEFECT_KINDS:
             raise ValueError(f"unknown defect kind {self.kind!r}")
         if self.base == self.perturbed:
-            raise ValueError(f"case {self.case_id}: base equals perturbed value")
+            raise ValueError("base equals perturbed value")
         if self.kind == "layer_conductivity":
             if self.component is None:
-                raise ValueError(f"case {self.case_id}: layer_conductivity needs a component")
+                raise ValueError("layer_conductivity needs a component")
             if self.perturbed <= 0.0:
-                raise ValueError(f"case {self.case_id}: conductivity must stay positive")
+                raise ValueError("conductivity must stay positive")
         elif self.kind == "absorptivity":
             if self.component is None:
-                raise ValueError(f"case {self.case_id}: absorptivity needs a component")
+                raise ValueError("absorptivity needs a component")
             if not 0.0 <= self.perturbed <= 1.0:
-                raise ValueError(f"case {self.case_id}: absorptivity must stay in [0, 1]")
+                raise ValueError("absorptivity must stay in [0, 1]")
         elif self.kind == "h_ci":
             if self.perturbed < 0.0:
-                raise ValueError(f"case {self.case_id}: h_ci must stay >= 0")
+                raise ValueError("h_ci must stay >= 0")
         if self.layer_index < 0:
-            raise ValueError(f"case {self.case_id}: layer_index must be >= 0")
+            raise ValueError("layer_index must be >= 0")
 
 
 @dataclass(frozen=True)
 class VerificationOutcome:
     case_id: str
-    best_set: frozenset
+    report: DiagnosisReport    # the case's diagnosis, oracle included
     expected: frozenset        # empty when no localization is expected
-    J_best: float              # °C²
-    J_unforced: float          # °C²
-    ratio: float | None        # J_best / J_unforced, None when unforced is 0
     passed: bool
     criterion: str             # human-readable pass rule
-    ga_matches_oracle: bool
-    oracle_best: frozenset
-    oracle_best_J: float
 
 
 def _check_base(spec: DefectSpec, what: str, actual: float) -> None:
     if not np.isclose(actual, spec.base, rtol=1e-9, atol=0.0):
-        raise ValueError(
-            f"case {spec.case_id}: {what} is {actual}, expected base {spec.base}")
+        raise ValueError(f"{what} is {actual}, expected base {spec.base}")
+
+
+def _perturb(comp: EnvelopeComponent, spec: DefectSpec) -> EnvelopeComponent:
+    if spec.kind == "h_ci":
+        _check_base(spec, f"h_ci of {comp.name}", comp.h_ci)
+        return replace(comp, h_ci=spec.perturbed)
+    if spec.kind == "absorptivity":
+        _check_base(spec, f"absorptivity of {comp.name}", comp.absorptivity)
+        return replace(comp, absorptivity=spec.perturbed)
+    if spec.layer_index >= len(comp.layers):
+        raise ValueError(f"{comp.name} has no layer {spec.layer_index}")
+    layer = comp.layers[spec.layer_index]
+    _check_base(spec, f"conductivity of {comp.name} layer {spec.layer_index}",
+                layer.conductivity)
+    layers = list(comp.layers)
+    layers[spec.layer_index] = replace(layer, conductivity=spec.perturbed)
+    return replace(comp, layers=tuple(layers))
 
 
 def inject_defect(desc: BuildingDescription, spec: DefectSpec) -> BuildingDescription:
-    """Copy the description with exactly one parameter perturbed."""
-    if spec.kind == "h_ci":
-        if spec.component is None:
-            targets = [c.name for c in desc.components]
-        else:
-            targets = [desc.component(spec.component).name]
-        new_components = []
-        for comp in desc.components:
-            if comp.name in targets:
-                _check_base(spec, f"h_ci of {comp.name}", comp.h_ci)
-                comp = replace(comp, h_ci=spec.perturbed)
-            new_components.append(comp)
-        return replace(desc, components=tuple(new_components))
+    """Copy the description with exactly one parameter perturbed.
 
-    comp = desc.component(spec.component)
-    if spec.kind == "absorptivity":
-        _check_base(spec, f"absorptivity of {comp.name}", comp.absorptivity)
-        changed = replace(comp, absorptivity=spec.perturbed)
-    else:
-        if spec.layer_index >= len(comp.layers):
-            raise ValueError(
-                f"case {spec.case_id}: {comp.name} has no layer {spec.layer_index}")
-        layer = comp.layers[spec.layer_index]
-        _check_base(spec, f"conductivity of {comp.name} layer {spec.layer_index}",
-                    layer.conductivity)
-        layers = list(comp.layers)
-        layers[spec.layer_index] = replace(layer, conductivity=spec.perturbed)
-        changed = replace(comp, layers=tuple(layers))
-    new_components = tuple(changed if c.name == comp.name else c for c in desc.components)
-    return replace(desc, components=new_components)
+    A global ``h_ci`` defect (no component) perturbs every component.  A
+    component or layer the building lacks, or a value other than
+    ``spec.base``, raises ValueError; the message does not repeat the case id.
+    """
+    names = [c.name for c in desc.components]
+    if spec.component is not None and spec.component not in names:
+        raise ValueError(f"the building has no component {spec.component!r}")
+    return replace(desc, components=tuple(
+        _perturb(c, spec) if spec.component in (None, c.name) else c
+        for c in desc.components))
 
 
 def generate_pseudo_measurements(desc: BuildingDescription, weather: WeatherSeries,
@@ -170,8 +163,8 @@ def expected_nodes(spec: DefectSpec, desc: BuildingDescription) -> frozenset:
     return frozenset({model.inside_surface_node(spec.component)})
 
 
-def _judge(spec_kind: str, expected: frozenset, best_set: frozenset,
-           ratio: float | None) -> tuple[bool, str]:
+def _judge(spec_kind: str, expected: frozenset, report: DiagnosisReport) -> tuple[bool, str]:
+    best_set, ratio = report.best_forcing, report.ratio
     if spec_kind == "h_ci":
         criterion = f"best set empty or J ratio > {NO_GAIN_RATIO}"
         passed = (not best_set) or (ratio is not None and ratio > NO_GAIN_RATIO)
@@ -189,16 +182,6 @@ def _diagnose(desc: BuildingDescription, weather: WeatherSeries,
     return report
 
 
-def _outcome(case_id: str, report, expected: frozenset, ratio: float | None,
-             passed: bool, criterion: str) -> VerificationOutcome:
-    return VerificationOutcome(
-        case_id=case_id, best_set=report.best_forcing, expected=expected,
-        J_best=report.best.J, J_unforced=report.unforced_J, ratio=ratio,
-        passed=passed, criterion=criterion,
-        ga_matches_oracle=report.oracle_best_J == report.best.J,
-        oracle_best=report.oracle_best, oracle_best_J=report.oracle_best_J)
-
-
 def run_case(spec: DefectSpec, reference: BuildingDescription,
              weather: WeatherSeries, pseudo: MeasurementSeries, config: GAConfig,
              skip_steps: int = 0, noise_sd: float = 0.0) -> VerificationOutcome:
@@ -209,6 +192,8 @@ def run_case(spec: DefectSpec, reference: BuildingDescription,
     ``config.rng_seed``, is added to every series, so every case of one
     protocol sees the same noisy series.
     """
+    if not 0.0 <= noise_sd < np.inf:
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     if noise_sd > 0.0:
         rng = np.random.default_rng(config.rng_seed)
         pseudo = MeasurementSeries(dt=pseudo.dt, series={
@@ -217,9 +202,8 @@ def run_case(spec: DefectSpec, reference: BuildingDescription,
     perturbed_desc = inject_defect(reference, spec)
     report = _diagnose(perturbed_desc, weather, pseudo, config, skip_steps)
     expected = expected_nodes(spec, perturbed_desc)
-    ratio = report.best.J / report.unforced_J if report.unforced_J > 0.0 else None
-    passed, criterion = _judge(spec.kind, expected, report.best_forcing, ratio)
-    return _outcome(spec.case_id, report, expected, ratio, passed, criterion)
+    return VerificationOutcome(spec.case_id, report, expected,
+                               *_judge(spec.kind, expected, report))
 
 
 def run_control(reference: BuildingDescription, weather: WeatherSeries,
@@ -234,8 +218,8 @@ def run_control(reference: BuildingDescription, weather: WeatherSeries,
     """
     report = _diagnose(reference, weather, pseudo, config, skip_steps)
     passed = (not report.best_forcing) and report.unforced_J < CONTROL_J_MAX
-    return _outcome("control", report, frozenset(), None, passed,
-                    f"best set empty and unforced J < {CONTROL_J_MAX}")
+    return VerificationOutcome("control", report, frozenset(), passed,
+                               f"best set empty and unforced J < {CONTROL_J_MAX}")
 
 
 def format_outcomes(outcomes) -> str:
@@ -243,14 +227,15 @@ def format_outcomes(outcomes) -> str:
     outcomes = list(outcomes)
     rows = [("case", "pass", "best set", "expected", "J best", "J unforced", "ratio")]
     for o in outcomes:
+        r = o.report
         rows.append((
             o.case_id,
             "yes" if o.passed else "NO",
-            _set_label(o.best_set),
+            _set_label(r.best_forcing),
             _set_label(o.expected),
-            f"{o.J_best:.6g}",
-            f"{o.J_unforced:.6g}",
-            "-" if o.ratio is None else f"{o.ratio:.4f}",
+            f"{r.best.J:.6g}",
+            f"{r.unforced_J:.6g}",
+            "-" if r.ratio is None else f"{r.ratio:.4f}",
         ))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = []
@@ -268,15 +253,15 @@ def outcomes_key_values(outcomes) -> str:
     """Machine-readable outcome dump, one block of keys per case."""
     lines = []
     for o in outcomes:
-        prefix = f"case.{o.case_id}"
+        r, prefix = o.report, f"case.{o.case_id}"
         lines.append(f"{prefix}.passed = {int(o.passed)}")
-        lines.append(f"{prefix}.best_set = {_set_label(o.best_set)}")
+        lines.append(f"{prefix}.best_set = {_set_label(r.best_forcing)}")
         lines.append(f"{prefix}.expected = {_set_label(o.expected)}")
-        lines.append(f"{prefix}.J_best = {o.J_best!r}")
-        lines.append(f"{prefix}.J_unforced = {o.J_unforced!r}")
-        lines.append(f"{prefix}.ratio = {'' if o.ratio is None else repr(o.ratio)}")
+        lines.append(f"{prefix}.J_best = {r.best.J!r}")
+        lines.append(f"{prefix}.J_unforced = {r.unforced_J!r}")
+        lines.append(f"{prefix}.ratio = {'' if r.ratio is None else repr(r.ratio)}")
         lines.append(f"{prefix}.criterion = {o.criterion}")
-        lines.append(f"{prefix}.ga_matches_oracle = {int(o.ga_matches_oracle)}")
-        lines.append(f"{prefix}.oracle_best_set = {_set_label(o.oracle_best)}")
-        lines.append(f"{prefix}.oracle_best_J = {o.oracle_best_J!r}")
+        lines.append(f"{prefix}.ga_matches_oracle = {int(r.ga_matches_oracle)}")
+        lines.append(f"{prefix}.oracle_best_set = {_set_label(r.oracle_best)}")
+        lines.append(f"{prefix}.oracle_best_J = {r.oracle_best_J!r}")
     return "\n".join(lines) + "\n"

@@ -96,10 +96,10 @@ def test_ga_matches_exhaustive_oracle_across_seeds(cell, pseudo):
 def test_door_conductivity_defect_localized(cell, pseudo):
     desc, model, weather, _ = cell
     outcome = run_case(door_defect(), desc, weather, pseudo, ga_config(0))
-    print(f"door case: best set {sorted(outcome.best_set)}, "
-          f"ratio {outcome.ratio:.4g}")
-    assert model.inside_surface_node("door") in outcome.best_set
-    assert outcome.ratio < 0.2
+    print(f"door case: best set {sorted(outcome.report.best_forcing)}, "
+          f"ratio {outcome.report.ratio:.4g}")
+    assert model.inside_surface_node("door") in outcome.report.best_forcing
+    assert outcome.report.ratio < 0.2
 
 
 def test_roof_absorptivity_defect_localized(cell, pseudo):
@@ -107,19 +107,19 @@ def test_roof_absorptivity_defect_localized(cell, pseudo):
     spec = DefectSpec("roof", "absorptivity", base=0.3, perturbed=0.9,
                       component="roof")
     outcome = run_case(spec, desc, weather, pseudo, ga_config(0))
-    print(f"roof case: best set {sorted(outcome.best_set)}, "
-          f"ratio {outcome.ratio:.4g}")
-    assert model.inside_surface_node("roof") in outcome.best_set
-    assert outcome.ratio < 0.2
+    print(f"roof case: best set {sorted(outcome.report.best_forcing)}, "
+          f"ratio {outcome.report.ratio:.4g}")
+    assert model.inside_surface_node("roof") in outcome.report.best_forcing
+    assert outcome.report.ratio < 0.2
 
 
 def test_global_convection_defect_yields_no_forcing(cell, pseudo):
     desc, _, weather, _ = cell
     spec = DefectSpec("conv", "h_ci", base=5.0, perturbed=0.1)
     outcome = run_case(spec, desc, weather, pseudo, ga_config(0))
-    print(f"convection case: best set {sorted(outcome.best_set)}, "
-          f"ratio {outcome.ratio}")
-    assert outcome.best_set == frozenset() or outcome.ratio > 0.9
+    print(f"convection case: best set {sorted(outcome.report.best_forcing)}, "
+          f"ratio {outcome.report.ratio}")
+    assert outcome.report.best_forcing == frozenset() or outcome.report.ratio > 0.9
 
 
 def test_forced_nodes_reproduce_measurements_bitwise(cell):
@@ -168,10 +168,10 @@ def test_physics_sanity_constant_boundary_and_analytic_decay(cell):
 def test_unperturbed_model_self_consistency(cell, pseudo):
     desc, _, weather, _ = cell
     outcome = run_control(desc, weather, pseudo, ga_config(0))
-    print(f"control: best set {sorted(outcome.best_set)}, "
-          f"unforced J {outcome.J_unforced:.3g}")
-    assert outcome.best_set == frozenset()
-    assert outcome.J_unforced < CONTROL_J_MAX
+    print(f"control: best set {sorted(outcome.report.best_forcing)}, "
+          f"unforced J {outcome.report.unforced_J:.3g}")
+    assert outcome.report.best_forcing == frozenset()
+    assert outcome.report.unforced_J < CONTROL_J_MAX
     assert outcome.passed
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermodiag.cli
+import thermodiag.diagnose
 import thermodiag.verify
 from thermodiag.cli import (
     CSV_EPOCH,
@@ -496,6 +497,23 @@ class TestMainDiagnose:
         assert "singular" in capsys.readouterr().err.lower()
 
 
+@pytest.fixture
+def marches(monkeypatch):
+    """Every march verify starts: the reference's and the diagnoses' batches."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(thermodiag.verify, "simulate", counted(simulate))
+    monkeypatch.setattr(thermodiag.diagnose, "simulate_batch",
+                        counted(thermodiag.diagnose.simulate_batch))
+    return calls
+
+
 class TestMainVerify:
     def test_default_protocol_passes(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -505,17 +523,10 @@ class TestMainVerify:
         assert "4/4 cases passed" in text
         assert (out / "verify_report.kv").exists()
 
-    def test_reference_marched_once(self, tmp_path, capsys, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(thermodiag.verify, "simulate", counted)
+    def test_reference_marched_once(self, tmp_path, capsys, marches):
         main(["verify", "--generations", "5", "--noise-sd", "0.05",
               "--out", str(tmp_path / "v")])
-        assert len(calls) == 1
+        assert marches.count("simulate") == 1
 
     def test_corrupt_cases_file_exits_2(self, tmp_path, capsys):
         bad = write_tmp(tmp_path, "bad_cases.txt", "kind = nonsense\n")
@@ -532,6 +543,71 @@ class TestMainVerify:
         assert cases in err
         assert "[case smoke]" in err
         assert "chimney" in err
+
+
+class TestVerifyRejectsUpFront:
+    """Bad cases and flags exit 2 before anything is marched or written."""
+
+    @pytest.mark.parametrize("case, field", [
+        ("kind = layer_conductivity\ncomponent = door\nbase = 0.5\nperturbed = 0.78\n",
+         "expected base 0.5"),
+        ("kind = layer_conductivity\ncomponent = door\nlayer = 5\nbase = 0.23\n"
+         "perturbed = 0.78\n", "no layer 5"),
+        ("kind = absorptivity\ncomponent = chimney\nbase = 0.3\nperturbed = 0.9\n",
+         "no component 'chimney'"),
+        ("kind = h_ci\nbase = 0.1\nperturbed = 0.1\n", "base equals perturbed"),
+    ])
+    def test_bad_fourth_case(self, tmp_path, capsys, marches, case, field):
+        text = Path(f"{DATA}/example_cases.txt").read_text() + "\n[case d]\n" + case
+        cases = write_tmp(tmp_path, "cases.txt", text)
+        out = tmp_path / "v"
+        rc = main(["verify", "--cases", cases, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cases}: [case d]: ")
+        assert err.count("case d") == 1
+        assert field in err
+        assert marches == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--dt", "0"], "--dt"),
+        (["--dt", "-5"], "--dt"),
+        (["--dt", "nan"], "--dt"),
+        (["--dt", "900", "--weather", f"{DATA}/example_weather.csv"], "--dt"),
+        (["--noise-sd", "-0.2"], "--noise-sd"),
+        (["--noise-sd", "inf"], "--noise-sd"),
+    ])
+    def test_bad_flag_named(self, tmp_path, capsys, marches, flags, named):
+        out = tmp_path / "v"
+        rc = main(["verify", *flags, "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert marches == []
+        assert not out.exists()
+
+    def test_dt_sets_synthetic_step(self, tmp_path, capsys, monkeypatch):
+        steps = []
+
+        def recorded(**kwargs):
+            steps.append(kwargs["dt"])
+            return synthetic_weather(**kwargs)
+
+        monkeypatch.setattr(thermodiag.cli, "synthetic_weather", recorded)
+        for flags in ([], ["--dt", "1800"]):
+            main(["verify", *flags, "--generations", "3", "--out", str(tmp_path)])
+        assert steps == [900.0, 1800.0]
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose", "stats"])
+    def test_dt_only_on_verify(self, capsys, command):
+        inputs = ["--building", f"{DATA}/example_cell.building",
+                  "--weather", f"{DATA}/example_weather.csv"]
+        if command != "simulate":
+            inputs += ["--measurements", f"{DATA}/example_measurements.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--dt", "900"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt 900" in capsys.readouterr().err
 
 
 class TestMainStats:

@@ -146,13 +146,19 @@ class TestPseudoMeasurements:
         assert a == b
         other = run_case(DOOR, desc, weather, pseudo,
                          dataclasses.replace(config, rng_seed=4), noise_sd=0.1)
-        assert other.J_unforced != a.J_unforced
+        assert other.report.unforced_J != a.report.unforced_J
+
+    @pytest.mark.parametrize("noise_sd", [-0.2, float("inf"), float("nan")])
+    def test_bad_noise_rejected(self, setting, pseudo, noise_sd):
+        desc, _, weather, _ = setting
+        with pytest.raises(ValueError, match="noise_sd"):
+            run_case(DOOR, desc, weather, pseudo, base_config(), noise_sd=noise_sd)
 
     def test_noise_actually_perturbs(self, setting, pseudo):
         desc, _, weather, _ = setting
         clean = run_case(DOOR, desc, weather, pseudo, base_config())
         noisy = run_case(DOOR, desc, weather, pseudo, base_config(), noise_sd=0.1)
-        assert noisy.J_unforced != clean.J_unforced
+        assert noisy.report.unforced_J != clean.report.unforced_J
 
 
 class TestExpectedNodes:
@@ -173,23 +179,23 @@ class TestRunCase:
         desc, model, weather, _ = setting
         outcome = run_case(DOOR, desc, weather, pseudo, base_config())
         assert outcome.passed
-        assert model.inside_surface_node("door") in outcome.best_set
-        assert outcome.ratio < 0.2
-        assert outcome.ga_matches_oracle
+        assert model.inside_surface_node("door") in outcome.report.best_forcing
+        assert outcome.report.ratio < 0.2
+        assert outcome.report.ga_matches_oracle
 
     def test_global_defect_gains_little(self, setting, pseudo):
         desc, _, weather, _ = setting
         spec = DefectSpec("conv", "h_ci", base=5.0, perturbed=0.1)
         outcome = run_case(spec, desc, weather, pseudo, base_config())
         assert outcome.passed
-        assert outcome.best_set == frozenset() or outcome.ratio > 0.9
+        assert outcome.report.best_forcing == frozenset() or outcome.report.ratio > 0.9
 
     def test_control_run_is_silent(self, setting, pseudo):
         desc, _, weather, _ = setting
         outcome = run_control(desc, weather, pseudo, base_config())
         assert outcome.passed
-        assert outcome.best_set == frozenset()
-        assert outcome.J_unforced <= CONTROL_J_MAX
+        assert outcome.report.best_forcing == frozenset()
+        assert outcome.report.unforced_J <= CONTROL_J_MAX
 
     def test_control_passes_when_ga_stops_on_round_off(self, setting, pseudo):
         # with this seed the GA on its own stops on a non-empty set whose J
@@ -205,8 +211,8 @@ class TestRunCase:
 
         outcome = run_control(desc, weather, pseudo, config)
         assert outcome.passed
-        assert outcome.best_set == frozenset()
-        assert outcome.J_best == 0.0
+        assert outcome.report.best_forcing == frozenset()
+        assert outcome.report.best.J == 0.0
 
     def test_shared_clean_series_reproduces_each_case(self, setting):
         # the protocol marches the reference once and hands every case the
@@ -243,5 +249,5 @@ class TestReporting:
     def test_key_values_in_full_precision(self, outcomes):
         kv = outcomes_key_values(outcomes)
         case = outcomes[0]
-        assert f"case.door.J_best = {case.J_best!r}" in kv
+        assert f"case.door.J_best = {case.report.best.J!r}" in kv
         assert f"case.door.passed = {int(case.passed)}" in kv
