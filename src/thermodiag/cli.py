@@ -9,7 +9,8 @@ stats      residual statistics of the plain model against measurements
 
 ``simulate``, ``diagnose`` and ``stats`` take the time step from their files.
 ``verify --dt`` is the step of its synthetic weather, so it cannot be given
-with ``--weather``.  Each verify outcome holds its case's diagnosis report;
+with ``--weather``.  A bad GA flag, or a ``--skip-steps`` that does not leave
+two records, exits 2 naming the flag before anything is marched.  Each verify outcome holds its case's diagnosis report;
 the J ratio and the GA/oracle agreement the tables print are read from it.
 
 File formats
@@ -467,15 +468,32 @@ def _load_measured_case(args):
     return model, sm, weather, meas
 
 
+#: GAConfig field -> the flag that sets it and that flag's value on args.
+_GA_FLAGS = {
+    "population_size": ("--pop-size", "pop_size"),
+    "crossover_probability": ("--pc", "pc"),
+    "mutation_probability": ("--pm", "pm"),
+    "max_generations": ("--generations", "generations"),
+    "rng_seed": ("--seed", "seed"),
+}
+
+
 def _ga_config(args) -> GAConfig:
-    return GAConfig(
-        population_size=args.pop_size,
-        crossover_probability=args.pc,
-        mutation_probability=args.pm,
-        max_generations=args.generations,
-        rng_seed=args.seed,
-        elitism=not args.no_elitism,
-    )
+    """The GA flags as a config; a rejected value exits 2 naming its flag."""
+    try:
+        return GAConfig(elitism=not args.no_elitism, **{
+            name: getattr(args, dest) for name, (_, dest) in _GA_FLAGS.items()})
+    except ValueError as exc:  # GAConfig's messages start with the field name
+        name, _, reason = str(exc).partition(" ")
+        flag, dest = _GA_FLAGS[name]
+        raise ParseError(f"{flag} {reason}, got {getattr(args, dest)!r}") from exc
+
+
+def _check_skip_steps(skip_steps: int, n_records: int) -> None:
+    """--skip-steps must leave the two samples the residual statistics need."""
+    if not 0 <= skip_steps <= n_records - 2:
+        raise ParseError(f"--skip-steps must be in 0..{n_records - 2} to leave at least "
+                         f"two of the {n_records} records, got {skip_steps}")
 
 
 def cmd_simulate(args) -> int:
@@ -491,9 +509,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    config = _ga_config(args)
     model, sm, weather, meas = _load_measured_case(args)
+    _check_skip_steps(args.skip_steps, meas.n_samples)
     report, evaluator = run_diagnosis(
-        sm, weather, meas, model.air_node, _ga_config(args),
+        sm, weather, meas, model.air_node, config,
         skip_steps=args.skip_steps, exhaustive=args.exhaustive)
 
     text = format_report(report, model)
@@ -514,6 +534,7 @@ def cmd_verify(args) -> int:
         raise ParseError(f"--dt must be a positive number of seconds, got {dt!r}")
     if not 0.0 <= args.noise_sd < math.inf:
         raise ParseError(f"--noise-sd must be a finite sd >= 0 °C, got {args.noise_sd!r}")
+    config = _ga_config(args)
     desc = parse_building(args.building) if args.building else example_cell()
     cases = parse_cases(args.cases) if args.cases else default_cases()
     for spec in cases:  # every case, before the reference is marched
@@ -523,6 +544,7 @@ def cmd_verify(args) -> int:
             raise ParseError(
                 f"{args.cases or 'bundled cases'}: [case {spec.case_id}]: {exc}") from exc
     weather = parse_weather(args.weather) if args.weather else synthetic_weather(days=5, dt=dt)
+    _check_skip_steps(args.skip_steps, weather.n_records)
 
     model = build_mesh(desc)
     try:
@@ -530,7 +552,6 @@ def cmd_verify(args) -> int:
     except KeyError:
         # custom building: fall back to every inside surface
         measured = tuple(model.inside_surface_node(c.name) for c in desc.components)
-    config = _ga_config(args)
 
     pseudo = generate_pseudo_measurements(desc, weather, measured)
     outcomes = [
@@ -549,6 +570,7 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     model, sm, weather, meas = _load_measured_case(args)
+    _check_skip_steps(args.skip_steps, meas.n_samples)
     air = model.air_node
     traj = simulate(sm, weather)
     sim_air = traj.node_series(air)[args.skip_steps:]

@@ -108,7 +108,7 @@ class ChromosomeEvaluator:
         return traj.node_series(self.air_node)
 
     def __call__(self, chromosomes) -> list[float]:
-        keys = [tuple(int(b) for b in c) for c in chromosomes]
+        keys = [tuple(map(int, c)) for c in chromosomes]
         for key in keys:
             if len(key) != self.chromosome_length:
                 raise ValueError(
@@ -187,7 +187,7 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
                   meas: MeasurementSeries, air_node: int, config: GAConfig,
                   skip_steps: int = 0, exhaustive: bool = False
                   ) -> tuple[DiagnosisReport, ChromosomeEvaluator]:
-    """Run the GA (and optionally the oracle) and assemble the report.
+    """Run the oracle (when asked), then the GA, and assemble the report.
 
     The nodes ``meas`` holds a series for, the air node excluded, are the
     GA's loci, the oracle's nodes and the per-node table's rows.  The best
@@ -199,6 +199,13 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
     evaluator = ChromosomeEvaluator(sm, weather, meas, air_node, skip_steps)
     length = evaluator.chromosome_length
     measured = sorted(meas.node_ids - {air_node})
+
+    oracle_best = oracle_J = None
+    if exhaustive:
+        # the whole subset table is one kernel call; the GA and the
+        # per-node table then find every J they ask for in the cache
+        oracle_best, oracle_table = exhaustive_search(measured, evaluator, length)
+        oracle_J = oracle_table[oracle_best]
 
     best, history = run_ga(config, evaluator, encode(measured, length))
     scores = per_node_scores(measured, evaluator, length)
@@ -213,11 +220,6 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
     air_best = evaluator.air_series(best.chromosome)
     before = residual_stats(air_unforced[skip_steps:], meas_air)
     after = residual_stats(air_best[skip_steps:], meas_air)
-
-    oracle_best = oracle_J = None
-    if exhaustive:
-        oracle_best, oracle_table = exhaustive_search(measured, evaluator, length)
-        oracle_J = oracle_table[oracle_best]
 
     report = DiagnosisReport(
         best=best,

@@ -12,15 +12,22 @@ zero by a mask, given to :func:`run_ga`, rather than by shortening the
 string.
 
 Reproducibility: every stochastic draw comes from one sequential generator,
-consumed in a fixed order per pair of children (parent selection, parent
-selection, crossover decision, cut point if crossing, one mutation block per
-child).  Objective evaluations draw nothing, so the stream does not depend on
-the evaluator.
+consumed in a fixed order per pair of children: one uniform for each of the
+two roulette spins, one for the crossover decision, one bounded integer for
+the cut point if crossing, then one block of L uniforms per child for
+mutation.  A generation makes its draws pair by pair in exactly this order,
+then selects, splices, flips and masks all children at once on one
+(population x L) array; the one-row operators :func:`select_roulette`,
+:func:`crossover` and :func:`mutate` call the same helpers, so each draw
+rule and each bit rule is written once.  Objective evaluations draw
+nothing, so the stream does not depend on the evaluator.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,6 +81,8 @@ class GAConfig:
             raise ValueError("mutation_probability outside [0, 1]")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,14 +141,56 @@ def _order_key(ind: ScoredIndividual):
     return (ind.J, sum(ind.chromosome), ind.chromosome)
 
 
+def _wheel(population: Sequence[ScoredIndividual]) -> list[float]:
+    """Running sums of the fitnesses, in population order."""
+    return list(accumulate(ind.f for ind in population))
+
+
+def _spin(wheel: list[float], rng: np.random.Generator) -> int:
+    """Index of one roulette pick; consumes exactly one draw."""
+    return bisect_right(wheel, rng.random() * wheel[-1])
+
+
+def _cut(length: int, crossover_probability: float, rng: np.random.Generator) -> int:
+    """Crossing point in [1, L-1], or L for plain copies.
+
+    The decision is always drawn; the cut is drawn only when crossing, and
+    a chromosome of one locus is never cut.
+    """
+    if rng.random() < crossover_probability and length >= 2:
+        return int(rng.integers(1, length))
+    return length
+
+
+def _splice(parents: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Children of parent pairs (..., 2, L): each child keeps its own parent's
+    loci before the cut and takes the other parent's from it on."""
+    head = np.arange(parents.shape[-1]) < np.asarray(cuts)[..., None, None]
+    return np.where(head, parents, parents[..., ::-1, :])
+
+
+def _flip(bits: np.ndarray, draws: np.ndarray, mutation_probability: float,
+          mask: np.ndarray) -> np.ndarray:
+    """Flip each bit whose draw is below the probability; masked loci are 0."""
+    return (bits ^ (draws < mutation_probability)) & mask
+
+
+def _mutation_draws(rng: np.random.Generator, children: int, length: int) -> np.ndarray:
+    """One uniform per locus of each child, masked loci included, so the
+    stream position does not depend on the mask contents."""
+    return rng.random((children, length))
+
+
+def _bits(chromosomes) -> np.ndarray:
+    return np.array(chromosomes, dtype=np.uint8)
+
+
 def select_roulette(population: Sequence[ScoredIndividual],
                     rng: np.random.Generator) -> ScoredIndividual:
     """Fitness-proportionate selection; consumes exactly one draw."""
     if not population:
         raise GAError("cannot select from an empty population")
-    wheel = np.cumsum([ind.f for ind in population])
-    pick = rng.random() * wheel[-1]
-    return population[int(np.searchsorted(wheel, pick, side="right"))]
+    return population[_spin(_wheel(population), rng)]
 
 
 def crossover(p1: Chromosome, p2: Chromosome, crossover_probability: float,
@@ -147,25 +198,17 @@ def crossover(p1: Chromosome, p2: Chromosome, crossover_probability: float,
     """Single-point crossover with the given probability, else plain copies."""
     if len(p1) != len(p2):
         raise GAError("parents must have equal length")
-    length = len(p1)
-    if rng.random() < crossover_probability and length >= 2:
-        cut = int(rng.integers(1, length))  # in [1, L-1]
-        return p1[:cut] + p2[cut:], p2[:cut] + p1[cut:]
-    return tuple(p1), tuple(p2)
+    cut = _cut(len(p1), crossover_probability, rng)
+    c1, c2 = _splice(_bits([p1, p2]), cut).tolist()
+    return tuple(c1), tuple(c2)
 
 
 def mutate(chromosome: Chromosome, mutation_probability: float,
            rng: np.random.Generator, mask: Sequence) -> Chromosome:
-    """Flip each maskable bit independently; masked loci stay 0.
-
-    One uniform is drawn per locus (masked ones included) so the stream
-    position does not depend on the mask contents.
-    """
-    draws = rng.random(len(chromosome))
-    return tuple(
-        (b ^ 1 if u < mutation_probability else b) if m else 0
-        for b, u, m in zip(chromosome, draws, mask)
-    )
+    """Flip each maskable bit independently; masked loci stay 0."""
+    draws = _mutation_draws(rng, 1, len(chromosome))[0]
+    return tuple(_flip(_bits(chromosome), draws, mutation_probability,
+                       _bits(mask)).tolist())
 
 
 def _score(bits_list, evaluator: Evaluator) -> list[ScoredIndividual]:
@@ -184,18 +227,26 @@ def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
            mask: Sequence) -> list[ScoredIndividual]:
     """Produce and score the next generation; loci where ``mask`` is 0 stay 0.
 
-    Pairs are drawn by roulette, crossed and mutated until the population is
-    refilled.  With elitism the best parent replaces the worst child, which
-    makes the best J non-increasing between generations.
+    Each pair's draws are made in stream order (two roulette spins on one
+    wheel per generation, the crossover decision and cut, two mutation
+    blocks); then every pair's parents are looked up, spliced, flipped and
+    masked at once.  With elitism the best parent replaces the worst child,
+    which makes the best J non-increasing between generations.
     """
-    offspring: list[Chromosome] = []
-    while len(offspring) < config.population_size:
-        p1 = select_roulette(population, rng).chromosome
-        p2 = select_roulette(population, rng).chromosome
-        c1, c2 = crossover(p1, p2, config.crossover_probability, rng)
-        offspring.append(mutate(c1, config.mutation_probability, rng, mask))
-        offspring.append(mutate(c2, config.mutation_probability, rng, mask))
-    offspring = offspring[:config.population_size]
+    length = len(mask)
+    pairs = config.population_size // 2
+    wheel = _wheel(population)
+    parents = np.empty((pairs, 2), dtype=int)
+    cuts = np.empty(pairs, dtype=int)
+    draws = np.empty((pairs, 2, length))
+    for i in range(pairs):
+        parents[i] = _spin(wheel, rng), _spin(wheel, rng)
+        cuts[i] = _cut(length, config.crossover_probability, rng)
+        draws[i] = _mutation_draws(rng, 2, length)
+    bits = _bits([ind.chromosome for ind in population])
+    children = _flip(_splice(bits[parents], cuts), draws,
+                     config.mutation_probability, _bits(mask))
+    offspring = [tuple(c) for c in children.reshape(-1, length).tolist()]
     scored = _score(offspring, evaluator)
     if config.elitism:
         best_parent = min(population, key=_order_key)
@@ -219,11 +270,9 @@ def run_ga(config: GAConfig, evaluator: Evaluator,
         raise ValueError("mask must be a non-empty 0/1 sequence")
     rng = np.random.default_rng(config.rng_seed)
 
-    initial = [
-        tuple(int(b) & m for b, m in zip(rng.integers(0, 2, size=len(mask)), mask))
-        for _ in range(config.population_size)
-    ]
-    population = _score(initial, evaluator)
+    initial = _bits([rng.integers(0, 2, size=len(mask))
+                     for _ in range(config.population_size)]) & _bits(mask)
+    population = _score([tuple(c) for c in initial.tolist()], evaluator)
     history = GAHistory()
     history.record(population)
 

@@ -22,9 +22,11 @@ measurements in the forced rows.  :func:`simulate_batch` marches a stack of
 forcing sets together in blocks of BLOCK_STEPS steps: per block, ``h`` comes
 from one stacked product, forced rows are overwritten with their
 measurements bit for bit, and every step's residual ``M T - V`` is checked
-against RESIDUAL_RTOL at once.  Every array is stacked per set and each
-product runs per set, so a set's result does not depend on the rest of the
-batch.  :func:`simulate` is a batch of one.
+against RESIDUAL_RTOL at once.  A block works in three preallocated
+block-sized arrays, reused by every block: the states, the inputs (then the
+right-hand sides) and the propagated inputs (then the residuals).  Every
+array is stacked per set and each product runs per set, so a set's result
+does not depend on the rest of the batch.  :func:`simulate` is a batch of one.
 
 All functions are pure; concurrent calls on distinct inputs are safe.  One
 simulation is inherently sequential (each step depends on the previous state).
@@ -189,8 +191,8 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     if T0 is None:
         T0 = initial_state(sm, weather.values[0])
     T0 = np.asarray(T0, dtype=float)
-    if T0.shape != (n,):
-        raise ValueError(f"initial state must have shape ({n},)")
+    if T0.shape != (n,) or not np.all(np.isfinite(T0)):
+        raise ValueError(f"initial state must be finite with shape ({n},)")
 
     # (set, node index) pairs of every forced row; the measured series of
     # the forced nodes only, so an unforced run allocates none over the
@@ -217,31 +219,40 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     M_inv_t = M_inv.transpose(0, 2, 1)
 
     out = np.empty((n_sets, keep.size, n_steps))
-    # time-major block: X[0] is the last state of the previous block and
-    # X[j] the state at step k0 + j - 1; Xv views each state as a column
+    # time-major blocks: X[0] is the last state of the previous block and
+    # X[j] the state at step k0 + j - 1; Xv views each state as a column.
+    # A holds the inputs W, then the right-hand sides V; B the propagated
+    # inputs h, then the residuals.  All three are reused by every block.
     X = np.empty((BLOCK_STEPS + 1, n_sets, n))
     Xv = X[..., None]
+    A = np.empty((BLOCK_STEPS, n_sets, n))
+    B = np.empty_like(A)
     X[0] = T0
     X[0, set_idx, node_idx] = series[series_row, 0]
     out[:, :, 0] = X[0][:, keep]
     for k0 in range(1, n_steps, BLOCK_STEPS):
         b = min(BLOCK_STEPS, n_steps - k0)
-        # right-hand sides V = d T_prev + W, where W is the input term with
-        # the measurements in the forced rows
-        W = np.repeat((weather.values[k0:k0 + b] @ sm.input_coupling.T)[None],
-                      n_sets, axis=0)
-        W[set_idx, :, node_idx] = series[series_row, k0:k0 + b]
-        hv = (W @ M_inv_t).transpose(1, 0, 2)[..., None]
+        # W is the input term with the measurements in the forced rows
+        W, H, Tb = A[:b], B[:b], X[1:b + 1]
+        W[:] = (weather.values[k0:k0 + b] @ sm.input_coupling.T)[:, None]
+        W[:, set_idx, node_idx] = series[series_row, k0:k0 + b].T
+        np.matmul(W.transpose(1, 0, 2), M_inv_t, out=H.transpose(1, 0, 2))
+        Hv = H[..., None]
         for j in range(b):
             T = Xv[j + 1]
             np.matmul(G, Xv[j], out=T)
-            T += hv[j]
-        Tb = X[1:b + 1]
+            T += Hv[j]
         Tb[:, set_idx, node_idx] = series[series_row, k0:k0 + b].T
-        V = W + (d * X[:b]).transpose(1, 0, 2)
-        residual = np.max(np.abs(Tb.transpose(1, 0, 2) @ M_t - V), axis=2)
-        bound = RESIDUAL_RTOL * np.max(np.abs(V), axis=2)
-        if not np.all(np.isfinite(Tb)) or np.any(residual > bound):
+        # right-hand sides V = W + d T_prev, then residuals M T - V, in place
+        V = W
+        V += np.multiply(d, X[:b], out=H)
+        R = np.matmul(Tb.transpose(1, 0, 2), M_t, out=H.transpose(1, 0, 2))
+        R -= V.transpose(1, 0, 2)
+        residual = np.max(np.abs(R, out=R), axis=2)
+        bound = RESIDUAL_RTOL * np.max(np.abs(V, out=H), axis=2).T
+        # T0 and the inputs are finite, and so is the bound; a non-finite
+        # state gives a NaN or infinite residual and fails
+        if not np.all(residual <= bound):
             p, j = np.unravel_index(np.argmax(residual - bound), residual.shape)
             raise SingularSystemError(
                 f"step solve failed the residual check ({residual[p, j]:.3e} > "

@@ -423,7 +423,7 @@ class TestMainDiagnose:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_missing_air_column_exits_2(self, tmp_path, capsys):
-        text = open(f"{DATA}/example_measurements.csv").read()
+        text = Path(f"{DATA}/example_measurements.csv").read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         cols = [c.split(",") for c in lines]
         drop = cols[0].index("node_23")
@@ -459,7 +459,7 @@ class TestMainDiagnose:
     ])
     def test_bad_measurement_record_named(self, tmp_path, capsys, record, column,
                                           cell, message):
-        text = open(f"{DATA}/example_measurements.csv", encoding="utf-8").read()
+        text = Path(f"{DATA}/example_measurements.csv").read_text(encoding="utf-8")
         mpath = write_tmp(tmp_path, "bad.csv", edit_record(text, record, column, cell))
         rc = main(["stats", "--building", f"{DATA}/example_cell.building",
                    "--weather", f"{DATA}/example_weather.csv", "--measurements", mpath])
@@ -471,7 +471,7 @@ class TestMainDiagnose:
     @pytest.mark.parametrize("column", ["node_0", "node_30"])
     def test_column_outside_mesh_exits_2(self, tmp_path, capsys, column):
         # node 3 is a measured inside surface; renamed, it names no mesh node
-        text = open(f"{DATA}/example_measurements.csv", encoding="utf-8").read()
+        text = Path(f"{DATA}/example_measurements.csv").read_text(encoding="utf-8")
         mpath = write_tmp(tmp_path, "outside.csv", text.replace("node_3,", f"{column},", 1))
         inputs = ["--building", f"{DATA}/example_cell.building",
                   "--weather", f"{DATA}/example_weather.csv", "--measurements", mpath]
@@ -499,7 +499,8 @@ class TestMainDiagnose:
 
 @pytest.fixture
 def marches(monkeypatch):
-    """Every march verify starts: the reference's and the diagnoses' batches."""
+    """Every march a command starts: verify's reference, the diagnoses'
+    batches and the plain runs of ``simulate`` and ``stats``."""
     calls = []
 
     def counted(fn):
@@ -509,6 +510,7 @@ def marches(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(thermodiag.verify, "simulate", counted(simulate))
+    monkeypatch.setattr(thermodiag.cli, "simulate", counted(simulate))
     monkeypatch.setattr(thermodiag.diagnose, "simulate_batch",
                         counted(thermodiag.diagnose.simulate_batch))
     return calls
@@ -608,6 +610,57 @@ class TestVerifyRejectsUpFront:
             main([command, *inputs, "--dt", "900"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --dt 900" in capsys.readouterr().err
+
+
+MEASURED_INPUTS = ["--building", f"{DATA}/example_cell_door_defect.building",
+                   "--weather", f"{DATA}/example_weather.csv",
+                   "--measurements", f"{DATA}/example_measurements.csv"]
+
+
+def command_argv(command, tmp_path):
+    """A short run of ``command`` on 480-record inputs."""
+    if command == "verify":
+        return ["verify", "--generations", "3", "--out", str(tmp_path / "o")]
+    if command == "diagnose":
+        return ["diagnose", *MEASURED_INPUTS, "--generations", "3",
+                "--out", str(tmp_path / "o")]
+    return ["stats", *MEASURED_INPUTS]
+
+
+class TestFlagsCheckedBeforeMarch:
+    """A bad --skip-steps or GA flag exits 2 naming the flag, marching nothing."""
+
+    @pytest.mark.parametrize("command", ["diagnose", "stats", "verify"])
+    @pytest.mark.parametrize("skip", ["-5", "479", "1000"])
+    def test_skip_steps_named(self, tmp_path, capsys, marches, command, skip):
+        rc = main([*command_argv(command, tmp_path), "--skip-steps", skip])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--skip-steps" in err and "480 records" in err and skip in err
+        assert "skip_steps" not in err
+        assert marches == []
+        assert not (tmp_path / "o").exists()
+
+    def test_skip_steps_may_leave_two_samples(self, capsys):
+        assert main(["stats", *MEASURED_INPUTS, "--skip-steps", "478"]) == 0
+        assert "n_samples = 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["diagnose", "verify"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--pc", "2", "crossover_probability"),
+        ("--pm", "-0.1", "mutation_probability"),
+        ("--pop-size", "31", "population_size"),
+        ("--generations", "0", "max_generations"),
+        ("--seed", "-1", "rng_seed"),
+    ])
+    def test_ga_flag_named(self, tmp_path, capsys, marches, command, flag, value, field):
+        rc = main([*command_argv(command, tmp_path), flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ")
+        assert field not in err
+        assert marches == []
+        assert not (tmp_path / "o").exists()
 
 
 class TestMainStats:

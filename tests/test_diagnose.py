@@ -306,6 +306,23 @@ class TestRunDiagnosis:
         [(kernel_calls, generations)] = ga_calls
         assert kernel_calls <= generations
 
+    def test_exhaustive_table_is_the_only_kernel_call(self, cell, monkeypatch):
+        import thermodiag.diagnose as diagnose
+
+        calls = []  # forcing sets per kernel call
+
+        def counting_batch(sm, weather, forcings, *args, **kwargs):
+            calls.append(len(forcings))
+            return simulate_batch(sm, weather, forcings, *args, **kwargs)
+
+        monkeypatch.setattr(diagnose, "simulate_batch", counting_batch)
+        rep, evaluator = diagnose_door_defect(cell)
+        # the 2^5 subset table of the 5 sensors is marched first, in one
+        # call; every set the GA and the per-node table ask for is in it
+        assert len(rep.measured_nodes) == 5
+        assert calls == [32]
+        assert evaluator.cache_size == 32
+
     def test_ga_searches_exactly_the_measured_nodes(self, cell, monkeypatch):
         import thermodiag.diagnose as diagnose
 

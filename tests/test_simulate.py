@@ -1,6 +1,8 @@
 """Implicit stepping, measurement forcing, series validation."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from thermodiag.simulate import (
     simulate,
     simulate_batch,
 )
-from thermodiag.testcell import example_cell, synthetic_weather
+from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
 
 
 def constant_weather(t_ae: float, n: int, dt: float = 900.0,
@@ -327,6 +329,34 @@ class TestBatchKernel:
                 V[node - 1] = meas.node_series(node)[k]
             residual = np.max(np.abs(M @ T[:, k] - V))
             assert residual <= RESIDUAL_RTOL * np.max(np.abs(V))
+
+    def test_memory_is_three_blocks_the_step_matrices_and_the_output(self):
+        # the subset table of the 5 protocol sensors on the 5-day weather
+        model, sm, weather, meas = measured_cell(days=5)
+        nodes = default_measured_nodes(model)
+        sets = [frozenset(c) for r in range(len(nodes) + 1)
+                for c in itertools.combinations(nodes, r)]
+        simulate_batch(sm, weather, sets, meas, rows=(model.air_node,))
+        tracemalloc.start()
+        try:
+            out = simulate_batch(sm, weather, sets, meas, rows=(model.air_node,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_sets, n = len(sets), sm.n_nodes
+        # states (one row more), inputs then right-hand sides, propagated
+        # inputs then residuals; M, its inverse and the propagator G
+        blocks = (3 * BLOCK_STEPS + 1) * n_sets * n * 8
+        step_matrices = 3 * n_sets * n * n * 8
+        assert n_sets == 32
+        assert peak <= 1.1 * (blocks + step_matrices + out.nbytes)
+
+    def test_non_finite_initial_state_rejected(self):
+        _, sm = cell_setup()
+        T0 = np.full(sm.n_nodes, 20.0)
+        T0[4] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            simulate(sm, synthetic_weather(days=1), T0=T0)
 
     def test_residual_gate_rejects_invertible_ill_conditioned_system(self):
         # a 1e14 W/K link between two small capacities: cond(M) ~ 1e14, which
