@@ -107,21 +107,27 @@ class ChromosomeEvaluator:
         traj = simulate(self.sm, self.weather, self._forcing(chromosome), self.meas)
         return traj.node_series(self.air_node)
 
+    def _key(self, chromosome) -> tuple:
+        key = tuple(map(int, chromosome))
+        if len(key) != self.chromosome_length:
+            raise ValueError(f"chromosome length {len(key)} != {self.chromosome_length}")
+        return key
+
     def __call__(self, chromosomes) -> list[float]:
-        keys = [tuple(map(int, c)) for c in chromosomes]
-        for key in keys:
-            if len(key) != self.chromosome_length:
-                raise ValueError(
-                    f"chromosome length {len(key)} != {self.chromosome_length}")
-        todo = list(dict.fromkeys(k for k in keys if k not in self._cache))
-        meas_air = self.meas.node_series(self.air_node)[self.skip_steps:]
+        # a cached tuple is its own key: tuples of 0/1 ints, bools or numpy
+        # integers hash and compare like the int key, so only misses are
+        # normalised and checked
+        cache = self._cache
+        keys = [c if type(c) is tuple and c in cache else self._key(c) for c in chromosomes]
+        todo = list(dict.fromkeys(k for k in keys if k not in cache))
         for start in range(0, len(todo), MAX_BATCH):
             batch = todo[start:start + MAX_BATCH]
+            meas_air = self.meas.node_series(self.air_node)[self.skip_steps:]
             air = simulate_batch(self.sm, self.weather, [self._forcing(k) for k in batch],
                                  self.meas, rows=(self.air_node,))
             for key, sim_air in zip(batch, air[:, 0, self.skip_steps:]):
-                self._cache[key] = objective(sim_air, meas_air)
-        return [self._cache[k] for k in keys]
+                cache[key] = objective(sim_air, meas_air)
+        return [cache[k] for k in keys]
 
 
 def exhaustive_search(measurable_nodes: Iterable[int], evaluator,

@@ -15,19 +15,21 @@ Reproducibility: every stochastic draw comes from one sequential generator,
 consumed in a fixed order per pair of children: one uniform for each of the
 two roulette spins, one for the crossover decision, one bounded integer for
 the cut point if crossing, then one block of L uniforms per child for
-mutation.  A generation makes its draws pair by pair in exactly this order,
-then selects, splices, flips and masks all children at once on one
+mutation.  A generation keeps this order but groups the uniforms: one call
+draws the first pair's three, then each pair draws its cut if crossing and,
+in one call, its two mutation blocks and the next pair's three uniforms.  A
+uniform is the same drawn alone or in a block, so the stream is unchanged.
+All children are then selected, spliced, flipped and masked at once on one
 (population x L) array; the one-row operators :func:`select_roulette`,
-:func:`crossover` and :func:`mutate` call the same helpers, so each draw
+:func:`crossover` and :func:`mutate` call the same helpers, so each pick
 rule and each bit rule is written once.  Objective evaluations draw
 nothing, so the stream does not depend on the evaluator.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +92,12 @@ class ScoredIndividual:
     chromosome: Chromosome
     J: float  # °C²
     f: float  # 1/(1+J)
+    # total order, computed once: lower J first, then fewer forced nodes,
+    # then the lexicographically smallest bit pattern
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.J, sum(self.chromosome), self.chromosome))
 
 
 @dataclass
@@ -105,12 +113,14 @@ class GAHistory:
     def generations(self) -> int:
         return len(self.best_J)
 
-    def record(self, population: Sequence[ScoredIndividual]) -> None:
+    def record(self, population: Sequence[ScoredIndividual]) -> ScoredIndividual:
+        """Append the population's entry and return its best individual."""
         best = min(population, key=_order_key)
         self.best_J.append(best.J)
         self.best_fitness.append(best.f)
         self.mean_fitness.append(sum(ind.f for ind in population) / len(population))
         self.best_individual.append(best.chromosome)
+        return best
 
 
 def decode(chromosome: Chromosome) -> frozenset:
@@ -135,29 +145,26 @@ def fitness(J: float) -> float:
     return 1.0 / (1.0 + J)
 
 
-def _order_key(ind: ScoredIndividual):
-    # total order: lower J first, then fewer forced nodes, then the
-    # lexicographically smallest bit pattern
-    return (ind.J, sum(ind.chromosome), ind.chromosome)
+_order_key = attrgetter("key")
 
 
-def _wheel(population: Sequence[ScoredIndividual]) -> list[float]:
+def _wheel(population: Sequence[ScoredIndividual]) -> np.ndarray:
     """Running sums of the fitnesses, in population order."""
-    return list(accumulate(ind.f for ind in population))
+    return np.cumsum([ind.f for ind in population])
 
 
-def _spin(wheel: list[float], rng: np.random.Generator) -> int:
-    """Index of one roulette pick; consumes exactly one draw."""
-    return bisect_right(wheel, rng.random() * wheel[-1])
+def _spin(wheel: np.ndarray, u):
+    """Index of the roulette pick of each uniform ``u``."""
+    return np.searchsorted(wheel, u * wheel[-1], side="right")
 
 
-def _cut(length: int, crossover_probability: float, rng: np.random.Generator) -> int:
+def _cut(length: int, crossover_probability: float, u, rng: np.random.Generator) -> int:
     """Crossing point in [1, L-1], or L for plain copies.
 
-    The decision is always drawn; the cut is drawn only when crossing, and
-    a chromosome of one locus is never cut.
+    ``u`` is the drawn decision uniform; the cut is drawn only when
+    crossing, and a chromosome of one locus is never cut.
     """
-    if rng.random() < crossover_probability and length >= 2:
+    if u < crossover_probability and length >= 2:
         return int(rng.integers(1, length))
     return length
 
@@ -175,12 +182,6 @@ def _flip(bits: np.ndarray, draws: np.ndarray, mutation_probability: float,
     return (bits ^ (draws < mutation_probability)) & mask
 
 
-def _mutation_draws(rng: np.random.Generator, children: int, length: int) -> np.ndarray:
-    """One uniform per locus of each child, masked loci included, so the
-    stream position does not depend on the mask contents."""
-    return rng.random((children, length))
-
-
 def _bits(chromosomes) -> np.ndarray:
     return np.array(chromosomes, dtype=np.uint8)
 
@@ -190,7 +191,7 @@ def select_roulette(population: Sequence[ScoredIndividual],
     """Fitness-proportionate selection; consumes exactly one draw."""
     if not population:
         raise GAError("cannot select from an empty population")
-    return population[_spin(_wheel(population), rng)]
+    return population[_spin(_wheel(population), rng.random())]
 
 
 def crossover(p1: Chromosome, p2: Chromosome, crossover_probability: float,
@@ -198,7 +199,7 @@ def crossover(p1: Chromosome, p2: Chromosome, crossover_probability: float,
     """Single-point crossover with the given probability, else plain copies."""
     if len(p1) != len(p2):
         raise GAError("parents must have equal length")
-    cut = _cut(len(p1), crossover_probability, rng)
+    cut = _cut(len(p1), crossover_probability, rng.random(), rng)
     c1, c2 = _splice(_bits([p1, p2]), cut).tolist()
     return tuple(c1), tuple(c2)
 
@@ -206,7 +207,7 @@ def crossover(p1: Chromosome, p2: Chromosome, crossover_probability: float,
 def mutate(chromosome: Chromosome, mutation_probability: float,
            rng: np.random.Generator, mask: Sequence) -> Chromosome:
     """Flip each maskable bit independently; masked loci stay 0."""
-    draws = _mutation_draws(rng, 1, len(chromosome))[0]
+    draws = rng.random(len(chromosome))  # masked loci draw too
     return tuple(_flip(_bits(chromosome), draws, mutation_probability,
                        _bits(mask)).tolist())
 
@@ -229,29 +230,35 @@ def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
 
     Each pair's draws are made in stream order (two roulette spins on one
     wheel per generation, the crossover decision and cut, two mutation
-    blocks); then every pair's parents are looked up, spliced, flipped and
-    masked at once.  With elitism the best parent replaces the worst child,
-    which makes the best J non-increasing between generations.
+    blocks), grouped as the module docstring describes; then every pair's
+    parents are picked, spliced, flipped and masked at once.  With elitism
+    the best parent replaces the worst child, which makes the best J
+    non-increasing between generations.
     """
     length = len(mask)
     pairs = config.population_size // 2
-    wheel = _wheel(population)
-    parents = np.empty((pairs, 2), dtype=int)
-    cuts = np.empty(pairs, dtype=int)
-    draws = np.empty((pairs, 2, length))
+    # row i: pair i's two spins and crossover decision, then its two
+    # mutation blocks; one call fills a pair's blocks and the next row's
+    # three uniforms, and the slice stops short of them for the last pair
+    stride = 3 + 2 * length
+    draws = np.empty((pairs, stride))
+    flat = draws.reshape(-1)
+    rng.random(out=flat[:3])
+    cuts = []
     for i in range(pairs):
-        parents[i] = _spin(wheel, rng), _spin(wheel, rng)
-        cuts[i] = _cut(length, config.crossover_probability, rng)
-        draws[i] = _mutation_draws(rng, 2, length)
+        cuts.append(_cut(length, config.crossover_probability, flat[i * stride + 2], rng))
+        rng.random(out=flat[i * stride + 3:(i + 1) * stride + 3])
+    parents = _spin(_wheel(population), draws[:, :2])
     bits = _bits([ind.chromosome for ind in population])
-    children = _flip(_splice(bits[parents], cuts), draws,
+    children = _flip(_splice(bits[parents], np.array(cuts)),
+                     draws[:, 3:].reshape(pairs, 2, length),
                      config.mutation_probability, _bits(mask))
     offspring = [tuple(c) for c in children.reshape(-1, length).tolist()]
     scored = _score(offspring, evaluator)
     if config.elitism:
         best_parent = min(population, key=_order_key)
-        worst = max(range(len(scored)), key=lambda i: _order_key(scored[i]))
-        if _order_key(best_parent) < _order_key(scored[worst]):
+        worst = max(range(len(scored)), key=lambda i: scored[i].key)
+        if best_parent.key < scored[worst].key:
             scored[worst] = best_parent
     return scored
 
@@ -274,19 +281,16 @@ def run_ga(config: GAConfig, evaluator: Evaluator,
                      for _ in range(config.population_size)]) & _bits(mask)
     population = _score([tuple(c) for c in initial.tolist()], evaluator)
     history = GAHistory()
-    history.record(population)
-
-    best = min(population, key=_order_key)
+    best = history.record(population)
     stagnant = 0
     for _ in range(config.max_generations):
         population = evolve(population, config, rng, evaluator, mask)
-        history.record(population)
-        generation_best = min(population, key=_order_key)
+        generation_best = history.record(population)
         if generation_best.J < best.J - STAGNATION_EPS:
             stagnant = 0
         else:
             stagnant += 1
-        if _order_key(generation_best) < _order_key(best):
+        if generation_best.key < best.key:
             best = generation_best
         if stagnant >= STAGNATION_WINDOW:
             break

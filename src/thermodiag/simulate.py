@@ -24,9 +24,12 @@ from one stacked product, forced rows are overwritten with their
 measurements bit for bit, and every step's residual ``M T - V`` is checked
 against RESIDUAL_RTOL at once.  A block works in three preallocated
 block-sized arrays, reused by every block: the states, the inputs (then the
-right-hand sides) and the propagated inputs (then the residuals).  Every
-array is stacked per set and each product runs per set, so a set's result
-does not depend on the rest of the batch.  :func:`simulate` is a batch of one.
+residuals) and the propagated inputs (then the right-hand sides).  The
+march keeps them step-major, (step, set, node); the check lays the
+right-hand sides and residuals out node-major, (set, node, step), so its
+reductions over the nodes run along whole rows of steps.  Every array is
+stacked per set and each product runs per set, so a set's result does not
+depend on the rest of the batch.  :func:`simulate` is a batch of one.
 
 All functions are pure; concurrent calls on distinct inputs are safe.  One
 simulation is inherently sequential (each step depends on the previous state).
@@ -215,14 +218,13 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     d = np.repeat(c_over_dt[None], n_sets, axis=0)
     d[set_idx, node_idx] = 0.0
     G = M_inv * d[:, None, :]
-    M_t = M.transpose(0, 2, 1)
     M_inv_t = M_inv.transpose(0, 2, 1)
 
     out = np.empty((n_sets, keep.size, n_steps))
     # time-major blocks: X[0] is the last state of the previous block and
     # X[j] the state at step k0 + j - 1; Xv views each state as a column.
-    # A holds the inputs W, then the right-hand sides V; B the propagated
-    # inputs h, then the residuals.  All three are reused by every block.
+    # A holds the inputs W, then the residuals; B the propagated inputs h,
+    # then the right-hand sides V.  All three are reused by every block.
     X = np.empty((BLOCK_STEPS + 1, n_sets, n))
     Xv = X[..., None]
     A = np.empty((BLOCK_STEPS, n_sets, n))
@@ -243,20 +245,30 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
             np.matmul(G, Xv[j], out=T)
             T += Hv[j]
         Tb[:, set_idx, node_idx] = series[series_row, k0:k0 + b].T
-        # right-hand sides V = W + d T_prev, then residuals M T - V, in place
-        V = W
-        V += np.multiply(d, X[:b], out=H)
-        R = np.matmul(Tb.transpose(1, 0, 2), M_t, out=H.transpose(1, 0, 2))
-        R -= V.transpose(1, 0, 2)
-        residual = np.max(np.abs(R, out=R), axis=2)
-        bound = RESIDUAL_RTOL * np.max(np.abs(V, out=H), axis=2).T
+        # right-hand sides V = W + d T_prev in place; then the gate is
+        # node-major: V copied into B and the residuals M T - V into A,
+        # both (set, node, step), so each reduction over the nodes runs
+        # along whole rows of steps
+        W += np.multiply(d, X[:b], out=H)
+        V = B.reshape(-1)[:W.size].reshape(n_sets, n, b)
+        V[...] = W.transpose(1, 2, 0)
+        R = np.matmul(M, Tb.transpose(1, 2, 0), out=A.reshape(-1)[:W.size].reshape(V.shape))
+        R -= V
+        residual = np.max(np.abs(R, out=R), axis=1)
+        # relative to the right-hand side, but never to less than a normal
+        # float: a state decayed to subnormals has no relative precision left
+        scale = np.max(np.abs(V, out=V), axis=1)
+        bound = RESIDUAL_RTOL * np.maximum(scale, np.finfo(float).tiny, out=scale)
         # T0 and the inputs are finite, and so is the bound; a non-finite
         # state gives a NaN or infinite residual and fails
-        if not np.all(residual <= bound):
-            p, j = np.unravel_index(np.argmax(residual - bound), residual.shape)
+        failed = ~(residual <= bound)
+        if failed.any():
+            # the first failing set of the batch, at its first failing step
+            p, j = np.unravel_index(np.argmax(failed), failed.shape)
             raise SingularSystemError(
-                f"step solve failed the residual check ({residual[p, j]:.3e} > "
-                f"{bound[p, j]:.3e}); the system is singular or severely ill-conditioned")
+                f"step solve of set {p} of the batch failed the residual check at step "
+                f"{k0 + j} ({residual[p, j]:.3e} > {bound[p, j]:.3e}); the system is "
+                f"singular or severely ill-conditioned")
         out[:, :, k0:k0 + b] = Tb[:, :, keep].transpose(1, 2, 0)
         X[0] = X[b]
     return out

@@ -159,6 +159,38 @@ class TestChromosomeEvaluator:
         with pytest.raises(ValueError):
             ev([(0, 1)])
 
+    def test_every_chromosome_form_hits_the_same_entries(self, cell):
+        _, model, sm, weather, _, pseudo = cell
+        ints = [encode(nodes, 22) for nodes in ((), (3,), (3, 16), (14, 19, 20))]
+        forms = [
+            ints,
+            [tuple(np.uint8(b) for b in c) for c in ints],
+            [tuple(bool(b) for b in c) for c in ints],
+            [list(c) for c in ints],
+            [np.array(c, dtype=np.uint8) for c in ints],
+        ]
+        expected = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)(ints)
+        for first in forms:
+            # the first call misses in one form; the rest hit in every form
+            ev = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
+            assert ev(first) == expected
+            for form in forms:
+                assert ev(form) == expected
+                assert ev.cache_size == len(ints)
+            with pytest.raises(ValueError, match="length"):
+                ev([*ints, (0, 1)])
+            with pytest.raises(ValueError, match="length"):
+                ev([*forms[1], tuple(np.uint8(b) for b in ints[1] + (0,))])
+
+    def test_air_node_bit_rejected_among_cached(self, cell):
+        _, _, sm, weather, _, pseudo = cell
+        ev = ChromosomeEvaluator(sm, weather, pseudo, air_node=3)
+        cached = [encode(nodes, 22) for nodes in ((), (16,))]
+        ev(cached)
+        with pytest.raises(ValueError, match="air node"):
+            ev([*cached, encode((3, 16), 22)])
+        assert ev.cache_size == len(cached)
+
     def test_air_measurement_required(self, cell):
         _, model, sm, weather, _, pseudo = cell
         series = {n: s for n, s in pseudo.series.items() if n != model.air_node}

@@ -421,6 +421,8 @@ class TestArrayGeneration:
         (22, dict(elitism=False), (0, 1) * 11),
         (2, dict(crossover_probability=1.0, mutation_probability=0.2), (1, 1)),
         (1, dict(crossover_probability=1.0, elitism=False), (1,)),
+        (22, dict(population_size=2), (1,) * 22),
+        (1, dict(population_size=4, crossover_probability=1.0), (1,)),
     ])
     def test_same_populations_as_per_pair(self, monkeypatch, seed, length, overrides, mask):
         cfg = stream_config(**{**overrides, "rng_seed": seed})
@@ -449,3 +451,23 @@ class TestArrayGeneration:
         reference = np.random.default_rng(21)
         reference.random()
         assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("length, overrides", [
+        # one pair: its mutation blocks are drawn with no next-pair uniforms
+        (22, dict(population_size=2)),
+        # one locus: every decision is drawn and crosses, but nothing is cut
+        (1, dict(population_size=4, crossover_probability=1.0)),
+        (5, dict(crossover_probability=1.0, mutation_probability=0.2)),
+        (22, dict()),
+    ])
+    def test_one_generation_ends_at_the_per_pair_stream_position(self, length, overrides):
+        cfg = stream_config(**overrides)
+        mask = (1,) * length
+        bits = np.random.default_rng(40).integers(0, 2, (cfg.population_size, length))
+        chromosomes = [tuple(c) for c in bits.tolist()]
+        population = [ScoredIndividual(c, J, fitness(J))
+                      for c, J in zip(chromosomes, weighted(chromosomes))]
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        children = evolve(population, cfg, rng, weighted, mask)
+        assert children == per_pair_evolve(population, cfg, reference, weighted, mask)
+        assert rng.bit_generator.state == reference.bit_generator.state

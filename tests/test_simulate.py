@@ -1,14 +1,22 @@
 """Implicit stepping, measurement forcing, series validation."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermodiag.model import (
     INPUT_CHANNELS,
+    ORIENTATIONS,
+    AirZone,
+    BuildingDescription,
+    EnvelopeComponent,
+    Layer,
     StateMatrices,
     assemble,
     build_mesh,
@@ -373,6 +381,89 @@ class TestBatchKernel:
         np.linalg.inv(M)
         with pytest.raises(SingularSystemError, match="residual"):
             simulate(sm, weather, T0=np.array([1.0, 2.0]))
+
+    def test_residual_failure_names_the_set_and_the_step(self):
+        # the 1e14 W/K pair again: pinning both nodes passes, the unforced
+        # set fails from the first step on, and only it is named
+        coupling = 1e14
+        sm = StateMatrices(
+            capacity=np.array([10.0, 10.0]),
+            exchange=np.array([[-coupling - 1.0, coupling], [coupling, -coupling - 1.0]]),
+            input_coupling=np.eye(2, len(INPUT_CHANNELS)),
+        )
+        weather = constant_weather(20.0, 5, dt=10.0, t_sky=5.0)
+        meas = MeasurementSeries(dt=10.0, series={1: np.full(5, 1.0), 2: np.full(5, 2.0)})
+        T0 = np.array([1.0, 2.0])
+        simulate_batch(sm, weather, [{1, 2}], meas, T0)
+        with pytest.raises(SingularSystemError, match=r"set 1 of the batch .* at step 1 "):
+            simulate_batch(sm, weather, [{1, 2}, set()], meas, T0)
+        with pytest.raises(SingularSystemError, match=r"set 0 of the batch .* at step 1 "):
+            simulate_batch(sm, weather, [set(), {1, 2}], meas, T0)
+
+    def test_decay_to_zero_passes_the_gate(self):
+        # zero inputs and a step far above the time constant: the state
+        # falls through the subnormals to 0, where M T - V keeps a round-off
+        # residual that no bound relative to V alone can accept
+        sm = single_node_matrices(1e4, 10.0)
+        T = march(sm, constant_weather(0.0, 400, dt=1e6), np.array([1.0]))
+        assert 0.0 < T[0, 105] < np.finfo(float).tiny
+        assert T[0, -1] == 0.0
+
+
+def small_components(count):
+    return st.tuples(*[st.builds(
+        EnvelopeComponent, name=st.just(f"c{i}"), orientation=st.sampled_from(ORIENTATIONS),
+        area=st.floats(0.5, 20.0),
+        layers=st.lists(st.builds(Layer, st.floats(0.01, 0.3), st.floats(0.03, 2.0),
+                                  st.floats(20.0, 2500.0), st.floats(500.0, 2000.0)),
+                        min_size=1, max_size=2).map(tuple),
+        h_ci=st.floats(1.0, 25.0), h_ce=st.floats(1.0, 25.0),
+        h_ri=st.floats(1.0, 10.0), h_re=st.floats(1.0, 10.0),
+        absorptivity=st.floats(0.0, 1.0), internal_node_count=st.integers(0, 2),
+        is_glazing=st.booleans()) for i in range(count)])
+
+
+def null_flux_floor(components, floor):
+    if not floor:
+        return components
+    first = dataclasses.replace(components[0], orientation="horizontal-down",
+                                outside_boundary="null-flux")
+    return (first, *components[1:])
+
+
+#: Physical one-zone buildings of 1-3 components; ventilation is positive,
+#: so the air node always couples to ambient.
+small_buildings = st.builds(
+    BuildingDescription,
+    components=st.builds(null_flux_floor, st.integers(1, 3).flatmap(small_components),
+                         st.booleans()),
+    zone=st.builds(AirZone, st.floats(1e3, 1e5), st.floats(900.0, 1100.0),
+                   st.floats(1e-3, 0.1)),
+    glazing_transmitted_fraction=st.floats(0.0, 1.0))
+
+constant_inputs = st.tuples(st.floats(-10.0, 35.0), st.floats(-20.0, 30.0),
+                            *[st.floats(0.0, 800.0)] * (len(INPUT_CHANNELS) - 2))
+
+
+class TestRandomBuildings:
+    @settings(max_examples=40, deadline=None)
+    @given(desc=small_buildings)
+    def test_exchange_and_temperature_couplings_conserve_energy(self, desc):
+        sm = assemble(build_mesh(desc), desc)
+        boundary = sum(sm.input_coupling[:, sm.channel_index(ch)] for ch in ("T_ae", "T_sky"))
+        row_sums = sm.exchange.sum(axis=1) + boundary
+        assert np.all(np.abs(row_sums) <= 1e-12 * np.abs(np.diag(sm.exchange)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(desc=small_buildings, u=constant_inputs, offset=st.floats(-20.0, 20.0))
+    def test_unforced_march_converges_to_initial_state(self, desc, u, offset):
+        # backward Euler at a step far above every time constant contracts
+        # any start to the steady state within a few dozen steps
+        sm = assemble(build_mesh(desc), desc)
+        weather = WeatherSeries(dt=1e9, values=np.tile(u, (60, 1)))
+        steady = initial_state(sm, weather.values[0])
+        T = march(sm, weather, steady + offset)
+        assert T[:, -1] == pytest.approx(steady, abs=1e-6)
 
 
 class TestInitialState:
