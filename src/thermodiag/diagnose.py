@@ -75,7 +75,10 @@ class ChromosomeEvaluator:
     Pure per chromosome: the same bit pattern always yields the same J,
     whatever else is in the list, so results are cached by pattern and each
     pattern is simulated once.  One call marches all its uncached patterns
-    together and keeps only their air series.
+    together.  Of their air series it keeps copies of two at most: the
+    empty set's, and that of the lowest set marched so far in the GA's
+    order (J, number of forced nodes, bits).  :meth:`air_series` returns
+    those without a march and marches any other set on its own.
     """
 
     def __init__(self, sm: StateMatrices, weather: WeatherSeries,
@@ -91,6 +94,9 @@ class ChromosomeEvaluator:
         self.skip_steps = skip_steps
         self.chromosome_length = sm.n_nodes - 1
         self._cache: dict[tuple, float] = {}
+        self._empty = encode((), self.chromosome_length)
+        self._lowest: tuple | None = None  # order key of the lowest set marched
+        self._air: dict[tuple, np.ndarray] = {}  # the empty and the lowest set's series
 
     @property
     def cache_size(self) -> int:
@@ -103,8 +109,15 @@ class ChromosomeEvaluator:
         return forcing
 
     def air_series(self, chromosome: tuple) -> np.ndarray:
-        """Simulated air-node series under the chromosome's forcing (full horizon)."""
-        traj = simulate(self.sm, self.weather, self._forcing(chromosome), self.meas)
+        """Simulated air-node series under the chromosome's forcing (full horizon).
+
+        The empty and the lowest marched set's series come from the march
+        that scored them; any other set is marched here.
+        """
+        key = self._key(chromosome)
+        if key in self._air:
+            return self._air[key]
+        traj = simulate(self.sm, self.weather, self._forcing(key), self.meas)
         return traj.node_series(self.air_node)
 
     def _key(self, chromosome) -> tuple:
@@ -112,6 +125,11 @@ class ChromosomeEvaluator:
         if len(key) != self.chromosome_length:
             raise ValueError(f"chromosome length {len(key)} != {self.chromosome_length}")
         return key
+
+    def _keep(self, key: tuple, series: np.ndarray) -> None:
+        held = series.copy()
+        held.flags.writeable = False
+        self._air[key] = held
 
     def __call__(self, chromosomes) -> list[float]:
         # a cached tuple is its own key: tuples of 0/1 ints, bools or numpy
@@ -124,9 +142,19 @@ class ChromosomeEvaluator:
             batch = todo[start:start + MAX_BATCH]
             meas_air = self.meas.node_series(self.air_node)[self.skip_steps:]
             air = simulate_batch(self.sm, self.weather, [self._forcing(k) for k in batch],
-                                 self.meas, rows=(self.air_node,))
-            for key, sim_air in zip(batch, air[:, 0, self.skip_steps:]):
-                cache[key] = objective(sim_air, meas_air)
+                                 self.meas, rows=(self.air_node,))[:, 0]
+            orders = []
+            for key, sim_air in zip(batch, air):
+                J = cache[key] = objective(sim_air[self.skip_steps:], meas_air)
+                orders.append((J, sum(key), key))
+                if key == self._empty:
+                    self._keep(key, sim_air)
+            lowest = min(orders)
+            if self._lowest is None or lowest < self._lowest:
+                if self._lowest is not None and self._lowest[2] != self._empty:
+                    del self._air[self._lowest[2]]
+                self._lowest = lowest
+                self._keep(lowest[2], air[orders.index(lowest)])
         return [cache[k] for k in keys]
 
 
@@ -198,9 +226,11 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
     The nodes ``meas`` holds a series for, the air node excluded, are the
     GA's loci, the oracle's nodes and the per-node table's rows.  The best
     set is the lower, in the GA's order, of the GA's best and the already
-    scored empty set.  The air series of the empty and the best set are
-    simulated once each and kept in the report.  Also returns the
-    evaluator, whose cache holds every J computed.
+    scored empty set.  The report keeps the air series of the empty and
+    the best set, which the evaluator holds from the march that scored
+    them; only a best set that is not the lowest set it marched, such as
+    a capped GA's that misses the oracle's optimum, is marched once more.
+    Also returns the evaluator, whose cache holds every J computed.
     """
     evaluator = ChromosomeEvaluator(sm, weather, meas, air_node, skip_steps)
     length = evaluator.chromosome_length
@@ -339,10 +369,7 @@ def history_csv(history: GAHistory) -> str:
 
 def air_comparison_csv(report: DiagnosisReport, evaluator: ChromosomeEvaluator) -> str:
     """Plot data: measured vs simulated air temperature, unforced and best."""
-    meas_air = evaluator.meas.node_series(report.air_node)
-    unforced, best = report.air_unforced, report.air_best
-    lines = ["step,measured,simulated_unforced,simulated_best_forcing"]
-    for k in range(meas_air.shape[0]):
-        lines.append(
-            f"{k},{float(meas_air[k])!r},{float(unforced[k])!r},{float(best[k])!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(evaluator.meas.node_series(report.air_node).tolist(),
+               report.air_unforced.tolist(), report.air_best.tolist())
+    return "step,measured,simulated_unforced,simulated_best_forcing\n" + "".join(
+        ["%s,%r,%r,%r\n" % (k, *row) for k, row in enumerate(rows)])

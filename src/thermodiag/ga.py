@@ -212,15 +212,39 @@ def mutate(chromosome: Chromosome, mutation_probability: float,
                        _bits(mask)).tolist())
 
 
-def _score(bits_list, evaluator: Evaluator) -> list[ScoredIndividual]:
+class _Generation(list):
+    """A scored population that also carries, for the next generation, its
+    (population x L) bit rows and every individual built so far, by
+    chromosome, so neither is rebuilt from tuples."""
+
+    __slots__ = ("bits", "known")
+
+    def __init__(self, scored, bits: np.ndarray, known: dict):
+        super().__init__(scored)
+        self.bits = bits
+        self.known = known
+
+
+def _score(chromosomes: list, evaluator: Evaluator, known: dict) -> list[ScoredIndividual]:
+    """Score one generation; a chromosome already in ``known`` with the very
+    J object the evaluator returned (a memoising evaluator returns the same
+    float each time) reuses its individual instead of building a new one.
+    Equal values alone would merge 0.0 and -0.0."""
     try:
-        scores = [float(J) for J in evaluator(list(bits_list))]
+        scores = [float(J) for J in evaluator(list(chromosomes))]
     except Exception as exc:
         raise GAError(
-            f"evaluator failed on a generation of {len(bits_list)} chromosomes: {exc}") from exc
-    if len(scores) != len(bits_list):
-        raise GAError(f"evaluator returned {len(scores)} scores for {len(bits_list)} chromosomes")
-    return [ScoredIndividual(bits, J, fitness(J)) for bits, J in zip(bits_list, scores)]
+            f"evaluator failed on a generation of {len(chromosomes)} chromosomes: {exc}") from exc
+    if len(scores) != len(chromosomes):
+        raise GAError(
+            f"evaluator returned {len(scores)} scores for {len(chromosomes)} chromosomes")
+    scored = []
+    for chromosome, J in zip(chromosomes, scores):
+        ind = known.get(chromosome)
+        if ind is None or ind.J is not J:
+            ind = known[chromosome] = ScoredIndividual(chromosome, J, fitness(J))
+        scored.append(ind)
+    return scored
 
 
 def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
@@ -249,18 +273,21 @@ def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
         cuts.append(_cut(length, config.crossover_probability, flat[i * stride + 2], rng))
         rng.random(out=flat[i * stride + 3:(i + 1) * stride + 3])
     parents = _spin(_wheel(population), draws[:, :2])
-    bits = _bits([ind.chromosome for ind in population])
+    bits = getattr(population, "bits", None)
+    if bits is None:
+        bits = _bits([ind.chromosome for ind in population])
+    known = getattr(population, "known", {})
     children = _flip(_splice(bits[parents], np.array(cuts)),
                      draws[:, 3:].reshape(pairs, 2, length),
-                     config.mutation_probability, _bits(mask))
-    offspring = [tuple(c) for c in children.reshape(-1, length).tolist()]
-    scored = _score(offspring, evaluator)
+                     config.mutation_probability, _bits(mask)).reshape(-1, length)
+    scored = _score([tuple(c) for c in children.tolist()], evaluator, known)
     if config.elitism:
         best_parent = min(population, key=_order_key)
         worst = max(range(len(scored)), key=lambda i: scored[i].key)
         if best_parent.key < scored[worst].key:
             scored[worst] = best_parent
-    return scored
+            children[worst] = best_parent.chromosome
+    return _Generation(scored, children, known)
 
 
 def run_ga(config: GAConfig, evaluator: Evaluator,
@@ -279,7 +306,9 @@ def run_ga(config: GAConfig, evaluator: Evaluator,
 
     initial = _bits([rng.integers(0, 2, size=len(mask))
                      for _ in range(config.population_size)]) & _bits(mask)
-    population = _score([tuple(c) for c in initial.tolist()], evaluator)
+    known: dict = {}
+    population = _Generation(_score([tuple(c) for c in initial.tolist()], evaluator, known),
+                             initial, known)
     history = GAHistory()
     best = history.record(population)
     stagnant = 0

@@ -32,6 +32,9 @@ KEYS = {
 
 
 def test_recorder_traces_one_diagnosis(tmp_path):
+    # the parser outlives the recorder, so it must not hold the commands
+    # it wraps
+    thermodiag.cli.build_arg_parser()
     recorder = spans.Recorder()
     recorder.install()
     try:
@@ -40,9 +43,14 @@ def test_recorder_traces_one_diagnosis(tmp_path):
             "--weather", str(DATA / "example_weather.csv"),
             "--measurements", str(DATA / "example_measurements.csv"),
             "--generations", "3", "--exhaustive", "--out", str(tmp_path)])
+        # the diagnosis marches only through the evaluator's kernel calls;
+        # a simulation reaches the simulate layer
+        rc_simulate = thermodiag.cli.main([
+            "simulate", "--building", str(DATA / "example_cell.building"),
+            "--weather", str(DATA / "example_weather.csv"), "--out", str(tmp_path)])
     finally:
         recorder.uninstall()
-    assert rc == 0
+    assert rc == rc_simulate == 0
     metrics = spans.layer_metrics(recorder.spans)
     assert set(metrics) == KEYS
     # every layer the benchmark reports was reached through its wrapper

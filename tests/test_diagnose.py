@@ -265,16 +265,25 @@ class TestPerNodeScores:
         assert forward == backward
 
 
-def diagnose_door_defect(cell):
-    desc, model, sm, weather, _, pseudo = cell
+def door_defect_matrices(cell):
+    desc = cell[0]
     from thermodiag.verify import inject_defect, DefectSpec
     perturbed = inject_defect(desc, DefectSpec(
         "d", "layer_conductivity", base=0.23, perturbed=0.78, component="door"))
-    psm = assemble(build_mesh(perturbed), perturbed)
-    config = GAConfig(
+    return assemble(build_mesh(perturbed), perturbed)
+
+
+def no_simulate(*args, **kwargs):
+    raise AssertionError("simulate called: a set was marched twice")
+
+
+def diagnose_door_defect(cell, meas=None, exhaustive=True, skip_steps=0, **overrides):
+    _, model, _, weather, _, pseudo = cell
+    config = GAConfig(**{**dict(
         population_size=30, crossover_probability=0.8,
-        mutation_probability=0.03, max_generations=400, rng_seed=1)
-    return run_diagnosis(psm, weather, pseudo, model.air_node, config, exhaustive=True)
+        mutation_probability=0.03, max_generations=400, rng_seed=1), **overrides})
+    return run_diagnosis(door_defect_matrices(cell), weather, pseudo if meas is None else meas,
+                         model.air_node, config, skip_steps=skip_steps, exhaustive=exhaustive)
 
 
 @pytest.fixture(scope="module")
@@ -331,9 +340,10 @@ class TestRunDiagnosis:
         monkeypatch.setattr(diagnose, "run_ga", counting_run_ga)
         rep, evaluator = diagnose_door_defect(cell)
         air_comparison_csv(rep, evaluator)
-        # one march per distinct chromosome, plus the unforced and best air
-        # series, which the residual statistics and the plot data share
-        assert sum(marched) == evaluator.cache_size + 2
+        # one march per distinct chromosome; the unforced and best air
+        # series, which the residual statistics and the plot data share,
+        # come from the marches that scored them
+        assert sum(marched) == evaluator.cache_size
         # the GA marches each generation's uncached chromosomes in one call
         [(kernel_calls, generations)] = ga_calls
         assert kernel_calls <= generations
@@ -348,9 +358,12 @@ class TestRunDiagnosis:
             return simulate_batch(sm, weather, forcings, *args, **kwargs)
 
         monkeypatch.setattr(diagnose, "simulate_batch", counting_batch)
+        monkeypatch.setattr(diagnose, "simulate", no_simulate)
         rep, evaluator = diagnose_door_defect(cell)
+        air_comparison_csv(rep, evaluator)
         # the 2^5 subset table of the 5 sensors is marched first, in one
-        # call; every set the GA and the per-node table ask for is in it
+        # call; every set the GA, the per-node table and the report's air
+        # series ask for is in it
         assert len(rep.measured_nodes) == 5
         assert calls == [32]
         assert evaluator.cache_size == 32
@@ -379,3 +392,78 @@ class TestRunDiagnosis:
         lines = history_csv(rep.history).strip().split("\n")
         assert lines[0] == "generation,best_J,best_fitness,mean_fitness,best_bits"
         assert len(lines) == rep.history.generations + 1
+
+
+class Remarching(ChromosomeEvaluator):
+    """An evaluator that holds no air series, so each one is marched again."""
+
+    def _keep(self, key, series):
+        pass
+
+
+def outputs(cell, rep, evaluator):
+    model = cell[1]
+    return (format_report(rep, model), report_key_values(rep), history_csv(rep.history),
+            air_comparison_csv(rep, evaluator))
+
+
+class TestHeldAirSeries:
+    """The report's air series come from the marches that scored the sets."""
+
+    def diagnose(self, cell, monkeypatch, **kwargs):
+        """The report of a run and the forcing set of each simulate call it
+        made; its outputs equal those of a run that marches both series again."""
+        import thermodiag.diagnose as diagnose
+
+        calls = []
+
+        def counting_simulate(sm, weather, forcing, *args, **kwargs):
+            calls.append(forcing)
+            return simulate(sm, weather, forcing, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(diagnose, "simulate", counting_simulate)
+            rep, evaluator = diagnose_door_defect(cell, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(diagnose, "ChromosomeEvaluator", Remarching)
+            ref, ref_evaluator = diagnose_door_defect(cell, **kwargs)
+        assert outputs(cell, rep, evaluator) == outputs(cell, ref, ref_evaluator)
+        return rep, calls
+
+    def test_bit_equal_to_solo_marches(self, cell, monkeypatch):
+        _, model, _, weather, _, pseudo = cell
+        rep, calls = self.diagnose(cell, monkeypatch, skip_steps=7, rng_seed=3)
+        assert rep.skip_steps == 7
+        assert calls == []
+        psm = door_defect_matrices(cell)
+        for series, forcing in ((rep.air_unforced, frozenset()),
+                                (rep.air_best, rep.best_forcing)):
+            solo = simulate(psm, weather, forcing, pseudo).node_series(model.air_node)
+            assert series.shape == solo.shape == (weather.n_records,)
+            assert series.tobytes() == solo.tobytes()
+
+    def test_best_missed_by_capped_ga_is_marched_once(self, cell, monkeypatch):
+        rep, calls = self.diagnose(cell, monkeypatch, population_size=4,
+                                   max_generations=1, rng_seed=2)
+        # the capped GA misses the oracle's optimum, the lowest set marched
+        assert rep.ga_matches_oracle is False
+        assert calls == [rep.best_forcing]
+
+    def test_at_most_two_series_after_a_dense_run(self, cell):
+        import thermodiag.diagnose as diagnose
+
+        desc, model, _, weather, _, _ = cell
+        nodes = [n for n in range(1, model.n_nodes + 1) if n != model.air_node]
+        dense = generate_pseudo_measurements(desc, weather, nodes)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(diagnose, "simulate", no_simulate)
+            rep, evaluator = diagnose_door_defect(cell, meas=dense, exhaustive=False,
+                                                  max_generations=3, rng_seed=0)
+        assert evaluator.cache_size > 60
+        # the best set was first marched after the initial population's call,
+        # so the held series was replaced on the way
+        assert rep.history.best_J[0] > rep.best.J
+        assert 1 <= len(evaluator._air) <= 2
+        assert sum(a.nbytes for a in evaluator._air.values()) <= 2 * 8 * weather.n_records
+        assert rep.air_best is evaluator.air_series(rep.best.chromosome)
+        assert rep.air_unforced is evaluator.air_series(encode((), 22))

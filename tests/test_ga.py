@@ -305,6 +305,18 @@ class TestRunGA:
         _, history = run_ga(config(max_generations=25), counting, FULL_MASK)
         assert batches == [30] * history.generations
 
+    def test_individuals_carry_the_J_of_their_own_call(self):
+        # an evaluator whose J for a chromosome changes from call to call;
+        # two loci, so chromosomes repeat across generations
+        calls = []
+
+        def drifting(chromosomes):
+            calls.append(len(chromosomes))
+            return [float(len(calls))] * len(chromosomes)
+
+        _, history = run_ga(config(max_generations=5, elitism=False), drifting, (1, 1))
+        assert history.best_J == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
     def test_mask_values_checked(self):
         for mask in ((0, 1, 2), ()):
             with pytest.raises(ValueError, match="mask"):
@@ -444,6 +456,30 @@ class TestArrayGeneration:
         text = repr((batches, best.chromosome, best.J, history.best_J,
                      history.mean_fitness, history.best_individual))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_memoising_evaluator_builds_each_individual_once(self, monkeypatch, case):
+        _, overrides, mask = case
+        cfg = stream_config(**overrides)
+        ref_best, ref_history = run_ga(cfg, weighted, mask)
+        cache = {}
+
+        def memoised(chromosomes):
+            # one float object per chromosome, returned again on every call
+            return [cache.setdefault(c, J) for c, J in zip(chromosomes, weighted(chromosomes))]
+
+        built = []
+
+        class Counting(ScoredIndividual):
+            def __post_init__(self):
+                built.append(self.chromosome)
+                super().__post_init__()
+
+        monkeypatch.setattr(thermodiag.ga, "ScoredIndividual", Counting)
+        best, history = run_ga(cfg, memoised, mask)
+        assert (best.chromosome, best.J, best.f) == (ref_best.chromosome, ref_best.J, ref_best.f)
+        assert vars(history) == vars(ref_history)
+        assert sorted(built) == sorted(cache)
 
     def test_one_locus_draws_decision_without_cut(self):
         rng = np.random.default_rng(21)
