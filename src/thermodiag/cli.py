@@ -37,7 +37,8 @@ Building description (INI-style, sections in declaration order)::
     glazing = no
 
 Each ``layers`` segment is ``thickness conductivity density specific_heat``
-(SI units), outside to inside, segments joined by ``;``.
+(SI units), outside to inside, segments joined by ``;``.  ``internal_nodes``
+is at most MAX_INTERNAL_NODES.
 
 Defect cases (INI-style)::
 
@@ -56,9 +57,13 @@ Weather CSV header: ``timestamp,T_ae,T_sky,I_N,I_S,I_E,I_W,I_H`` with
 ISO-8601 timestamps, temperatures in °C, fluxes in W/m².  Measurement CSV
 header: ``timestamp,node_<k>,...``, one column per measured node id.  Both
 must be uniformly sampled on the same grid, from the same first timestamp.
-Series files are streamed: rows go one at a time into a float buffer, and
-``trajectory.csv`` is written in blocks of WRITE_BLOCK rows, so no whole-file
-list of rows or lines is held.
+Series files are read by numpy's C text reader, fed by a generator that
+skips blank lines and checks the time grid.  The csv loop is the reference:
+a file the fast read cannot vouch for goes to it whole, and it alone reports
+faults, so both read every file alike.  It also takes what only ``float()``
+reads (``1_0``, non-ASCII digits, quoted cells).  ``trajectory.csv`` is
+written in blocks of WRITE_BLOCK rows, so no whole-file list of rows or lines
+is held.
 
 Exit status: 0 success, 2 bad input or configuration, 3 numerical failure,
 4 verification cases failed.
@@ -143,6 +148,13 @@ class ParseError(Exception):
 
 _ORIENTATION_HELP = "N, S, E, W, horizontal-up or horizontal-down"
 
+#: Largest ``internal_nodes`` a component may ask for.  A diagnosis marches a
+#: GA generation of up to 30 forcing sets on dense (n, n) step matrices, 8·n²
+#: bytes each: at this count in each of the bundled cell's 8 components,
+#: n = 1041 and one stack of 30 is 260 MB, while 10**8 nodes would ask for
+#: far more memory than any host has before a single step is taken.
+MAX_INTERNAL_NODES = 128
+
 
 def _read_ini(path: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
@@ -181,6 +193,13 @@ def _to_fraction(raw: str) -> float:
     value = float(raw)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{value!r} outside [0, 1]")
+    return value
+
+
+def _to_node_count(raw: str) -> int:
+    value = int(raw)
+    if not 0 <= value <= MAX_INTERNAL_NODES:
+        raise ValueError(f"{value} outside [0, {MAX_INTERNAL_NODES}]")
     return value
 
 
@@ -228,7 +247,8 @@ def parse_building(path: str) -> BuildingDescription:
                 h_ri=_field(cp, section, "h_ri", path, float),
                 h_re=_field(cp, section, "h_re", path, float),
                 absorptivity=_field(cp, section, "absorptivity", path, float),
-                internal_node_count=_field(cp, section, "internal_nodes", path, int, 0),
+                internal_node_count=_field(cp, section, "internal_nodes", path,
+                                           _to_node_count, 0),
                 outside_boundary=_field(cp, section, "boundary", path, str.strip, "ambient"),
                 is_glazing=_field(cp, section, "glazing", path, _to_bool, False),
             ))
@@ -316,25 +336,102 @@ def default_cases() -> list[DefectSpec]:
 # ---------------------------------------------------------------------------
 # time-series files
 
+class _HandOver(Exception):
+    """The fast series read cannot take this file; the csv loop reads it."""
+
+
+#: The lines ``csv.reader`` reads as an empty row, which a series read skips.
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+
+
+def _read_header(path: str, reader, check_header) -> tuple[int, list]:
+    """The header's field count and the names ``check_header`` returns for its
+    cells after ``timestamp``."""
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    if [h.strip() for h in header[:1]] != ["timestamp"]:
+        raise ParseError(f"{path}: first column must be 'timestamp'")
+    return len(header), check_header([h.strip() for h in header[1:]])
+
+
 def _read_series(path: str, check_header):
-    """Stream a series CSV into its first timestamp, its step in seconds, the
+    """Read a series CSV into its first timestamp, its step in seconds, the
     column names ``check_header`` returns for the header cells after
-    ``timestamp``, and the (n_records, n_columns) values, checking the time
-    grid on the way."""
+    ``timestamp``, and the (n_records, n_columns) values.
+
+    numpy's C text reader converts the cells, one line at a time from
+    :func:`_grid_records`, which checks the time grid on the way.  The csv
+    loop, :func:`_read_series_csv`, is the reference: it reads the whole file
+    again whenever the fast read cannot take it, and it alone reports faults,
+    so every accepted file gives the same values bit for bit and every
+    rejected one the same message, that of its first fault in file order."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            width, names = _read_header(path, csv.reader(fh), check_header)
+            grid = []
+            values = np.loadtxt(_grid_records(fh, width - 1, grid), delimiter=",",
+                                comments=None, usecols=range(1, width), ndmin=2)
+    except (_HandOver, ParseError, csv.Error, OSError, ValueError, TypeError):
+        # the reference reads the file again, outside this handler so that its
+        # error chains no context, and reports the first fault if there is one
+        values = None
+    if values is None or values.shape != (grid[2], width - 1):
+        return _read_series_csv(path, check_header)
+    return grid[0], grid[1].total_seconds(), names, values
+
+
+def _grid_records(lines, k: int, grid: list):
+    """Yield the records of ``lines`` for ``np.loadtxt``, skipping the blank
+    lines csv skips and checking each timestamp against the time grid; at the
+    end, append the first timestamp, the step and the record count to
+    ``grid``.
+
+    Raise :class:`_HandOver` (or let ``fromisoformat``'s error out) at the
+    first line that csv could split otherwise, that does not have ``k``
+    value cells, or that breaks the grid, and when there are fewer than 2
+    records, so that ``np.loadtxt`` never sees an empty input.  Past these
+    checks a cell converts as ``float()`` converts it (both call
+    ``PyOS_string_to_double``), or ``np.loadtxt`` raises."""
+    limit, parse = csv.field_size_limit(), datetime.fromisoformat
+    n, start, last, step = 0, None, None, None
+    for line in lines:
+        if line.count(",") != k:
+            if line in _BLANK_LINES:
+                continue
+            raise _HandOver
+        if '"' in line or len(line) > limit:  # csv would unquote, or refuse a field
+            raise _HandOver
+        stamp = parse(line.partition(",")[0].strip())
+        n += 1
+        if n == 1:
+            start = stamp
+        elif n == 2:
+            step = stamp - last
+            if step <= timedelta(0):
+                raise _HandOver
+        elif stamp - last != step:
+            raise _HandOver
+        last = stamp
+        yield line
+    if n < 2:
+        raise _HandOver
+    grid += start, step, n
+
+
+def _read_series_csv(path: str, check_header):
+    """The reference series read: :func:`_read_series`'s result from
+    ``csv.reader`` rows and ``float()``, or a ParseError naming the file and
+    the record and column of the first fault."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            if [h.strip() for h in header[:1]] != ["timestamp"]:
-                raise ParseError(f"{path}: first column must be 'timestamp'")
-            names = check_header([h.strip() for h in header[1:]])
+            width, names = _read_header(path, reader, check_header)
             buf, n, last, step = array("d"), 0, None, None
             for row in filter(None, reader):
                 n += 1
-                if len(row) != len(header):
-                    raise ParseError(f"{path}: record {n}: expected {len(header)} fields")
+                if len(row) != width:
+                    raise ParseError(f"{path}: record {n}: expected {width} fields")
                 try:
                     stamp = datetime.fromisoformat(row[0].strip())
                     gap = None if n == 1 else stamp - last

@@ -1,6 +1,8 @@
 """File grammars and command-line entry points, end to end."""
 
+import contextlib
 import dataclasses
+import io
 import os
 import re
 import subprocess
@@ -165,6 +167,29 @@ class TestBuildingGrammar:
         with pytest.raises(ParseError, match="layers"):
             parse_building(path)
 
+    def test_internal_nodes_limit_parses(self, tmp_path, building_text):
+        limit = thermodiag.cli.MAX_INTERNAL_NODES
+        path = write_tmp(tmp_path, "at.building", re.sub(
+            r"(?m)^internal_nodes = \d+$", f"internal_nodes = {limit}", building_text))
+        assert {c.internal_node_count for c in parse_building(path).components} == {limit}
+
+    @pytest.mark.parametrize("count", [thermodiag.cli.MAX_INTERNAL_NODES + 1, -1])
+    def test_internal_nodes_bounded_before_any_mesh(self, tmp_path, capsys, monkeypatch,
+                                                    building_text, count):
+        def no_mesh(desc):
+            raise AssertionError("a mesh was built")
+
+        path = write_tmp(tmp_path, "bad.building", re.sub(
+            r"(?m)^internal_nodes = \d+$", f"internal_nodes = {count}", building_text,
+            count=1))
+        monkeypatch.setattr(thermodiag.cli, "build_mesh", no_mesh)
+        rc = main(["simulate", "--building", path, "--weather", f"{DATA}/example_weather.csv",
+                   "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [component wall_east] field 'internal_nodes': {count} outside "
+            f"[0, {thermodiag.cli.MAX_INTERNAL_NODES}]\n")
+
 
 class TestWeatherGrammar:
     def test_shipped_file_parses(self):
@@ -290,6 +315,178 @@ class TestMeasurementGrammar:
         path = write_tmp(tmp_path, "dup.csv", bad)
         with pytest.raises(ParseError, match="duplicate"):
             parse_measurements(path)
+
+
+#: Spellings of non-finite values that float() and numpy's reader both take.
+NON_FINITE = ("nan", "-nan", "+NaN", "inf", "-inf", "+Inf", "Infinity", "-infinity")
+#: Cells that only float() takes once csv has unquoted them (1_0, non-ASCII
+#: digits, quoted cells), that csv refuses (a field over its 131,072-character
+#: limit) or that nothing takes.
+LONG_CELL = "1" * 131_073
+ODD_CELLS = ("1_0", "١٢", "７.5", '"2.5"', '" -1e3 "', "", "\x00", "1\x00",
+             "warm", "1.5 2", LONG_CELL)
+#: Stamps that pad a grid stamp, or leave the grid.
+ODD_STAMPS = (" {} ", "\t{}", "yesterday", "2000-03-01T00:00:00+00:00", "2000-02-29T23:00:00")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+#: Whitespace around a cell, which float() and numpy's reader both strip.
+PADS = st.sampled_from(("", "", " ", "\t", " \t "))
+#: Cells the two readers must read to the same bits.
+plain_cells = st.one_of(st.builds("{}{!r}{}".format, PADS, finite, PADS),
+                        finite.map(lambda v: f"+{abs(v)!r}"), st.sampled_from(NON_FINITE))
+
+
+@st.composite
+def series_files(draw):
+    """A weather or measurement file as its header names and lines, each line
+    with its ending, plus whether its only faults are odd cells, and its rows
+    as cells.  Each file has one kind of fault at most, so that no other
+    fault hands it to the csv loop first."""
+    if draw(st.booleans()):
+        names = list(thermodiag.cli.INPUT_CHANNELS)
+    else:
+        nodes = draw(st.sets(st.integers(1, 99), min_size=1, max_size=4))
+        names = [f"node_{n}" for n in sorted(nodes)]
+    n_rows = draw(st.integers(0, 20))
+    rows = [[(CSV_EPOCH + timedelta(seconds=900 * r)).isoformat()]
+            + draw(st.lists(plain_cells, min_size=len(names), max_size=len(names)))
+            for r in range(n_rows)]
+    fault = draw(st.sampled_from(("none", "cell", "stamp", "extra", "short", "spaces")))
+    for _ in range(draw(st.integers(1, 2)) if rows and fault != "none" else 0):
+        row = rows[draw(st.integers(0, n_rows - 1))]
+        if fault == "cell":
+            row[draw(st.integers(1, len(names)))] = draw(st.sampled_from(ODD_CELLS))
+        elif fault == "stamp":
+            row[0] = draw(st.sampled_from(ODD_STAMPS)).format(row[0])
+        elif fault == "extra":
+            row.append(draw(plain_cells))
+        elif fault == "short" and len(row) > 1:
+            row.pop()
+    lines = [",".join(["timestamp", *names])] + [",".join(row) for row in rows]
+    lines = [line + draw(st.sampled_from(LINE_ENDS)) for line in lines]
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from((" ", "\t ") if fault == "spaces" else ("",)))
+        lines.insert(draw(st.integers(1, len(lines))), blank + draw(st.sampled_from(LINE_ENDS)))
+    return names, lines, fault == "cell" and n_rows >= 2, rows
+
+
+def first_bad_cell(names, rows):
+    """(record, column, raw cell) of the first cell float() rejects once csv
+    has unquoted it, or None."""
+    for record, row in enumerate(rows, 1):
+        for name, cell in zip(names, row[1:]):
+            raw = cell[1:-1] if cell.startswith('"') else cell
+            try:
+                float(raw)
+            except ValueError:
+                return record, name, raw
+    return None
+
+
+def read_with(read, path):
+    """What one series reader makes of a file: the result, or the error."""
+    try:
+        start, step, names, values = read(path, lambda columns: columns)
+    except ParseError as exc:
+        return str(exc)
+    return start, step, names, values.shape, values.dtype, values.tobytes()
+
+
+class TestSeriesReaders:
+    """numpy's reader behind ``_read_series`` against the csv loop alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=series_files())
+    def test_same_as_csv_loop(self, tmp_path_factory, drawn):
+        names, lines, cells_only, rows = drawn
+        path = tmp_path_factory.mktemp("s") / "series.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(lines))
+        path = str(path)
+        got = read_with(thermodiag.cli._read_series, path)
+        assert got == read_with(thermodiag.cli._read_series_csv, path)
+        if not isinstance(got, str):
+            return
+        bad = first_bad_cell(names, rows)
+        if cells_only and bad and not any(LONG_CELL in row for row in rows):
+            assert got.endswith("record %d: bad value for %s: %r" % bad)
+        # through the command line: exit 2, naming the file and the fault
+        if names == list(thermodiag.cli.INPUT_CHANNELS):
+            argv = ["simulate", "--building", f"{DATA}/example_cell.building",
+                    "--weather", path, "--out", str(tmp_path_factory.mktemp("o"))]
+        else:
+            argv = ["stats", "--building", f"{DATA}/example_cell.building",
+                    "--weather", f"{DATA}/example_weather.csv", "--measurements", path]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert err.getvalue() == f"error: {got}\n"
+        assert got.startswith(f"{path}: ")
+
+    @pytest.fixture
+    def csv_loop_calls(self, monkeypatch):
+        calls = []
+        reference = thermodiag.cli._read_series_csv
+
+        def counted(path, check_header):
+            calls.append(path)
+            return reference(path, check_header)
+
+        monkeypatch.setattr(thermodiag.cli, "_read_series_csv", counted)
+        return calls
+
+    def test_fast_path_reads_clean_files(self, tmp_path, monkeypatch):
+        month = write_tmp(tmp_path, "month.csv", weather_csv(synthetic_weather(days=30)))
+        files = [(parse_weather, f"{DATA}/example_weather.csv"),
+                 (parse_measurements, f"{DATA}/example_measurements.csv"),
+                 (parse_weather, month)]
+        expected = [read_with(thermodiag.cli._read_series_csv, path) for _, path in files]
+
+        def refuse(path, check_header):
+            raise AssertionError(f"the csv loop read {path}")
+
+        monkeypatch.setattr(thermodiag.cli, "_read_series_csv", refuse)
+        for (parse, path), (start, step, names, shape, _, data) in zip(files, expected):
+            series = parse(path)
+            assert (series.start, series.dt) == (start, step)
+            values = (series.values if parse is parse_weather else np.column_stack(
+                [series.node_series(int(name[5:])) for name in names]))
+            assert values.shape == shape and values.tobytes() == data
+
+    def test_quoted_and_underscored_cells_read_by_csv_loop(self, tmp_path, csv_loop_calls):
+        weather = synthetic_weather(days=1)
+        text = edit_record(weather_csv(weather), 3, 2, '"%r"' % float(weather.values[2, 1]))
+        text = edit_record(text, 5, 4, "1_0")
+        path = write_tmp(tmp_path, "odd.csv", text)
+        expected = weather.values.copy()
+        expected[4, 3] = 10.0
+        assert parse_weather(path).values.tobytes() == expected.tobytes()
+        assert csv_loop_calls == [path]
+
+    @pytest.mark.parametrize("seconds, message", [
+        ((0, 0), "timestamps must increase monotonically"),
+        ((900, 0), "timestamps must increase monotonically"),
+        ((0, 900, 2700), "record 3: non-uniform sampling (1800.0 s after 900.0 s steps)"),
+    ])
+    def test_grid_faults_reported_by_csv_loop(self, tmp_path, csv_loop_calls, seconds,
+                                              message):
+        path = write_tmp(tmp_path, "grid.csv", "timestamp,node_1\n" + "".join(
+            f"{(CSV_EPOCH + timedelta(seconds=s)).isoformat()},1.0\n" for s in seconds))
+        with pytest.raises(ParseError) as exc:
+            parse_measurements(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert csv_loop_calls == [path]
+
+    def test_whitespace_only_line_is_a_record(self, tmp_path, csv_loop_calls):
+        lines = weather_csv(synthetic_weather(days=1)).split("\n")
+        lines.insert(7, " \t")
+        path = write_tmp(tmp_path, "ws.csv", "\n".join(lines))
+        with pytest.raises(ParseError, match="ws.csv: record 7: expected 8 fields$"):
+            parse_weather(path)
+        assert csv_loop_calls == [path]
 
 
 class TestCasesGrammar:
