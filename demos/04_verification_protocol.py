@@ -21,7 +21,6 @@ from thermodiag import (
     format_outcomes,
     generate_pseudo_measurements,
     run_case,
-    run_control,
     synthetic_weather,
 )
 from thermodiag.cli import default_cases
@@ -40,9 +39,9 @@ config = GAConfig(
     rng_seed=0,
 )
 
+# spec None is the control
 outcomes = [run_case(spec, reference, weather, pseudo, config)
-            for spec in default_cases()]
-outcomes.append(run_control(reference, weather, pseudo, config))
+            for spec in [*default_cases(), None]]
 
 print(format_outcomes(outcomes))
 

@@ -44,7 +44,6 @@ from .verify import (
     generate_pseudo_measurements,
     inject_defect,
     run_case,
-    run_control,
 )
 from .testcell import default_measured_nodes, example_cell, synthetic_weather
 
@@ -87,7 +86,6 @@ __all__ = [
     "generate_pseudo_measurements",
     "inject_defect",
     "run_case",
-    "run_control",
     "default_measured_nodes",
     "example_cell",
     "synthetic_weather",

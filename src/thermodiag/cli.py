@@ -10,22 +10,28 @@ stats      residual statistics of the plain model against measurements
 ``simulate``, ``diagnose`` and ``stats`` take the time step from their files.
 ``verify --dt`` is the step of its synthetic weather, so it cannot be given
 with ``--weather``.  A bad GA flag, or a ``--skip-steps`` that does not leave
-two records, exits 2 naming the flag before anything is marched.  Each verify outcome holds its case's diagnosis report;
-the J ratio and the GA/oracle agreement the tables print are read from it.
+two records, exits 2 naming the flag before anything is marched.  Each verify
+outcome holds its case's diagnosis report; the J ratio and the GA/oracle
+agreement the tables print are read from it.
 
 File formats
 ------------
-Building description (INI-style, sections in declaration order)::
+Building description (INI-style, sections in declaration order).  A line
+that starts with ``;`` or ``#`` is a comment.  A comment cannot follow a
+value on its line: it would be read as part of the value, and ``;`` also
+separates the segments of ``layers``::
 
     [zone]
-    air_capacity = 33000.0              ; J/K
-    air_specific_heat = 1006.0          ; J/(kg K)
-    ventilation_flow = 0.02             ; kg/s
+    # J/K, J/(kg K), kg/s
+    air_capacity = 33000.0
+    air_specific_heat = 1006.0
+    ventilation_flow = 0.02
     glazing_transmitted_fraction = 0.8
 
     [component wall_east]
-    orientation = E                     ; N S E W horizontal-up horizontal-down
-    area = 9.0                          ; m²
+    ; N S E W horizontal-up horizontal-down; area in m²
+    orientation = E
+    area = 9.0
     layers = 0.15 1.75 2200 900 ; 0.04 0.035 30 1400
     h_ci = 5.0
     h_ce = 15.0
@@ -33,7 +39,8 @@ Building description (INI-style, sections in declaration order)::
     h_re = 5.0
     absorptivity = 0.6
     internal_nodes = 1
-    boundary = ambient                  ; or null-flux (floor only)
+    ; or null-flux (floor only)
+    boundary = ambient
     glazing = no
 
 Each ``layers`` segment is ``thickness conductivity density specific_heat``
@@ -43,15 +50,18 @@ is at most MAX_INTERNAL_NODES.
 Defect cases (INI-style)::
 
     [case door_conductivity]
-    kind = layer_conductivity           ; or h_ci, absorptivity
-    component = door                    ; omit for a global h_ci defect
+    ; or h_ci, absorptivity
+    kind = layer_conductivity
+    ; omit for a global h_ci defect
+    component = door
     layer = 0
     base = 0.23
     perturbed = 0.78
 
 ``verify`` checks every case against the building (component, layer, base
-value) before it marches anything; a bad case exits 2 naming the file and
-its ``[case <id>]`` section.
+value) before it marches anything; a bad case, or one named ``control``
+(the control run's id), exits 2 naming the file and its ``[case <id>]``
+section.
 
 Weather CSV header: ``timestamp,T_ae,T_sky,I_N,I_S,I_E,I_W,I_H`` with
 ISO-8601 timestamps, temperatures in °C, fluxes in W/m².  Measurement CSV
@@ -116,7 +126,6 @@ from .verify import (
     inject_defect,
     outcomes_key_values,
     run_case,
-    run_control,
 )
 
 __all__ = [
@@ -156,13 +165,22 @@ _ORIENTATION_HELP = "N, S, E, W, horizontal-up or horizontal-down"
 MAX_INTERNAL_NODES = 128
 
 
+def _file_fault(path: str, exc: OSError | UnicodeDecodeError) -> ParseError:
+    """A fault reading the file, named with it.  A decode fault names the bad
+    byte but no line: the text layer decodes ahead of the reader in chunks,
+    so the reader's line count is not the bad line."""
+    if isinstance(exc, UnicodeDecodeError):
+        return ParseError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x}: {exc.reason}")
+    return ParseError(f"{path}: {exc.strerror or exc}")
+
+
 def _read_ini(path: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_fault(path, exc) from exc
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
     return cp
@@ -441,7 +459,7 @@ def _read_series_csv(path: str, check_header):
                 if n == 1:
                     start = stamp
                 elif n == 2 and gap <= timedelta(0):
-                    raise ParseError(f"{path}: timestamps must increase monotonically")
+                    raise ParseError(f"{path}: record 2: timestamps must increase monotonically")
                 elif n > 2 and gap != step:
                     raise ParseError(f"{path}: record {n}: non-uniform sampling "
                                      f"({gap.total_seconds()} s after "
@@ -456,8 +474,8 @@ def _read_series_csv(path: str, check_header):
                         except ValueError as exc:
                             raise ParseError(f"{path}: record {n}: bad value "
                                              f"for {name}: {raw!r}") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_fault(path, exc) from exc
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     if n < 2:
@@ -657,7 +675,7 @@ def cmd_verify(args) -> int:
                  skip_steps=args.skip_steps, noise_sd=args.noise_sd)
         for spec in cases
     ]
-    outcomes.append(run_control(desc, weather, pseudo, config, skip_steps=args.skip_steps))
+    outcomes.append(run_case(None, desc, weather, pseudo, config, skip_steps=args.skip_steps))
 
     table = format_outcomes(outcomes)
     _write(args.out, "verify_report.txt", table)

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .ga import (
-    GAConfig, GAHistory, ScoredIndividual, _order_key, decode, encode, fitness, run_ga,
+    GAConfig, GAHistory, ScoredIndividual, decode, encode, fitness, rank, run_ga,
 )
 from .model import NodalModel, StateMatrices
 from .simulate import MeasurementSeries, WeatherSeries, simulate, simulate_batch
@@ -76,8 +76,8 @@ class ChromosomeEvaluator:
     whatever else is in the list, so results are cached by pattern and each
     pattern is simulated once.  One call marches all its uncached patterns
     together.  Of their air series it keeps copies of two at most: the
-    empty set's, and that of the lowest set marched so far in the GA's
-    order (J, number of forced nodes, bits).  :meth:`air_series` returns
+    empty set's, and that of the lowest set marched so far in
+    :func:`~thermodiag.ga.rank`'s order.  :meth:`air_series` returns
     those without a march and marches any other set on its own.
     """
 
@@ -85,8 +85,8 @@ class ChromosomeEvaluator:
                  meas: MeasurementSeries, air_node: int, skip_steps: int = 0):
         if air_node not in meas.node_ids:
             raise ValueError(f"air node {air_node} has no measurement series")
-        if not 0 <= skip_steps < meas.n_samples:
-            raise ValueError("skip_steps must leave at least one sample")
+        if not 0 <= skip_steps <= meas.n_samples - 2:
+            raise ValueError("skip_steps must leave at least two samples")
         self.sm = sm
         self.weather = weather
         self.meas = meas
@@ -95,7 +95,7 @@ class ChromosomeEvaluator:
         self.chromosome_length = sm.n_nodes - 1
         self._cache: dict[tuple, float] = {}
         self._empty = encode((), self.chromosome_length)
-        self._lowest: tuple | None = None  # order key of the lowest set marched
+        self._lowest: tuple | None = None  # the lowest set marched
         self._air: dict[tuple, np.ndarray] = {}  # the empty and the lowest set's series
 
     @property
@@ -143,18 +143,17 @@ class ChromosomeEvaluator:
             meas_air = self.meas.node_series(self.air_node)[self.skip_steps:]
             air = simulate_batch(self.sm, self.weather, [self._forcing(k) for k in batch],
                                  self.meas, rows=(self.air_node,))[:, 0]
-            orders = []
             for key, sim_air in zip(batch, air):
-                J = cache[key] = objective(sim_air[self.skip_steps:], meas_air)
-                orders.append((J, sum(key), key))
+                cache[key] = objective(sim_air[self.skip_steps:], meas_air)
                 if key == self._empty:
                     self._keep(key, sim_air)
-            lowest = min(orders)
-            if self._lowest is None or lowest < self._lowest:
-                if self._lowest is not None and self._lowest[2] != self._empty:
-                    del self._air[self._lowest[2]]
+            lowest = min(batch if self._lowest is None else [self._lowest, *batch],
+                         key=lambda k: rank(cache[k], k))
+            if lowest != self._lowest:
+                if self._lowest not in (None, self._empty):
+                    del self._air[self._lowest]
                 self._lowest = lowest
-                self._keep(lowest[2], air[orders.index(lowest)])
+                self._keep(lowest, air[batch.index(lowest)])
         return [cache[k] for k in keys]
 
 
@@ -163,9 +162,9 @@ def exhaustive_search(measurable_nodes: Iterable[int], evaluator,
     """Evaluate every subset of the measurable nodes (the brute-force oracle).
 
     The whole subset table is scored in one evaluator call.  Returns the
-    best subset and the full subset -> J table.  Ties are broken toward
-    fewer forced nodes, then the lowest bit pattern, matching the GA's
-    ordering, so oracle and GA agree whenever the GA finds an optimum.
+    best subset, the lowest in the GA's order (:func:`~thermodiag.ga.rank`),
+    and the full subset -> J table, so oracle and GA agree whenever the GA
+    finds an optimum.
     """
     nodes = sorted(set(measurable_nodes))
     if len(nodes) > 20:
@@ -175,7 +174,7 @@ def exhaustive_search(measurable_nodes: Iterable[int], evaluator,
     bits = [encode(subset, chromosome_length) for subset in subsets]
     scores = [float(J) for J in evaluator(bits)]
     table = dict(zip(subsets, scores))
-    best = min(range(len(subsets)), key=lambda i: (scores[i], len(subsets[i]), bits[i]))
+    best = min(range(len(subsets)), key=lambda i: rank(scores[i], bits[i]))
     return subsets[best], table
 
 
@@ -248,8 +247,9 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
     unforced_J = scores[0]
     # the GA can stop on a set whose J is round-off above the empty set's
     # (a perfect model scores exactly 0 unforced); that J is already cached
-    best = min(best, ScoredIndividual(encode((), length), unforced_J, fitness(unforced_J)),
-               key=_order_key)
+    empty = ScoredIndividual(encode((), length), unforced_J, fitness(unforced_J))
+    if empty.key < best.key:
+        best = empty
 
     meas_air = meas.node_series(air_node)[skip_steps:]
     air_unforced = evaluator.air_series(encode((), length))

@@ -43,6 +43,7 @@ __all__ = [
     "decode",
     "encode",
     "fitness",
+    "rank",
     "select_roulette",
     "crossover",
     "mutate",
@@ -92,12 +93,10 @@ class ScoredIndividual:
     chromosome: Chromosome
     J: float  # °C²
     f: float  # 1/(1+J)
-    # total order, computed once: lower J first, then fewer forced nodes,
-    # then the lexicographically smallest bit pattern
-    key: tuple = field(init=False, repr=False, compare=False)
+    key: tuple = field(init=False, repr=False, compare=False)  # rank(J, chromosome)
 
     def __post_init__(self):
-        object.__setattr__(self, "key", (self.J, sum(self.chromosome), self.chromosome))
+        object.__setattr__(self, "key", rank(self.J, self.chromosome))
 
 
 @dataclass
@@ -143,6 +142,12 @@ def fitness(J: float) -> float:
     if J < 0.0:
         raise ValueError("objective J must be >= 0")
     return 1.0 / (1.0 + J)
+
+
+def rank(J: float, chromosome: Chromosome) -> tuple:
+    """The one order of forcing sets: lower J first, then fewer forced
+    nodes, then the lexicographically smallest bit pattern."""
+    return (J, sum(chromosome), chromosome)
 
 
 _order_key = attrgetter("key")

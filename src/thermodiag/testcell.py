@@ -124,9 +124,12 @@ def default_measured_nodes(model: NodalModel) -> tuple:
 
     East wall, roof and door inside surfaces plus the two ground nodes (the
     deeper one first).  The air node is measured too but is returned by the
-    caller's convention, not here, since it is the comparison output.
+    caller's convention, not here, since it is the comparison output.  A
+    model without these nodes raises KeyError.
     """
     ground = [n.node_id for n in model.nodes_of("floor", ROLE_INTERNAL)]
+    if len(ground) < 2:
+        raise KeyError(f"the floor has {len(ground)} internal nodes, not the two ground nodes")
     return (
         model.inside_surface_node("wall_east"),
         model.inside_surface_node("roof"),

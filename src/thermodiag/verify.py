@@ -38,10 +38,10 @@ __all__ = [
     "LOCALIZE_RATIO",
     "NO_GAIN_RATIO",
     "CONTROL_J_MAX",
+    "CONTROL_ID",
     "inject_defect",
     "generate_pseudo_measurements",
     "run_case",
-    "run_control",
     "format_outcomes",
     "outcomes_key_values",
 ]
@@ -54,6 +54,8 @@ LOCALIZE_RATIO = 0.2
 NO_GAIN_RATIO = 0.9
 #: A defect-free control must score essentially zero unforced.
 CONTROL_J_MAX = 1e-18
+#: The case id of the control run, which no defect case may take.
+CONTROL_ID = "control"
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,8 @@ class DefectSpec:
     def __post_init__(self):
         if not self.case_id:
             raise ValueError("case_id must be non-empty")
+        if self.case_id == CONTROL_ID:
+            raise ValueError(f"case id {CONTROL_ID!r} is reserved for the control run")
         if self.kind not in DEFECT_KINDS:
             raise ValueError(f"unknown defect kind {self.kind!r}")
         if self.base == self.perturbed:
@@ -155,37 +159,11 @@ def generate_pseudo_measurements(desc: BuildingDescription, weather: WeatherSeri
         for node in sorted(set(measured_nodes) | {model.air_node})})
 
 
-def expected_nodes(spec: DefectSpec, desc: BuildingDescription) -> frozenset:
-    """Where a correct diagnosis should point for this defect."""
-    if spec.kind == "h_ci":
-        return frozenset()
-    model = build_mesh(desc)
-    return frozenset({model.inside_surface_node(spec.component)})
-
-
-def _judge(spec_kind: str, expected: frozenset, report: DiagnosisReport) -> tuple[bool, str]:
-    best_set, ratio = report.best_forcing, report.ratio
-    if spec_kind == "h_ci":
-        criterion = f"best set empty or J ratio > {NO_GAIN_RATIO}"
-        passed = (not best_set) or (ratio is not None and ratio > NO_GAIN_RATIO)
-    else:
-        criterion = f"best set contains {_set_label(expected)} and J ratio < {LOCALIZE_RATIO}"
-        passed = expected <= best_set and ratio is not None and ratio < LOCALIZE_RATIO
-    return passed, criterion
-
-
-def _diagnose(desc: BuildingDescription, weather: WeatherSeries,
-              pseudo: MeasurementSeries, config: GAConfig, skip_steps: int):
-    model = build_mesh(desc)
-    report, _ = run_diagnosis(assemble(model, desc), weather, pseudo, model.air_node,
-                              config, skip_steps=skip_steps, exhaustive=True)
-    return report
-
-
-def run_case(spec: DefectSpec, reference: BuildingDescription,
+def run_case(spec: DefectSpec | None, reference: BuildingDescription,
              weather: WeatherSeries, pseudo: MeasurementSeries, config: GAConfig,
              skip_steps: int = 0, noise_sd: float = 0.0) -> VerificationOutcome:
-    """Diagnose the perturbed model against the reference's pseudo-data.
+    """Diagnose the model with ``spec``'s defect, or the unperturbed model
+    for the control (``spec=None``), and judge it by the module's rules.
 
     ``pseudo`` is the reference's noise-free pseudo-measurements; its nodes
     are the ones searched.  Gaussian noise of ``noise_sd`` °C, drawn from
@@ -199,27 +177,24 @@ def run_case(spec: DefectSpec, reference: BuildingDescription,
         pseudo = MeasurementSeries(dt=pseudo.dt, series={
             node: values + rng.normal(0.0, noise_sd, size=values.shape)
             for node, values in sorted(pseudo.series.items())})
-    perturbed_desc = inject_defect(reference, spec)
-    report = _diagnose(perturbed_desc, weather, pseudo, config, skip_steps)
-    expected = expected_nodes(spec, perturbed_desc)
-    return VerificationOutcome(spec.case_id, report, expected,
-                               *_judge(spec.kind, expected, report))
-
-
-def run_control(reference: BuildingDescription, weather: WeatherSeries,
-                pseudo: MeasurementSeries, config: GAConfig,
-                skip_steps: int = 0) -> VerificationOutcome:
-    """Diagnose the unperturbed model against its own pseudo-data.
-
-    The model is perfect, so the unforced objective must be numerically zero
-    and the search must settle on the empty set (forcing cannot improve a
-    perfect score, and ties break toward fewer nodes).  ``pseudo`` is as in
-    :func:`run_case`.
-    """
-    report = _diagnose(reference, weather, pseudo, config, skip_steps)
-    passed = (not report.best_forcing) and report.unforced_J < CONTROL_J_MAX
-    return VerificationOutcome("control", report, frozenset(), passed,
-                               f"best set empty and unforced J < {CONTROL_J_MAX}")
+    desc = reference if spec is None else inject_defect(reference, spec)
+    model = build_mesh(desc)
+    report, _ = run_diagnosis(assemble(model, desc), weather, pseudo, model.air_node,
+                              config, skip_steps=skip_steps, exhaustive=True)
+    best_set, ratio = report.best_forcing, report.ratio
+    expected = frozenset()
+    if spec is None:
+        criterion = f"best set empty and unforced J < {CONTROL_J_MAX}"
+        passed = not best_set and report.unforced_J < CONTROL_J_MAX
+    elif spec.kind == "h_ci":
+        criterion = f"best set empty or J ratio > {NO_GAIN_RATIO}"
+        passed = not best_set or (ratio is not None and ratio > NO_GAIN_RATIO)
+    else:
+        expected = frozenset({model.inside_surface_node(spec.component)})
+        criterion = f"best set contains {_set_label(expected)} and J ratio < {LOCALIZE_RATIO}"
+        passed = expected <= best_set and ratio is not None and ratio < LOCALIZE_RATIO
+    return VerificationOutcome(CONTROL_ID if spec is None else spec.case_id,
+                               report, expected, passed, criterion)
 
 
 def format_outcomes(outcomes) -> str:

@@ -38,7 +38,6 @@ from thermodiag.verify import (
     generate_pseudo_measurements,
     inject_defect,
     run_case,
-    run_control,
 )
 
 
@@ -167,7 +166,7 @@ def test_physics_sanity_constant_boundary_and_analytic_decay(cell):
 
 def test_unperturbed_model_self_consistency(cell, pseudo):
     desc, _, weather, _ = cell
-    outcome = run_control(desc, weather, pseudo, ga_config(0))
+    outcome = run_case(None, desc, weather, pseudo, ga_config(0))
     print(f"control: best set {sorted(outcome.report.best_forcing)}, "
           f"unforced J {outcome.report.unforced_J:.3g}")
     assert outcome.report.best_forcing == frozenset()

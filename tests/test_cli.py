@@ -173,6 +173,22 @@ class TestBuildingGrammar:
             r"(?m)^internal_nodes = \d+$", f"internal_nodes = {limit}", building_text))
         assert {c.internal_node_count for c in parse_building(path).components} == {limit}
 
+    def test_full_line_comments_parse(self, tmp_path, building_text):
+        # ';' and '#' start a comment only at the start of a line
+        text = building_text.replace("[zone]\n", "[zone]\n; J/K\n# kg/s\n").replace(
+            "[component floor]\n", "[component floor]\n; null-flux: floor only\n")
+        assert text.count("\n") == building_text.count("\n") + 3
+        assert parse_building(write_tmp(tmp_path, "c.building", text)) == example_cell()
+
+    def test_inline_comment_names_field(self, tmp_path, capsys, building_text):
+        text = re.sub(r"(?m)^(air_capacity = .*)$", r"\1 ; J/K", building_text)
+        path = write_tmp(tmp_path, "inline.building", text)
+        rc = main(["simulate", "--building", path, "--weather", f"{DATA}/example_weather.csv",
+                   "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: [zone] field 'air_capacity': could not convert")
+
     @pytest.mark.parametrize("count", [thermodiag.cli.MAX_INTERNAL_NODES + 1, -1])
     def test_internal_nodes_bounded_before_any_mesh(self, tmp_path, capsys, monkeypatch,
                                                     building_text, count):
@@ -467,8 +483,8 @@ class TestSeriesReaders:
         assert csv_loop_calls == [path]
 
     @pytest.mark.parametrize("seconds, message", [
-        ((0, 0), "timestamps must increase monotonically"),
-        ((900, 0), "timestamps must increase monotonically"),
+        ((0, 0), "record 2: timestamps must increase monotonically"),
+        ((900, 0), "record 2: timestamps must increase monotonically"),
         ((0, 900, 2700), "record 3: non-uniform sampling (1800.0 s after 900.0 s steps)"),
     ])
     def test_grid_faults_reported_by_csv_loop(self, tmp_path, csv_loop_calls, seconds,
@@ -487,6 +503,31 @@ class TestSeriesReaders:
         with pytest.raises(ParseError, match="ws.csv: record 7: expected 8 fields$"):
             parse_weather(path)
         assert csv_loop_calls == [path]
+
+
+class TestNotUtf8:
+    # each file kind with a command that reads it; None marks the bad file
+    @pytest.mark.parametrize("source, argv", [
+        ("example_cell.building", ["simulate", "--building", None,
+                                   "--weather", f"{DATA}/example_weather.csv"]),
+        ("example_cases.txt", ["verify", "--cases", None]),
+        ("example_weather.csv", ["simulate", "--building", f"{DATA}/example_cell.building",
+                                 "--weather", None]),
+        ("example_measurements.csv", ["stats", "--building", f"{DATA}/example_cell.building",
+                                      "--weather", f"{DATA}/example_weather.csv",
+                                      "--measurements", None]),
+    ])
+    def test_file_and_byte_named(self, tmp_path, capsys, source, argv):
+        data = (Path(DATA) / source).read_bytes()
+        mid = data.index(b"\n", len(data) * 2 // 3) + 1  # a line well past the header
+        path = tmp_path / f"bad_{source}"
+        path.write_bytes(data[:mid] + b"\xff" + data[mid:])
+        argv = [str(path) if arg is None else arg for arg in argv]
+        if argv[0] != "stats":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not UTF-8: byte 0xff: invalid start byte\n"
 
 
 class TestCasesGrammar:
@@ -731,6 +772,30 @@ class TestMainVerify:
         bad = write_tmp(tmp_path, "bad_cases.txt", "kind = nonsense\n")
         rc = main(["verify", "--cases", bad, "--out", str(tmp_path / "v")])
         assert rc == 2
+
+    def test_case_named_control_exits_2(self, tmp_path, capsys, marches):
+        cases = write_tmp(tmp_path, "control.txt",
+                          "[case control]\nkind = absorptivity\ncomponent = roof\n"
+                          "base = 0.3\nperturbed = 0.9\n")
+        out = tmp_path / "v"
+        assert main(["verify", "--cases", cases, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cases}: [case control]: case id 'control' is reserved for the "
+            "control run\n")
+        assert marches == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_floor_without_two_ground_nodes(self, tmp_path, capsys, building_text, count):
+        # the bundled sensors need two ground nodes; without them verify
+        # measures the inside surfaces, as for any other custom building
+        assert building_text.count("internal_nodes = 2") == 1  # the floor's
+        text = building_text.replace("internal_nodes = 2", f"internal_nodes = {count}")
+        building = write_tmp(tmp_path, "floor.building", text)
+        rc = main(["verify", "--building", building, "--generations", "3", "--dt", "3600",
+                   "--out", str(tmp_path / "v")])
+        assert rc in (0, 4)
+        assert "cases passed" in capsys.readouterr().out
 
     def test_unknown_component_exits_2(self, tmp_path, capsys):
         cases = write_tmp(tmp_path, "chimney.txt",

@@ -207,6 +207,25 @@ class TestChromosomeEvaluator:
         bits = encode((3,), 22)
         assert skipped([bits])[0] <= full([bits])[0] + 1e-18
 
+    def test_skip_steps_leaves_two_samples_before_any_march(self, cell, monkeypatch):
+        # the residual statistics need two samples: a skip that leaves one
+        # must fail before the GA marches, not after
+        import thermodiag.diagnose as diagnose
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate_batch(*args, **kwargs)
+
+        monkeypatch.setattr(diagnose, "simulate_batch", counted)
+        _, model, sm, weather, _, pseudo = cell
+        n = pseudo.n_samples
+        with pytest.raises(ValueError, match="two samples"):
+            diagnose_door_defect(cell, skip_steps=n - 1, max_generations=2)
+        assert calls == []
+        ChromosomeEvaluator(sm, weather, pseudo, model.air_node, skip_steps=n - 2)
+
 
 class TestExhaustiveSearch:
     def test_five_nodes_means_32_evaluations(self):

@@ -11,15 +11,14 @@ from thermodiag.model import ROLE_INSIDE, assemble, build_mesh
 from thermodiag.simulate import simulate
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
 from thermodiag.verify import (
+    CONTROL_ID,
     CONTROL_J_MAX,
     DefectSpec,
-    expected_nodes,
     format_outcomes,
     generate_pseudo_measurements,
     inject_defect,
     outcomes_key_values,
     run_case,
-    run_control,
 )
 
 
@@ -161,24 +160,13 @@ class TestPseudoMeasurements:
         assert noisy.report.unforced_J != clean.report.unforced_J
 
 
-class TestExpectedNodes:
-    def test_layer_defect_maps_to_inside_surface(self, setting):
-        desc, model, *_ = setting
-        spec = DefectSpec("d", "layer_conductivity", base=0.23,
-                          perturbed=0.78, component="door")
-        assert expected_nodes(spec, desc) == {model.inside_surface_node("door")}
-
-    def test_h_ci_has_no_single_culprit(self, setting):
-        desc, *_ = setting
-        spec = DefectSpec("h", "h_ci", base=5.0, perturbed=0.1)
-        assert expected_nodes(spec, desc) == frozenset()
-
-
 class TestRunCase:
     def test_door_defect_localized(self, setting, pseudo):
         desc, model, weather, _ = setting
         outcome = run_case(DOOR, desc, weather, pseudo, base_config())
         assert outcome.passed
+        # a layer defect points at its component's inside surface
+        assert outcome.expected == {model.inside_surface_node("door")}
         assert model.inside_surface_node("door") in outcome.report.best_forcing
         assert outcome.report.ratio < 0.2
         assert outcome.report.ga_matches_oracle
@@ -188,12 +176,14 @@ class TestRunCase:
         spec = DefectSpec("conv", "h_ci", base=5.0, perturbed=0.1)
         outcome = run_case(spec, desc, weather, pseudo, base_config())
         assert outcome.passed
+        assert outcome.expected == frozenset()  # no single culprit
         assert outcome.report.best_forcing == frozenset() or outcome.report.ratio > 0.9
 
     def test_control_run_is_silent(self, setting, pseudo):
         desc, _, weather, _ = setting
-        outcome = run_control(desc, weather, pseudo, base_config())
+        outcome = run_case(None, desc, weather, pseudo, base_config())
         assert outcome.passed
+        assert outcome.case_id == CONTROL_ID and outcome.expected == frozenset()
         assert outcome.report.best_forcing == frozenset()
         assert outcome.report.unforced_J <= CONTROL_J_MAX
 
@@ -209,7 +199,7 @@ class TestRunCase:
         assert decode(ga_best.chromosome)
         assert 0.0 < ga_best.J < CONTROL_J_MAX
 
-        outcome = run_control(desc, weather, pseudo, config)
+        outcome = run_case(None, desc, weather, pseudo, config)
         assert outcome.passed
         assert outcome.report.best_forcing == frozenset()
         assert outcome.report.best.J == 0.0
@@ -227,15 +217,15 @@ class TestRunCase:
                             noise_sd=noise_sd) == alone
             for node in fresh.node_ids:
                 assert np.array_equal(shared.node_series(node), fresh.node_series(node))
-        assert run_control(desc, weather, shared, config) == \
-            run_control(desc, weather, fresh, config)
+        assert run_case(None, desc, weather, shared, config) == \
+            run_case(None, desc, weather, fresh, config)
 
 
 @pytest.fixture(scope="module")
 def outcomes(setting, pseudo):
     desc, _, weather, _ = setting
     case = run_case(DOOR, desc, weather, pseudo, base_config())
-    control = run_control(desc, weather, pseudo, base_config())
+    control = run_case(None, desc, weather, pseudo, base_config())
     return [case, control]
 
 
