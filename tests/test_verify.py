@@ -160,13 +160,23 @@ class TestPseudoMeasurements:
         assert noisy.report.unforced_J != clean.report.unforced_J
 
 
+class TestExpectedNodes:
+    def test_layer_defect_maps_to_inside_surface(self, setting, outcomes):
+        _, model, *_ = setting
+        assert outcomes[0].expected == {model.inside_surface_node("door")}
+
+    def test_h_ci_has_no_single_culprit(self, setting, pseudo):
+        desc, _, weather, _ = setting
+        spec = DefectSpec("h", "h_ci", base=5.0, perturbed=0.1)
+        outcome = run_case(spec, desc, weather, pseudo, base_config())
+        assert outcome.expected == frozenset()
+
+
 class TestRunCase:
     def test_door_defect_localized(self, setting, pseudo):
         desc, model, weather, _ = setting
         outcome = run_case(DOOR, desc, weather, pseudo, base_config())
         assert outcome.passed
-        # a layer defect points at its component's inside surface
-        assert outcome.expected == {model.inside_surface_node("door")}
         assert model.inside_surface_node("door") in outcome.report.best_forcing
         assert outcome.report.ratio < 0.2
         assert outcome.report.ga_matches_oracle
@@ -176,7 +186,6 @@ class TestRunCase:
         spec = DefectSpec("conv", "h_ci", base=5.0, perturbed=0.1)
         outcome = run_case(spec, desc, weather, pseudo, base_config())
         assert outcome.passed
-        assert outcome.expected == frozenset()  # no single culprit
         assert outcome.report.best_forcing == frozenset() or outcome.report.ratio > 0.9
 
     def test_control_run_is_silent(self, setting, pseudo):
