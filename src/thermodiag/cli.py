@@ -73,7 +73,7 @@ a file the fast read cannot vouch for goes to it whole, and it alone reports
 faults, so both read every file alike.  It also takes what only ``float()``
 reads (``1_0``, non-ASCII digits, quoted cells).  ``trajectory.csv`` is
 written in blocks of WRITE_BLOCK rows, so no whole-file list of rows or lines
-is held.
+is held; a block's cells are converted and joined column by column.
 
 Exit status: 0 success, 2 bad input or configuration, 3 numerical failure,
 4 verification cases failed.
@@ -95,6 +95,7 @@ import numpy as np
 
 from .diagnose import (
     air_comparison_csv,
+    csv_blocks,
     format_report,
     history_csv,
     objective,
@@ -518,30 +519,21 @@ def parse_measurements(path: str) -> MeasurementSeries:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _csv_blocks(header: str, index, values: np.ndarray):
-    """Yield a CSV in blocks of WRITE_BLOCK rows: row k is ``index(k)``, then
-    ``values[k]`` in Python's float repr, which reads back to the same float."""
-    yield header + "\n"
-    template = "%s" + ",%r" * values.shape[1] + "\n"
-    for k0 in range(0, values.shape[0], WRITE_BLOCK):
-        rows = values[k0:k0 + WRITE_BLOCK].tolist()
-        yield "".join([template % (index(k), *row) for k, row in enumerate(rows, k0)])
-
-
 def weather_csv(weather: WeatherSeries, start: datetime = CSV_EPOCH) -> str:
     """Serialize a weather series; parse_weather reads it back identically."""
-    return "".join(_csv_blocks(
+    return "".join(csv_blocks(
         "timestamp," + ",".join(INPUT_CHANNELS),
-        lambda k: (start + timedelta(seconds=k * weather.dt)).isoformat(), weather.values))
+        lambda k: (start + timedelta(seconds=k * weather.dt)).isoformat(), weather.values,
+        WRITE_BLOCK))
 
 
 def measurements_csv(meas: MeasurementSeries, start: datetime = CSV_EPOCH) -> str:
     """Serialize a measurement series, node columns in ascending id order."""
     nodes = sorted(meas.node_ids)
-    return "".join(_csv_blocks(
+    return "".join(csv_blocks(
         "timestamp," + ",".join(f"node_{n}" for n in nodes),
         lambda k: (start + timedelta(seconds=k * meas.dt)).isoformat(),
-        np.column_stack([meas.node_series(n) for n in nodes])))
+        np.column_stack([meas.node_series(n) for n in nodes]), WRITE_BLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +610,9 @@ def cmd_simulate(args) -> int:
     sm = assemble(model, desc)
     weather = parse_weather(args.weather)
     traj = simulate(sm, weather)
-    path = _write(args.out, "trajectory.csv", _csv_blocks(
-        "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), lambda k: k, traj.values.T))
+    path = _write(args.out, "trajectory.csv", csv_blocks(
+        "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), str, traj.values.T,
+        WRITE_BLOCK))
     print(f"wrote {path} ({traj.n_steps} steps, {model.n_nodes} nodes)")
     return 0
 

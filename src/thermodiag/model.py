@@ -131,6 +131,19 @@ class EnvelopeComponent:
                 "floor (orientation horizontal-down)"
             )
         object.__setattr__(self, "layers", tuple(self.layers))
+        # finite fields can still give a network of zero or infinite
+        # resistances, capacities or surface conductances
+        resistance, capacity = _stack_totals(self.layers, self.area)
+        segments = self.internal_node_count + 1
+        if not (0.0 < resistance < np.inf and segments / resistance < np.inf):
+            raise ValueError(f"component {self.name}: layers and area give a total "
+                             f"resistance of {resistance!r} K/W")
+        if not (0.0 < capacity / segments / 2.0 and capacity < np.inf):
+            raise ValueError(f"component {self.name}: layers and area give a total "
+                             f"capacity of {capacity!r} J/K")
+        for h in ("h_ci", "h_ce", "h_ri", "h_re"):
+            if not getattr(self, h) * self.area < np.inf:
+                raise ValueError(f"component {self.name}: {h} * area is not finite")
 
 
 @dataclass(frozen=True)
@@ -148,6 +161,8 @@ class AirZone:
             raise ValueError("air_specific_heat must be positive and finite")
         if not 0.0 <= self.ventilation_flow < np.inf:
             raise ValueError("ventilation_flow must be >= 0 and finite")
+        if not self.air_specific_heat * self.ventilation_flow < np.inf:
+            raise ValueError("air_specific_heat * ventilation_flow is not finite")
 
 
 @dataclass(frozen=True)
@@ -255,6 +270,15 @@ class StateMatrices:
         return INPUT_CHANNELS.index(channel)
 
 
+def _stack_totals(layers, area: float) -> tuple[float, float]:
+    """Total resistance (K/W) and total capacity (J/K) of a layer stack; a
+    layer whose conductance k A underflows to 0 adds an infinite resistance."""
+    resistance = sum(l.thickness / (l.conductivity * area) if l.conductivity * area else np.inf
+                     for l in layers)
+    capacity = sum(l.thickness * area * l.density * l.specific_heat for l in layers)
+    return resistance, capacity
+
+
 def layer_stack_to_rc(layers: Iterable[Layer], area: float,
                       internal_node_count: int) -> tuple[list[float], list[float]]:
     """Collapse a layer stack into a conduction ladder.
@@ -280,8 +304,7 @@ def layer_stack_to_rc(layers: Iterable[Layer], area: float,
     if internal_node_count < 0:
         raise ValueError("internal_node_count must be >= 0")
 
-    total_resistance = sum(l.thickness / (l.conductivity * area) for l in layers)  # K/W
-    total_capacity = sum(l.thickness * area * l.density * l.specific_heat for l in layers)  # J/K
+    total_resistance, total_capacity = _stack_totals(layers, area)
 
     segments = internal_node_count + 1
     conductances = [segments / total_resistance] * segments

@@ -18,18 +18,39 @@ and the state term is folded into one propagator per forcing set:
     T_next = G T_prev + h_next,   G = M^-1 D',   h_next = M^-1 W_next
 
 where D' is D with the forced rows zeroed and W is the input term with the
-measurements in the forced rows.  :func:`simulate_batch` marches a stack of
-forcing sets together in blocks of BLOCK_STEPS steps: per block, ``h`` comes
-from one stacked product, forced rows are overwritten with their
-measurements bit for bit, and every step's residual ``M T - V`` is checked
-against RESIDUAL_RTOL at once.  A block works in three preallocated
-block-sized arrays, reused by every block: the states, the inputs (then the
-residuals) and the propagated inputs (then the right-hand sides).  The
-march keeps them step-major, (step, set, node); the check lays the
-right-hand sides and residuals out node-major, (set, node, step), so its
-reductions over the nodes run along whole rows of steps.  Every array is
-stacked per set and each product runs per set, so a set's result does not
-depend on the rest of the batch.  :func:`simulate` is a batch of one.
+measurements in the forced rows.  The two products are one,
+``T_next = [G | M^-1] [T_prev; W_next]``.
+
+:func:`simulate_batch` marches a stack of forcing sets together, in blocks
+of BLOCK_STEPS steps cut into chunks of CHUNK_STEPS = q steps, as a
+two-level scan of the linear recurrence:
+
+1. every chunk of the block is marched from a zero state, all chunks side
+   by side, one (set, node, chunk) product per step;
+2. the chunk ends are chained from the block's start state by G^q (computed
+   once per call), each adding its chunk's march from zero;
+3. every chunk is marched again from its start, side by side, and ends on
+   its chained end.
+
+So a block costs 2q + BLOCK_STEPS / q small products instead of one per
+step.  The states, the inputs, the check and the output are all laid out
+(set, node, step); within a block the step axis is split into (offset into
+the chunk, chunk), so the chunks of one offset sit side by side with unit
+stride and each step of a march is one product over all of them; the
+inputs are gathered in that order.  Forced rows are then overwritten with
+their measurements bit for bit, and every step's residual ``M T - V``,
+V = W + D T_prev, is checked against RESIDUAL_RTOL at once, T_prev being
+the reported state before it.  A block works in preallocated arrays that
+every block reuses.  The last chunk of the horizon is padded with the last
+input record; the padding is marched and checked but neither judged nor
+kept.
+
+What is bit-exact: forced rows reproduce their measurements, a set's
+result is the same alone or in any batch (every array is stacked per set
+and each product runs per set, with shapes that do not depend on the
+batch), and a run is repeatable.  What is not: the march differs from a
+step-by-step solve, and from another chunk length, by round-off (about
+1e-13 degC on the bundled cell).  :func:`simulate` is a batch of one.
 
 All functions are pure; concurrent calls on distinct inputs are safe.  One
 simulation is inherently sequential (each step depends on the previous state).
@@ -59,6 +80,10 @@ RESIDUAL_RTOL = 1e-9
 
 #: Time steps marched per block; every temporary of the march is this long.
 BLOCK_STEPS = 64
+
+#: Time steps per chunk; a block marches its BLOCK_STEPS // CHUNK_STEPS
+#: chunks side by side.
+CHUNK_STEPS = 8
 
 
 class SingularSystemError(Exception):
@@ -172,6 +197,14 @@ def _check_forcing(forcing: frozenset, n: int, n_steps: int, dt: float,
     return sorted(forcing)
 
 
+def _march_chunks(GW, Z, steps):
+    """March every chunk of a block ``steps`` steps from its start, the
+    chunks side by side: one product per step."""
+    n = GW.shape[1]
+    for i in range(steps):
+        np.matmul(GW, Z[:, :, i], out=Z[:, :n, i + 1])
+
+
 def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
                    meas: MeasurementSeries | None = None,
                    T0: np.ndarray | None = None, rows=None) -> np.ndarray:
@@ -189,7 +222,7 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     dt = weather.dt
     forced = [_check_forcing(frozenset(f), n, n_steps, dt, meas) for f in forcings]
     n_sets = len(forced)
-    keep = np.arange(n) if rows is None else np.asarray(rows, dtype=int) - 1
+    keep = slice(None) if rows is None else np.asarray(rows, dtype=int) - 1
 
     if T0 is None:
         T0 = initial_state(sm, weather.values[0])
@@ -210,49 +243,69 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     M = np.repeat((np.diag(c_over_dt) - sm.exchange)[None], n_sets, axis=0)
     M[set_idx, node_idx, :] = 0.0
     M[set_idx, node_idx, node_idx] = 1.0
-    try:
-        M_inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"step matrix could not be inverted: {exc}") from exc
     # D': the state term of the right-hand side, without forced rows
     d = np.repeat(c_over_dt[None], n_sets, axis=0)
     d[set_idx, node_idx] = 0.0
-    G = M_inv * d[:, None, :]
-    M_inv_t = M_inv.transpose(0, 2, 1)
+    # the step T_next = G T + M^-1 W as one product [G | M^-1] [T; W]
+    GW = np.empty((n_sets, n, 2 * n))
+    try:
+        GW[:, :, n:] = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"step matrix could not be inverted: {exc}") from exc
+    np.multiply(GW[:, :, n:], d[:, None, :], out=GW[:, :, :n])
+    q = CHUNK_STEPS
+    G_q = np.linalg.matrix_power(GW[:, :, :n], q)
+    d = d[:, :, None]
 
-    out = np.empty((n_sets, keep.size, n_steps))
-    # time-major blocks: X[0] is the last state of the previous block and
-    # X[j] the state at step k0 + j - 1; Xv views each state as a column.
-    # A holds the inputs W, then the residuals; B the propagated inputs h,
-    # then the right-hand sides V.  All three are reused by every block.
-    X = np.empty((BLOCK_STEPS + 1, n_sets, n))
-    Xv = X[..., None]
-    A = np.empty((BLOCK_STEPS, n_sets, n))
-    B = np.empty_like(A)
-    X[0] = T0
-    X[0, set_idx, node_idx] = series[series_row, 0]
-    out[:, :, 0] = X[0][:, keep]
+    # a block of c chunks of q steps: Z stacks the states X over the inputs
+    # W, laid out (set, node, offset into the chunk, chunk), so offset i of
+    # chunk j is step k0 + j q + i - 1 for X, k0 + j q + i for W; X at
+    # offset 0 holds the chunk starts, and W's last offset is unused.  R
+    # holds the residuals; ``starts`` the chunk starts chained one after
+    # another, starts[0] being the block's start and starts[c] its end.
+    # All are reused by every block; out has room for the padding.
+    c_max = BLOCK_STEPS // q
+    Z_buf = np.empty(n_sets * 2 * n * (q + 1) * c_max)
+    R_buf = np.empty(n_sets * n * BLOCK_STEPS)
+    starts = np.empty((c_max + 1, n_sets, n))
+    chained = np.empty((n_sets, n, 1))
+    step_of = np.arange(BLOCK_STEPS).reshape(c_max, q).T
+    out = np.empty((n_sets, n if rows is None else keep.size, n_steps + q - 1))
+    starts[0] = T0
+    starts[0, set_idx, node_idx] = series[series_row, 0]
+    out[:, :, 0] = starts[0][:, keep]
     for k0 in range(1, n_steps, BLOCK_STEPS):
         b = min(BLOCK_STEPS, n_steps - k0)
+        # the last chunk is padded to q steps with the last record; the
+        # padding is marched and checked, but neither judged nor kept
+        c = -(-b // q)
+        steps = np.minimum(k0 + step_of[:, :c], n_steps - 1)
+        Z = Z_buf[:n_sets * 2 * n * (q + 1) * c].reshape(n_sets, 2 * n, q + 1, c)
+        X, W = Z[:, :n], Z[:, n:, :q]
         # W is the input term with the measurements in the forced rows
-        W, H, Tb = A[:b], B[:b], X[1:b + 1]
-        W[:] = (weather.values[k0:k0 + b] @ sm.input_coupling.T)[:, None]
-        W[:, set_idx, node_idx] = series[series_row, k0:k0 + b].T
-        np.matmul(W.transpose(1, 0, 2), M_inv_t, out=H.transpose(1, 0, 2))
-        Hv = H[..., None]
-        for j in range(b):
-            T = Xv[j + 1]
-            np.matmul(G, Xv[j], out=T)
-            T += Hv[j]
-        Tb[:, set_idx, node_idx] = series[series_row, k0:k0 + b].T
-        # right-hand sides V = W + d T_prev in place; then the gate is
-        # node-major: V copied into B and the residuals M T - V into A,
-        # both (set, node, step), so each reduction over the nodes runs
-        # along whole rows of steps
-        W += np.multiply(d, X[:b], out=H)
-        V = B.reshape(-1)[:W.size].reshape(n_sets, n, b)
-        V[...] = W.transpose(1, 2, 0)
-        R = np.matmul(M, Tb.transpose(1, 2, 0), out=A.reshape(-1)[:W.size].reshape(V.shape))
+        W.reshape(n_sets, n, -1)[:] = sm.input_coupling @ weather.values[steps.ravel()].T
+        W[set_idx, node_idx] = series[series_row[:, None, None], steps]
+        # 1. every chunk marched from a zero state
+        X[:, :, 0] = 0.0
+        _march_chunks(GW, Z, q)
+        # 2. the chunk ends chained by G^q from the block's start, each
+        # adding its chunk's march from zero
+        S = starts[:c + 1]
+        S[1:] = X[:, :, q].transpose(2, 0, 1)
+        for j in range(c):
+            S[j + 1] += np.matmul(G_q, S[j, :, :, None], out=chained)[:, :, 0]
+        # 3. every chunk marched again from its start up to its chained end
+        X[:, :, 0] = S[:c].transpose(1, 2, 0)
+        _march_chunks(GW, Z, q - 1)
+        X[:, :, q] = S[1:].transpose(1, 2, 0)
+        X[set_idx, node_idx, 1:] = W[set_idx, node_idx]
+        # right-hand sides V = W + d T_prev, in place of W, and residuals
+        # M T - V; both (set, node, step), so each reduction over the
+        # nodes runs along whole rows of steps
+        V = W.reshape(n_sets, n, -1)
+        R = R_buf[:V.size].reshape(V.shape)
+        V += np.multiply(X[:, :, :q].reshape(V.shape), d, out=R)
+        np.matmul(M, X[:, :, 1:].reshape(V.shape), out=R)
         R -= V
         residual = np.max(np.abs(R, out=R), axis=1)
         # relative to the right-hand side, but never to less than a normal
@@ -262,16 +315,20 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
         # T0 and the inputs are finite, and so is the bound; a non-finite
         # state gives a NaN or infinite residual and fails
         failed = ~(residual <= bound)
+        # the checks in step order, without the padding
+        failed = failed.reshape(n_sets, q, c).transpose(0, 2, 1).reshape(n_sets, -1)[:, :b]
         if failed.any():
             # the first failing set of the batch, at its first failing step
-            p, j = np.unravel_index(np.argmax(failed), failed.shape)
+            p, k = np.unravel_index(np.argmax(failed), failed.shape)
+            at = k % q * c + k // q
             raise SingularSystemError(
                 f"step solve of set {p} of the batch failed the residual check at step "
-                f"{k0 + j} ({residual[p, j]:.3e} > {bound[p, j]:.3e}); the system is "
+                f"{k0 + k} ({residual[p, at]:.3e} > {bound[p, at]:.3e}); the system is "
                 f"singular or severely ill-conditioned")
-        out[:, :, k0:k0 + b] = Tb[:, :, keep].transpose(1, 2, 0)
-        X[0] = X[b]
-    return out
+        kept = out[:, :, k0:k0 + c * q].reshape(n_sets, -1, c, q)
+        kept[...] = X[:, keep, 1:].transpose(0, 1, 3, 2)
+        starts[0] = X[:, :, q, c - 1]
+    return out[:, :, :n_steps]
 
 
 def simulate(sm: StateMatrices, weather: WeatherSeries,

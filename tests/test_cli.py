@@ -71,16 +71,20 @@ EDGE_FLOATS = (-0.0, 5e-324, 1e-05, 1e+16)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                      st.sampled_from((5e-324, 1e-05, 1e+16)))
-non_negative = st.one_of(positive, st.sampled_from((0.0, -0.0)))
 fraction = st.one_of(st.floats(0.0, 1.0), st.sampled_from((-0.0, 5e-324, 1e-05)))
+#: Positive floats whose products and quotients in the RC network (a
+#: component's resistance, capacity and surface conductances, the zone's
+#: ventilation conductance) stay finite and non-zero.
+network = st.one_of(st.floats(1e-05, 1e+16), st.sampled_from((1e-05, 1e+16)))
+h_network = st.one_of(network, st.sampled_from((0.0, -0.0)))
 
 
 def components(names):
     return st.tuples(*[st.builds(
         EnvelopeComponent, name=st.just(name), orientation=st.sampled_from(ORIENTATIONS),
-        area=positive, layers=st.lists(st.builds(Layer, positive, positive, positive, positive),
-                                       min_size=1, max_size=3).map(tuple),
-        h_ci=non_negative, h_ce=non_negative, h_ri=non_negative, h_re=non_negative,
+        area=network, layers=st.lists(st.builds(Layer, network, network, network, network),
+                                      min_size=1, max_size=3).map(tuple),
+        h_ci=h_network, h_ce=h_network, h_ri=h_network, h_re=h_network,
         absorptivity=fraction, internal_node_count=st.integers(0, 3),
         is_glazing=st.booleans()) for name in names])
 
@@ -101,7 +105,7 @@ buildings = st.builds(
         st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True), min_size=1,
                  max_size=3, unique=True).flatmap(components),
         st.booleans()),
-    zone=st.builds(AirZone, positive, positive, non_negative),
+    zone=st.builds(AirZone, positive, network, h_network),
     glazing_transmitted_fraction=fraction)
 
 #: The bundled cell with the repr edge cases in every kind of field.
@@ -620,6 +624,31 @@ class TestMainSimulate:
         assert section in err
         assert field in err
 
+    @pytest.mark.parametrize("lines,section,message", [
+        # the stack's total resistance underflows to 0
+        (["layers = 0.15 1e308 2200.0 900.0"], "[component wall_east]",
+         "total resistance of 0.0 K/W"),
+        (["area = 1e308"], "[component wall_east]", "total capacity of inf J/K"),
+        (["h_ci = 1e308"], "[component wall_east]", "h_ci * area is not finite"),
+        (["air_specific_heat = 1e308", "ventilation_flow = 10.0"], "[zone]",
+         "air_specific_heat * ventilation_flow is not finite"),
+    ])
+    def test_finite_fields_of_an_overflowing_network_exit_2(self, tmp_path, capsys,
+                                                             building_text, lines, section,
+                                                             message):
+        text = building_text
+        for line in lines:
+            key = line.split(" = ")[0]
+            text = re.sub(rf"(?m)^{key} = .*$", line, text, count=1)
+        bpath = write_tmp(tmp_path, "overflow.building", text)
+        rc = main(["simulate", "--building", bpath,
+                   "--weather", f"{DATA}/example_weather.csv",
+                   "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bpath}: {section}: ")
+        assert message in err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["simulate",
                    "--building", "no_such_file.building",
@@ -772,6 +801,22 @@ class TestMainVerify:
         bad = write_tmp(tmp_path, "bad_cases.txt", "kind = nonsense\n")
         rc = main(["verify", "--cases", bad, "--out", str(tmp_path / "v")])
         assert rc == 2
+
+    @pytest.mark.parametrize("case,base,message", [
+        ("door_conductivity", "0.78", "component door: layers and area give a total "
+                                      "resistance of 0.0 K/W"),
+        ("interior_convection", "0.1", "h_ci * area is not finite"),
+    ])
+    def test_case_whose_network_overflows_exits_2(self, tmp_path, capsys, marches,
+                                                  case, base, message):
+        text = Path(f"{DATA}/example_cases.txt").read_text(encoding="utf-8")
+        cases = write_tmp(tmp_path, "overflow.txt", text.replace(
+            f"perturbed = {base}\n", "perturbed = 1e308\n"))
+        assert main(["verify", "--cases", cases, "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cases}: [case {case}]: ")
+        assert message in err
+        assert marches == []
 
     def test_case_named_control_exits_2(self, tmp_path, capsys, marches):
         cases = write_tmp(tmp_path, "control.txt",

@@ -104,6 +104,11 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match="area"):
             make_component(area=0.0)
 
+    def test_underflowing_layer_conductance_rejected(self):
+        # k A = 1e-400 underflows to 0, which would divide by zero in the mesh
+        with pytest.raises(ValueError, match="total resistance of inf"):
+            make_component(area=1e-200, layers=(Layer(0.1, 1e-200, 100.0, 1000.0),))
+
     def test_null_flux_only_for_floor(self):
         with pytest.raises(ValueError, match="null-flux"):
             make_component(outside_boundary="null-flux")
