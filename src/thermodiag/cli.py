@@ -145,10 +145,6 @@ __all__ = [
 #: Timestamp origin used when series are written without a real calendar.
 CSV_EPOCH = datetime(2000, 3, 1)
 
-#: Rows formatted per write when a series file is written out.
-WRITE_BLOCK = 4096
-
-
 class ParseError(Exception):
     """Input file rejected; the message names file, section/line and field."""
 
@@ -523,8 +519,7 @@ def weather_csv(weather: WeatherSeries, start: datetime = CSV_EPOCH) -> str:
     """Serialize a weather series; parse_weather reads it back identically."""
     return "".join(csv_blocks(
         "timestamp," + ",".join(INPUT_CHANNELS),
-        lambda k: (start + timedelta(seconds=k * weather.dt)).isoformat(), weather.values,
-        WRITE_BLOCK))
+        lambda k: (start + timedelta(seconds=k * weather.dt)).isoformat(), weather.values))
 
 
 def measurements_csv(meas: MeasurementSeries, start: datetime = CSV_EPOCH) -> str:
@@ -533,7 +528,7 @@ def measurements_csv(meas: MeasurementSeries, start: datetime = CSV_EPOCH) -> st
     return "".join(csv_blocks(
         "timestamp," + ",".join(f"node_{n}" for n in nodes),
         lambda k: (start + timedelta(seconds=k * meas.dt)).isoformat(),
-        np.column_stack([meas.node_series(n) for n in nodes]), WRITE_BLOCK))
+        np.column_stack([meas.node_series(n) for n in nodes])))
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +606,7 @@ def cmd_simulate(args) -> int:
     weather = parse_weather(args.weather)
     traj = simulate(sm, weather)
     path = _write(args.out, "trajectory.csv", csv_blocks(
-        "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), str, traj.values.T,
-        WRITE_BLOCK))
+        "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), str, traj.values.T))
     print(f"wrote {path} ({traj.n_steps} steps, {model.n_nodes} nodes)")
     return 0
 

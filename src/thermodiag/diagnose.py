@@ -367,14 +367,18 @@ def history_csv(history: GAHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def csv_blocks(header: str, index, values: np.ndarray, block: int):
-    """Yield a CSV in blocks of ``block`` rows: row k is ``index(k)``, then
+#: Rows formatted per write when a series file is written out.
+WRITE_BLOCK = 4096
+
+
+def csv_blocks(header: str, index, values: np.ndarray):
+    """Yield a CSV in blocks of WRITE_BLOCK rows: row k is ``index(k)``, then
     ``values[k]`` in Python's float repr, which reads back to the same float.
     A block's cells are converted and joined column by column, with no
     Python loop over its rows."""
     yield header + "\n"
-    for k0 in range(0, values.shape[0], block):
-        columns = values[k0:k0 + block].T.tolist()
+    for k0 in range(0, values.shape[0], WRITE_BLOCK):
+        columns = values[k0:k0 + WRITE_BLOCK].T.tolist()
         rows = range(k0, k0 + len(columns[0]))
         cells = zip(map(index, rows), *[map(repr, column) for column in columns])
         yield "\n".join(map(",".join, cells)) + "\n"
@@ -385,4 +389,4 @@ def air_comparison_csv(report: DiagnosisReport, evaluator: ChromosomeEvaluator) 
     values = np.column_stack([evaluator.meas.node_series(report.air_node),
                               report.air_unforced, report.air_best])
     return "".join(csv_blocks("step,measured,simulated_unforced,simulated_best_forcing",
-                              str, values, len(values)))
+                              str, values))

@@ -135,7 +135,7 @@ class EnvelopeComponent:
         # resistances, capacities or surface conductances
         resistance, capacity = _stack_totals(self.layers, self.area)
         segments = self.internal_node_count + 1
-        if not (0.0 < resistance < np.inf and segments / resistance < np.inf):
+        if not 0.0 < resistance < np.inf:
             raise ValueError(f"component {self.name}: layers and area give a total "
                              f"resistance of {resistance!r} K/W")
         if not (0.0 < capacity / segments / 2.0 and capacity < np.inf):
@@ -144,6 +144,18 @@ class EnvelopeComponent:
         for h in ("h_ci", "h_ce", "h_ri", "h_re"):
             if not getattr(self, h) * self.area < np.inf:
                 raise ValueError(f"component {self.name}: {h} * area is not finite")
+        # and finite conductances can still sum to an infinite diagonal entry
+        # of the exchange matrix, at each node of the ladder
+        g = segments / resistance
+        sums = {"inside-surface": g + self.h_ci * self.area + self.h_ri * self.area}
+        if self.outside_boundary == "ambient":
+            sums["outside-surface"] = g + self.h_ce * self.area + self.h_re * self.area
+        if self.internal_node_count:
+            sums["internal"] = g + g
+        for role, total in sums.items():
+            if not total < np.inf:
+                raise ValueError(f"component {self.name}: the conductances at its {role} "
+                                 f"node sum to {total!r} W/K")
 
 
 @dataclass(frozen=True)
@@ -185,6 +197,19 @@ class BuildingDescription:
             raise ValueError("at most one component may have a null-flux boundary")
         if not 0.0 <= self.glazing_transmitted_fraction <= 1.0:
             raise ValueError("glazing_transmitted_fraction outside [0, 1]")
+        # the zone nodes sum a conductance of every component, and the
+        # glazing shares divide by the total inside area
+        air = sum(c.h_ci * c.area for c in self.components)
+        air += self.zone.air_specific_heat * self.zone.ventilation_flow
+        radiant = sum(c.h_ri * c.area for c in self.components)
+        for node, total in (("air", air), ("mean radiant", radiant)):
+            if not total < np.inf:
+                raise ValueError(f"the conductances at the {node} node sum to {total!r} W/K")
+        areas = [c.area for c in self.components]
+        glazing = max((c.area for c in self.components if c.is_glazing), default=0.0)
+        if not (sum(areas) < np.inf and
+                self.glazing_transmitted_fraction * glazing * max(areas) < np.inf):
+            raise ValueError("the component areas overflow the glazing's solar shares")
 
     def component(self, name: str) -> EnvelopeComponent:
         for c in self.components:

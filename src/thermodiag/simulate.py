@@ -260,20 +260,20 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     # a block of c chunks of q steps: Z stacks the states X over the inputs
     # W, laid out (set, node, offset into the chunk, chunk), so offset i of
     # chunk j is step k0 + j q + i - 1 for X, k0 + j q + i for W; X at
-    # offset 0 holds the chunk starts, and W's last offset is unused.  R
-    # holds the residuals; ``starts`` the chunk starts chained one after
-    # another, starts[0] being the block's start and starts[c] its end.
-    # All are reused by every block; out has room for the padding.
+    # offset 0 holds the chunk starts and at offset q the chunk ends, and W's
+    # last offset is unused.  R holds the residuals, ``start`` the block's
+    # start and ``chained`` a chunk's G^q term.  All are reused by every
+    # block; out has room for the padding.
     c_max = BLOCK_STEPS // q
     Z_buf = np.empty(n_sets * 2 * n * (q + 1) * c_max)
     R_buf = np.empty(n_sets * n * BLOCK_STEPS)
-    starts = np.empty((c_max + 1, n_sets, n))
+    start = np.empty((n_sets, n, 1))
     chained = np.empty((n_sets, n, 1))
     step_of = np.arange(BLOCK_STEPS).reshape(c_max, q).T
     out = np.empty((n_sets, n if rows is None else keep.size, n_steps + q - 1))
-    starts[0] = T0
-    starts[0, set_idx, node_idx] = series[series_row, 0]
-    out[:, :, 0] = starts[0][:, keep]
+    start[:, :, 0] = T0
+    start[set_idx, node_idx, 0] = series[series_row, 0]
+    out[:, :, 0] = start[:, keep, 0]
     for k0 in range(1, n_steps, BLOCK_STEPS):
         b = min(BLOCK_STEPS, n_steps - k0)
         # the last chunk is padded to q steps with the last record; the
@@ -289,15 +289,14 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
         X[:, :, 0] = 0.0
         _march_chunks(GW, Z, q)
         # 2. the chunk ends chained by G^q from the block's start, each
-        # adding its chunk's march from zero
-        S = starts[:c + 1]
-        S[1:] = X[:, :, q].transpose(2, 0, 1)
+        # adding its chunk's march from zero, in place
         for j in range(c):
-            S[j + 1] += np.matmul(G_q, S[j, :, :, None], out=chained)[:, :, 0]
+            np.matmul(G_q, X[:, :, q, j - 1:j] if j else start, out=chained)
+            X[:, :, q, j:j + 1] += chained
         # 3. every chunk marched again from its start up to its chained end
-        X[:, :, 0] = S[:c].transpose(1, 2, 0)
+        X[:, :, 0, :1] = start
+        X[:, :, 0, 1:] = X[:, :, q, :c - 1]
         _march_chunks(GW, Z, q - 1)
-        X[:, :, q] = S[1:].transpose(1, 2, 0)
         X[set_idx, node_idx, 1:] = W[set_idx, node_idx]
         # right-hand sides V = W + d T_prev, in place of W, and residuals
         # M T - V; both (set, node, step), so each reduction over the
@@ -327,7 +326,7 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
                 f"singular or severely ill-conditioned")
         kept = out[:, :, k0:k0 + c * q].reshape(n_sets, -1, c, q)
         kept[...] = X[:, keep, 1:].transpose(0, 1, 3, 2)
-        starts[0] = X[:, :, q, c - 1]
+        start[...] = X[:, :, q, c - 1:]
     return out[:, :, :n_steps]
 
 

@@ -72,10 +72,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                      st.sampled_from((5e-324, 1e-05, 1e+16)))
 fraction = st.one_of(st.floats(0.0, 1.0), st.sampled_from((-0.0, 5e-324, 1e-05)))
-#: Positive floats whose products and quotients in the RC network (a
-#: component's resistance, capacity and surface conductances, the zone's
-#: ventilation conductance) stay finite and non-zero.
-network = st.one_of(st.floats(1e-05, 1e+16), st.sampled_from((1e-05, 1e+16)))
+#: Positive floats for the fields of the RC network.  A product or quotient
+#: of up to four of them (a layer's capacity, a component's resistance and
+#: surface conductances, their sums at a node) stays within 1e+-240, so
+#: finite and non-zero, while the draws still reach repr's exponent form on
+#: both sides of its switch points.
+network = st.one_of(st.floats(1e-60, 1e+60), st.sampled_from((1e-05, 1e+16)))
 h_network = st.one_of(network, st.sampled_from((0.0, -0.0)))
 
 
@@ -565,10 +567,10 @@ class TestMainSimulate:
         # written in row blocks, over a horizon that is not a multiple of the
         # block, the file is still one Python float repr per value
         if block is not None:
-            monkeypatch.setattr(thermodiag.cli, "WRITE_BLOCK", block)
+            monkeypatch.setattr(thermodiag.diagnose, "WRITE_BLOCK", block)
         weather = synthetic_weather(days=days)
-        assert weather.n_records % thermodiag.cli.WRITE_BLOCK != 0
-        assert weather.n_records > thermodiag.cli.WRITE_BLOCK
+        assert weather.n_records % thermodiag.diagnose.WRITE_BLOCK != 0
+        assert weather.n_records > thermodiag.diagnose.WRITE_BLOCK
         wpath = write_tmp(tmp_path, "w.csv", weather_csv(weather))
         rc = main(["simulate", "--building", f"{DATA}/example_cell.building",
                    "--weather", wpath, "--out", str(tmp_path / "sim")])
@@ -626,12 +628,19 @@ class TestMainSimulate:
 
     @pytest.mark.parametrize("lines,section,message", [
         # the stack's total resistance underflows to 0
-        (["layers = 0.15 1e308 2200.0 900.0"], "[component wall_east]",
+        (["layers = 0.15 1e308 2200.0 900.0"], "[component wall_east]: ",
          "total resistance of 0.0 K/W"),
-        (["area = 1e308"], "[component wall_east]", "total capacity of inf J/K"),
-        (["h_ci = 1e308"], "[component wall_east]", "h_ci * area is not finite"),
-        (["air_specific_heat = 1e308", "ventilation_flow = 10.0"], "[zone]",
+        (["area = 1e308"], "[component wall_east]: ", "total capacity of inf J/K"),
+        (["h_ci = 1e308"], "[component wall_east]: ", "h_ci * area is not finite"),
+        # each h * area is finite, their sum at the inside surface is not
+        (["h_ci = 1e307", "h_ri = 1e307"], "[component wall_east]: ",
+         "the conductances at its inside-surface node sum to inf W/K"),
+        (["air_specific_heat = 1e308", "ventilation_flow = 10.0"], "[zone]: ",
          "air_specific_heat * ventilation_flow is not finite"),
+        # the air node sums the ventilation and every component's h_ci * area,
+        # so no one section holds the fault
+        (["air_specific_heat = 1.7e308", "ventilation_flow = 1.0", "h_ci = 1e307"], "",
+         "the conductances at the air node sum to inf W/K"),
     ])
     def test_finite_fields_of_an_overflowing_network_exit_2(self, tmp_path, capsys,
                                                              building_text, lines, section,
@@ -646,7 +655,7 @@ class TestMainSimulate:
                    "--out", str(tmp_path / "sim")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bpath}: {section}: ")
+        assert err.startswith(f"error: {bpath}: {section}")
         assert message in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):

@@ -109,6 +109,28 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match="total resistance of inf"):
             make_component(area=1e-200, layers=(Layer(0.1, 1e-200, 100.0, 1000.0),))
 
+    @pytest.mark.parametrize("overrides,role", [
+        (dict(area=1.0, h_ce=1e308, h_re=1e308), "outside-surface"),
+        # a conductance of 1e308 W/K on both sides of an internal node
+        (dict(area=1.0, layers=(Layer(2e-308, 1.0, 600.0, 1600.0),), internal_node_count=1),
+         "internal"),
+    ])
+    def test_conductances_summing_to_inf_at_a_ladder_node_rejected(self, overrides, role):
+        with pytest.raises(ValueError, match=f"its {role} node sum to inf W/K"):
+            make_component(**overrides)
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(area=1.0, h_ri=1e308), "the mean radiant node sum to inf W/K"),
+        (dict(area=1e200, is_glazing=True), "overflow the glazing's solar shares"),
+    ])
+    def test_conductances_summing_to_inf_at_a_zone_node_rejected(self, overrides, message):
+        # each component alone is a finite network; together they are not
+        with pytest.raises(ValueError, match=message):
+            BuildingDescription(
+                components=(make_component(name="a", **overrides),
+                            make_component(name="b", **overrides)),
+                zone=AirZone(30000.0, 1006.0, 0.01), glazing_transmitted_fraction=1.0)
+
     def test_null_flux_only_for_floor(self):
         with pytest.raises(ValueError, match="null-flux"):
             make_component(outside_boundary="null-flux")

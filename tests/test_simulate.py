@@ -355,10 +355,11 @@ class TestBatchKernel:
         n_sets, n = len(sets), sm.n_nodes
         chunks = BLOCK_STEPS // CHUNK_STEPS
         # a block's states over its inputs, both with one chunk-wide slab
-        # more than the block, its residuals and its chunk starts; M, the
-        # propagator [G | M^-1] and G^q; numpy copies at most two strided
-        # operands of one elementwise step through its iteration buffers
-        blocks = (2 * (BLOCK_STEPS + chunks) + BLOCK_STEPS + chunks + 1) * n_sets * n * 8
+        # more than the block, its residuals, the block's start and one
+        # chained chunk end; M, the propagator [G | M^-1] and G^q; numpy
+        # copies at most two strided operands of one elementwise step
+        # through its iteration buffers
+        blocks = (2 * (BLOCK_STEPS + chunks) + BLOCK_STEPS + 2) * n_sets * n * 8
         step_matrices = 4 * n_sets * n * n * 8
         buffers = 2 * np.getbufsize() * 8
         assert n_sets == 32
