@@ -94,6 +94,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .diagnose import (
+    MAX_EXHAUSTIVE_NODES,
     air_comparison_csv,
     csv_blocks,
     format_report,
@@ -615,6 +616,11 @@ def cmd_diagnose(args) -> int:
     config = _ga_config(args)
     model, sm, weather, meas = _load_measured_case(args)
     _check_skip_steps(args.skip_steps, meas.n_samples)
+    measured = len(meas.node_ids - {model.air_node})
+    if args.exhaustive and measured > MAX_EXHAUSTIVE_NODES:
+        raise ParseError(f"--exhaustive: {args.measurements} measures {measured} nodes "
+                         f"besides the air node; the exhaustive search is capped at "
+                         f"{MAX_EXHAUSTIVE_NODES}")
     report, evaluator = run_diagnosis(
         sm, weather, meas, model.air_node, config,
         skip_steps=args.skip_steps, exhaustive=args.exhaustive)

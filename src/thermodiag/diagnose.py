@@ -23,7 +23,9 @@ from .ga import (
     GAConfig, GAHistory, ScoredIndividual, decode, encode, fitness, rank, run_ga,
 )
 from .model import NodalModel, StateMatrices
-from .simulate import MeasurementSeries, WeatherSeries, simulate, simulate_batch
+from .simulate import (
+    MeasurementSeries, WeatherSeries, initial_state, simulate, simulate_batch,
+)
 
 __all__ = [
     "DiagnosisReport",
@@ -64,8 +66,9 @@ def residual_stats(sim_air: np.ndarray, meas_air: np.ndarray) -> tuple[float, fl
     return float(np.mean(residuals)), float(np.std(residuals, ddof=1))
 
 
-#: Most forcing sets marched in one kernel call; bounds the stacked step
-#: matrices of a large exhaustive search, far above any GA population.
+#: Most forcing sets marched in one kernel call; bounds the output array
+#: and the call's lists of a large exhaustive search, far above any GA
+#: population.  The kernel bounds its own step matrices and block buffers.
 MAX_BATCH = 256
 
 
@@ -92,6 +95,10 @@ class ChromosomeEvaluator:
         self.meas = meas
         self.air_node = air_node
         self.skip_steps = skip_steps
+        # every march starts from the same state, and every J compares
+        # with the same measured air series
+        self._T0 = initial_state(sm, weather.values[0])
+        self._meas_air = meas.node_series(air_node)[skip_steps:]
         self.chromosome_length = sm.n_nodes - 1
         self._cache: dict[tuple, float] = {}
         self._empty = encode((), self.chromosome_length)
@@ -117,7 +124,7 @@ class ChromosomeEvaluator:
         key = self._key(chromosome)
         if key in self._air:
             return self._air[key]
-        traj = simulate(self.sm, self.weather, self._forcing(key), self.meas)
+        traj = simulate(self.sm, self.weather, self._forcing(key), self.meas, self._T0)
         return traj.node_series(self.air_node)
 
     def _key(self, chromosome) -> tuple:
@@ -140,11 +147,10 @@ class ChromosomeEvaluator:
         todo = list(dict.fromkeys(k for k in keys if k not in cache))
         for start in range(0, len(todo), MAX_BATCH):
             batch = todo[start:start + MAX_BATCH]
-            meas_air = self.meas.node_series(self.air_node)[self.skip_steps:]
             air = simulate_batch(self.sm, self.weather, [self._forcing(k) for k in batch],
-                                 self.meas, rows=(self.air_node,))[:, 0]
+                                 self.meas, self._T0, rows=(self.air_node,))[:, 0]
             for key, sim_air in zip(batch, air):
-                cache[key] = objective(sim_air[self.skip_steps:], meas_air)
+                cache[key] = objective(sim_air[self.skip_steps:], self._meas_air)
                 if key == self._empty:
                     self._keep(key, sim_air)
             lowest = min(batch if self._lowest is None else [self._lowest, *batch],
@@ -157,6 +163,10 @@ class ChromosomeEvaluator:
         return [cache[k] for k in keys]
 
 
+#: Most nodes the exhaustive oracle searches the subsets of (2**20 sets).
+MAX_EXHAUSTIVE_NODES = 20
+
+
 def exhaustive_search(measurable_nodes: Iterable[int], evaluator,
                       chromosome_length: int) -> tuple[frozenset, dict]:
     """Evaluate every subset of the measurable nodes (the brute-force oracle).
@@ -167,8 +177,9 @@ def exhaustive_search(measurable_nodes: Iterable[int], evaluator,
     finds an optimum.
     """
     nodes = sorted(set(measurable_nodes))
-    if len(nodes) > 20:
-        raise ValueError(f"{len(nodes)} measurable nodes: exhaustive search capped at 20")
+    if len(nodes) > MAX_EXHAUSTIVE_NODES:
+        raise ValueError(f"{len(nodes)} measurable nodes: exhaustive search capped at "
+                         f"{MAX_EXHAUSTIVE_NODES}")
     subsets = [frozenset(n for i, n in enumerate(nodes) if pattern >> i & 1)
                for pattern in range(2 ** len(nodes))]
     bits = [encode(subset, chromosome_length) for subset in subsets]

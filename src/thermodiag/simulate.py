@@ -21,29 +21,34 @@ where D' is D with the forced rows zeroed and W is the input term with the
 measurements in the forced rows.  The two products are one,
 ``T_next = [G | M^-1] [T_prev; W_next]``.
 
-:func:`simulate_batch` marches a stack of forcing sets together, in blocks
-of BLOCK_STEPS steps cut into chunks of CHUNK_STEPS = q steps, as a
-two-level scan of the linear recurrence:
+:func:`simulate_batch` marches a stack of forcing sets together, in groups
+of at most GROUP_SETS sets (a larger batch is split evenly and its groups
+marched one after the other), each over blocks of BLOCK_STEPS steps cut
+into chunks of CHUNK_STEPS = q steps, as a two-level scan of the linear
+recurrence:
 
 1. every chunk of the block is marched from a zero state, all chunks side
    by side, one (set, node, chunk) product per step;
 2. the chunk ends are chained from the block's start state by G^q (computed
-   once per call), each adding its chunk's march from zero;
+   once per group), each adding its chunk's march from zero;
 3. every chunk is marched again from its start, side by side, and ends on
    its chained end.
 
-So a block costs 2q + BLOCK_STEPS / q small products instead of one per
-step.  The states, the inputs, the check and the output are all laid out
-(set, node, step); within a block the step axis is split into (offset into
-the chunk, chunk), so the chunks of one offset sit side by side with unit
-stride and each step of a march is one product over all of them; the
-inputs are gathered in that order.  Forced rows are then overwritten with
-their measurements bit for bit, and every step's residual ``M T - V``,
-V = W + D T_prev, is checked against RESIDUAL_RTOL at once, T_prev being
-the reported state before it.  A block works in preallocated arrays that
-every block reuses.  The last chunk of the horizon is padded with the last
-input record; the padding is marched and checked but neither judged nor
-kept.
+So a block costs each set 2q + BLOCK_STEPS / q small products instead of
+one per step.  The states, the inputs, the check and the output are all
+laid out (set, node, step); within a block the step axis is split into
+(offset into the chunk, chunk), so the chunks of one offset sit side by
+side with unit stride and each step of a march is one product over all of
+them; the inputs, and the block's measurements, are gathered once in that
+order.  Forced rows are then overwritten with their measurements bit for
+bit, and every step's residual ``M T - V``, V = W + D T_prev, is checked
+against RESIDUAL_RTOL at once, T_prev being the reported state before it.
+A group works in preallocated block arrays of GROUP_SETS x BLOCK_STEPS
+set-steps that every block and every group reuse, so they do not grow
+with the batch; each group's step matrices are its own, and every group
+writes into one output array.  The last chunk of the horizon is padded
+with the last input record; the padding is marched and checked but
+neither judged nor kept.
 
 What is bit-exact: forced rows reproduce their measurements, a set's
 result is the same alone or in any batch (every array is stacked per set
@@ -79,11 +84,16 @@ __all__ = [
 RESIDUAL_RTOL = 1e-9
 
 #: Time steps marched per block; every temporary of the march is this long.
-BLOCK_STEPS = 64
+BLOCK_STEPS = 128
 
 #: Time steps per chunk; a block marches its BLOCK_STEPS // CHUNK_STEPS
 #: chunks side by side.
 CHUNK_STEPS = 8
+
+#: Most forcing sets marched together; a larger batch is split evenly into
+#: groups of at most this many, so the block buffers and the step matrices
+#: do not grow with the batch.
+GROUP_SETS = 16
 
 
 class SingularSystemError(Exception):
@@ -216,11 +226,16 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     overwritten with their measurement at every column, including the
     initial one, so their rows reproduce the measurement series exactly.
     A set's result is bit-identical whatever else is in the batch.
+
+    The sets are marched in groups of at most GROUP_SETS, one group after
+    the other.  When sets fail the residual check, the error names the
+    first failing set of the first group that fails (of the sets failing
+    in the first block with a failure, the lowest-indexed one), by its
+    index in ``forcings``, at that set's first failing step.
     """
     n = sm.n_nodes
     n_steps = weather.n_records
-    dt = weather.dt
-    forced = [_check_forcing(frozenset(f), n, n_steps, dt, meas) for f in forcings]
+    forced = [_check_forcing(frozenset(f), n, n_steps, weather.dt, meas) for f in forcings]
     n_sets = len(forced)
     keep = slice(None) if rows is None else np.asarray(rows, dtype=int) - 1
 
@@ -230,16 +245,41 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     if T0.shape != (n,) or not np.all(np.isfinite(T0)):
         raise ValueError(f"initial state must be finite with shape ({n},)")
 
-    # (set, node index) pairs of every forced row; the measured series of
-    # the forced nodes only, so an unforced run allocates none over the
-    # horizon, and the row of each forced row's series among them
+    # the measured series of the forced nodes only, so an unforced run
+    # allocates none over the horizon
+    measured = sorted({node for nodes in forced for node in nodes})
+    series = np.array([meas.node_series(node) for node in measured]).reshape(-1, n_steps)
+
+    # the groups, split evenly, and the block buffers of the largest one,
+    # which every group reuses; out has room for the padding
+    q = CHUNK_STEPS
+    n_groups = -(-n_sets // GROUP_SETS)
+    edges = [-(-g * n_sets // n_groups) for g in range(n_groups + 1)] if n_sets else [0]
+    size = max(np.diff(edges), default=0)
+    Z_buf = np.empty(size * 2 * n * (q + 1) * (BLOCK_STEPS // q))
+    V_buf = np.empty(size * n * BLOCK_STEPS)
+    out = np.empty((n_sets, n if rows is None else keep.size, n_steps + q - 1))
+    for a, b in zip(edges, edges[1:]):
+        _march_group(sm, weather, forced[a:b], measured, series, T0, keep, out[a:b],
+                     Z_buf, V_buf, a)
+    return out[:, :, :n_steps]
+
+
+def _march_group(sm, weather, forced, measured, series, T0, keep, out,
+                 Z_buf, V_buf, first):
+    """March one group of forcing sets into ``out``, in the block buffers
+    given; ``first`` is the batch index of the group's first set."""
+    n = sm.n_nodes
+    n_steps = weather.n_records
+    n_sets = len(forced)
+
+    # (set, node index) pairs of every forced row, and the row of each
+    # forced row's series among the measured ones
     set_idx = np.array([p for p, nodes in enumerate(forced) for _ in nodes], dtype=int)
     node_idx = np.array([node - 1 for nodes in forced for node in nodes], dtype=int)
-    measured = sorted(set(node_idx.tolist()))
-    series = np.array([meas.node_series(i + 1) for i in measured]).reshape(-1, n_steps)
-    series_row = np.searchsorted(measured, node_idx)
+    series_row = np.searchsorted(measured, node_idx + 1)
 
-    c_over_dt = sm.capacity / dt
+    c_over_dt = sm.capacity / weather.dt
     M = np.repeat((np.diag(c_over_dt) - sm.exchange)[None], n_sets, axis=0)
     M[set_idx, node_idx, :] = 0.0
     M[set_idx, node_idx, node_idx] = 1.0
@@ -255,22 +295,19 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     np.multiply(GW[:, :, n:], d[:, None, :], out=GW[:, :, :n])
     q = CHUNK_STEPS
     G_q = np.linalg.matrix_power(GW[:, :, :n], q)
-    d = d[:, :, None]
+    d = d[:, :, None, None]
 
     # a block of c chunks of q steps: Z stacks the states X over the inputs
     # W, laid out (set, node, offset into the chunk, chunk), so offset i of
     # chunk j is step k0 + j q + i - 1 for X, k0 + j q + i for W; X at
     # offset 0 holds the chunk starts and at offset q the chunk ends, and W's
-    # last offset is unused.  R holds the residuals, ``start`` the block's
-    # start and ``chained`` a chunk's G^q term.  All are reused by every
-    # block; out has room for the padding.
+    # last offset is unused.  V_buf holds the block's right-hand sides, laid
+    # out like W but contiguous; ``start`` holds the block's start and
+    # ``chained`` a chunk's G^q term.
     c_max = BLOCK_STEPS // q
-    Z_buf = np.empty(n_sets * 2 * n * (q + 1) * c_max)
-    R_buf = np.empty(n_sets * n * BLOCK_STEPS)
     start = np.empty((n_sets, n, 1))
     chained = np.empty((n_sets, n, 1))
     step_of = np.arange(BLOCK_STEPS).reshape(c_max, q).T
-    out = np.empty((n_sets, n if rows is None else keep.size, n_steps + q - 1))
     start[:, :, 0] = T0
     start[set_idx, node_idx, 0] = series[series_row, 0]
     out[:, :, 0] = start[:, keep, 0]
@@ -282,9 +319,11 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
         steps = np.minimum(k0 + step_of[:, :c], n_steps - 1)
         Z = Z_buf[:n_sets * 2 * n * (q + 1) * c].reshape(n_sets, 2 * n, q + 1, c)
         X, W = Z[:, :n], Z[:, n:, :q]
-        # W is the input term with the measurements in the forced rows
-        W.reshape(n_sets, n, -1)[:] = sm.input_coupling @ weather.values[steps.ravel()].T
-        W[set_idx, node_idx] = series[series_row[:, None, None], steps]
+        # W is the input term with the measurements in the forced rows,
+        # gathered once for the block
+        W[:] = (sm.input_coupling @ weather.values[steps.ravel()].T).reshape(n, q, c)
+        pinned = series[:, steps][series_row]
+        W[set_idx, node_idx] = pinned
         # 1. every chunk marched from a zero state
         X[:, :, 0] = 0.0
         _march_chunks(GW, Z, q)
@@ -297,37 +336,39 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
         X[:, :, 0, :1] = start
         X[:, :, 0, 1:] = X[:, :, q, :c - 1]
         _march_chunks(GW, Z, q - 1)
-        X[set_idx, node_idx, 1:] = W[set_idx, node_idx]
-        # right-hand sides V = W + d T_prev, in place of W, and residuals
-        # M T - V; both (set, node, step), so each reduction over the
-        # nodes runs along whole rows of steps
-        V = W.reshape(n_sets, n, -1)
-        R = R_buf[:V.size].reshape(V.shape)
-        V += np.multiply(X[:, :, :q].reshape(V.shape), d, out=R)
-        np.matmul(M, X[:, :, 1:].reshape(V.shape), out=R)
-        R -= V
-        residual = np.max(np.abs(R, out=R), axis=1)
-        # relative to the right-hand side, but never to less than a normal
-        # float: a state decayed to subnormals has no relative precision left
-        scale = np.max(np.abs(V, out=V), axis=1)
+        X[set_idx, node_idx, 1:] = pinned
+        # right-hand sides V = W + d T_prev, (set, node, step) in V_buf;
+        # each reduction over the nodes runs along whole rows of steps
+        V4 = V_buf[:W.size].reshape(W.shape)
+        np.multiply(X[:, :, :q], d, out=V4)
+        V4 += W
+        V = V4.reshape(n_sets, n, -1)
+        # relative to the largest |V| (max V or -min V, so V is kept), but
+        # never to less than a normal float: a state decayed to subnormals
+        # has no relative precision left
+        scale = np.maximum(np.max(V, axis=1), -np.min(V, axis=1))
         bound = RESIDUAL_RTOL * np.maximum(scale, np.finfo(float).tiny, out=scale)
+        # the residuals M T - V, of flipped sign: M T in W's place, which
+        # the march is done with, then V - M T in V's
+        np.matmul(M, X[:, :, 1:].reshape(V.shape), out=W.reshape(V.shape))
+        V4 -= W
+        residual = np.max(np.abs(V, out=V), axis=1)
         # T0 and the inputs are finite, and so is the bound; a non-finite
         # state gives a NaN or infinite residual and fails
         failed = ~(residual <= bound)
         # the checks in step order, without the padding
         failed = failed.reshape(n_sets, q, c).transpose(0, 2, 1).reshape(n_sets, -1)[:, :b]
         if failed.any():
-            # the first failing set of the batch, at its first failing step
+            # the first failing set of the group, at its first failing step
             p, k = np.unravel_index(np.argmax(failed), failed.shape)
             at = k % q * c + k // q
             raise SingularSystemError(
-                f"step solve of set {p} of the batch failed the residual check at step "
-                f"{k0 + k} ({residual[p, at]:.3e} > {bound[p, at]:.3e}); the system is "
-                f"singular or severely ill-conditioned")
+                f"step solve of set {first + p} of the batch failed the residual check at "
+                f"step {k0 + k} ({residual[p, at]:.3e} > {bound[p, at]:.3e}); the system "
+                f"is singular or severely ill-conditioned")
         kept = out[:, :, k0:k0 + c * q].reshape(n_sets, -1, c, q)
         kept[...] = X[:, keep, 1:].transpose(0, 1, 3, 2)
         start[...] = X[:, :, q, c - 1:]
-    return out[:, :, :n_steps]
 
 
 def simulate(sm: StateMatrices, weather: WeatherSeries,

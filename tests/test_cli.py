@@ -957,6 +957,24 @@ class TestFlagsCheckedBeforeMarch:
         assert marches == []
         assert not (tmp_path / "o").exists()
 
+    def test_exhaustive_over_the_node_cap_named(self, tmp_path, capsys, marches):
+        # every node but the air node measured: 22, two over the oracle's cap
+        desc = parse_building(f"{DATA}/example_cell_door_defect.building")
+        weather = parse_weather(f"{DATA}/example_weather.csv")
+        traj = simulate(assemble(build_mesh(desc), desc), weather)
+        meas = MeasurementSeries(dt=weather.dt, series={
+            n: traj.node_series(n) for n in range(1, traj.values.shape[0] + 1)})
+        mpath = write_tmp(tmp_path, "dense.csv", measurements_csv(meas, weather.start))
+        rc = main(["diagnose", "--building", f"{DATA}/example_cell_door_defect.building",
+                   "--weather", f"{DATA}/example_weather.csv", "--measurements", mpath,
+                   "--exhaustive", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --exhaustive: ")
+        assert mpath in err and "22 nodes" in err and "20" in err
+        assert marches == []
+        assert not (tmp_path / "o").exists()
+
     def test_skip_steps_may_leave_two_samples(self, capsys):
         assert main(["stats", *MEASURED_INPUTS, "--skip-steps", "478"]) == 0
         assert "n_samples = 2" in capsys.readouterr().out

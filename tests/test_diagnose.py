@@ -1,5 +1,6 @@
 """Objective, evaluator memoization, oracle, statistics, reports."""
 
+import importlib
 import math
 
 import numpy as np
@@ -366,6 +367,27 @@ class TestRunDiagnosis:
         # the GA marches each generation's uncached chromosomes in one call
         [(kernel_calls, generations)] = ga_calls
         assert kernel_calls <= generations
+
+    def test_initial_state_computed_once(self, cell, monkeypatch):
+        import thermodiag.diagnose as diagnose
+
+        # the package's ``simulate`` attribute is the function, not the module
+        simulate_module = importlib.import_module("thermodiag.simulate")
+        initial_state = simulate_module.initial_state
+        calls = []
+
+        def counting_initial_state(*args):
+            calls.append(args)
+            return initial_state(*args)
+
+        monkeypatch.setattr(diagnose, "initial_state", counting_initial_state)
+        monkeypatch.setattr(simulate_module, "initial_state", counting_initial_state)
+        # a capped GA misses the oracle's optimum, so its best set is
+        # marched once more, outside the evaluator's kernel calls
+        rep, _ = diagnose_door_defect(cell, population_size=4, max_generations=1,
+                                      rng_seed=2)
+        assert rep.ga_matches_oracle is False
+        assert len(calls) == 1
 
     def test_exhaustive_table_is_the_only_kernel_call(self, cell, monkeypatch):
         import thermodiag.diagnose as diagnose

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from thermodiag.ga import encode
 from thermodiag.simulate import (
     BLOCK_STEPS,
     CHUNK_STEPS,
+    GROUP_SETS,
     RESIDUAL_RTOL,
     MeasurementSeries,
     SingularSystemError,
@@ -339,31 +341,52 @@ class TestBatchKernel:
             residual = np.max(np.abs(M @ T[:, k] - V))
             assert residual <= RESIDUAL_RTOL * np.max(np.abs(V))
 
+    def test_batch_of_three_groups_bit_identical_to_solo_runs(self):
+        model, sm, weather, meas = measured_cell()
+        rng = np.random.default_rng(21)
+        sets = random_sets(rng, 2 * GROUP_SETS + 1)
+        batch = simulate_batch(sm, weather, sets, meas)
+        for values, forcing in zip(batch, sets):
+            assert np.array_equal(values, simulate(sm, weather, forcing, meas).values)
+
+    @staticmethod
+    def traced_peak(sm, weather, sets, meas, rows):
+        simulate_batch(sm, weather, sets, meas, rows=rows)
+        tracemalloc.start()
+        try:
+            out = simulate_batch(sm, weather, sets, meas, rows=rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, out
+
     def test_memory_is_three_blocks_the_step_matrices_and_the_output(self):
         # the subset table of the 5 protocol sensors on the 5-day weather
         model, sm, weather, meas = measured_cell(days=5)
         nodes = default_measured_nodes(model)
         sets = [frozenset(c) for r in range(len(nodes) + 1)
                 for c in itertools.combinations(nodes, r)]
-        simulate_batch(sm, weather, sets, meas, rows=(model.air_node,))
-        tracemalloc.start()
-        try:
-            out = simulate_batch(sm, weather, sets, meas, rows=(model.air_node,))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, out = self.traced_peak(sm, weather, sets, meas, (model.air_node,))
         n_sets, n = len(sets), sm.n_nodes
         chunks = BLOCK_STEPS // CHUNK_STEPS
-        # a block's states over its inputs, both with one chunk-wide slab
-        # more than the block, its residuals, the block's start and one
-        # chained chunk end; M, the propagator [G | M^-1] and G^q; numpy
-        # copies at most two strided operands of one elementwise step
-        # through its iteration buffers
-        blocks = (2 * (BLOCK_STEPS + chunks) + BLOCK_STEPS + 2) * n_sets * n * 8
-        step_matrices = 4 * n_sets * n * n * 8
+        # a group's block: its states over its inputs, both with one
+        # chunk-wide slab more than the block, its right-hand sides, the
+        # block's start and one chained chunk end; one group's M, propagator
+        # [G | M^-1] and G^q; numpy copies at most two strided operands of
+        # one elementwise step through its iteration buffers
+        blocks = (2 * (BLOCK_STEPS + chunks) + BLOCK_STEPS + 2) * GROUP_SETS * n * 8
+        step_matrices = 4 * GROUP_SETS * n * n * 8
         buffers = 2 * np.getbufsize() * 8
-        assert n_sets == 32
+        assert n_sets == 2 * GROUP_SETS
         assert peak <= 1.1 * (blocks + step_matrices + out.nbytes) + buffers
+
+        # four times the sets: every group reuses the one block and marches
+        # with its own step matrices, so only the output grows, and the
+        # call's list of each set's sorted forced nodes
+        more = sets * 4
+        more_peak, more_out = self.traced_peak(sm, weather, more, meas, (model.air_node,))
+        lists = sum(sys.getsizeof(sorted(f)) + 8 for f in more[n_sets:])
+        assert more_peak <= peak + more_out.base.nbytes - out.base.nbytes + lists
 
     def test_non_finite_initial_state_rejected(self):
         _, sm = cell_setup()
@@ -405,6 +428,25 @@ class TestBatchKernel:
             simulate_batch(sm, weather, [{1, 2}, set()], meas, T0)
         with pytest.raises(SingularSystemError, match=r"set 0 of the batch .* at step 1 "):
             simulate_batch(sm, weather, [set(), {1, 2}], meas, T0)
+
+    def test_residual_failure_names_the_set_by_its_batch_index(self):
+        # the 1e14 W/K pair once more: pinned copies, marched in three
+        # groups of 11, and one unforced set in the second group, which
+        # alone fails, from step 1 on; the error counts the whole batch
+        coupling = 1e14
+        sm = StateMatrices(
+            capacity=np.array([10.0, 10.0]),
+            exchange=np.array([[-coupling - 1.0, coupling], [coupling, -coupling - 1.0]]),
+            input_coupling=np.eye(2, len(INPUT_CHANNELS)),
+        )
+        weather = constant_weather(20.0, 5, dt=10.0, t_sky=5.0)
+        meas = MeasurementSeries(dt=10.0, series={1: np.full(5, 1.0), 2: np.full(5, 2.0)})
+        sets = [{1, 2}] * (2 * GROUP_SETS + 1)
+        failing = GROUP_SETS + 3
+        sets[failing] = set()
+        with pytest.raises(SingularSystemError,
+                           match=rf"set {failing} of the batch .* at step 1 "):
+            simulate_batch(sm, weather, sets, meas, np.array([1.0, 2.0]))
 
     def test_residual_failure_names_a_late_step_and_its_set(self):
         # the 1e14 W/K pair at rest with zero inputs passes every check
