@@ -21,7 +21,6 @@ from .model import (
 from .simulate import (
     MeasurementSeries,
     SingularSystemError,
-    Trajectory,
     WeatherSeries,
     initial_state,
     simulate,
@@ -61,7 +60,6 @@ __all__ = [
     "layer_stack_to_rc",
     "MeasurementSeries",
     "SingularSystemError",
-    "Trajectory",
     "WeatherSeries",
     "initial_state",
     "simulate",

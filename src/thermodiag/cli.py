@@ -605,10 +605,10 @@ def cmd_simulate(args) -> int:
     model = build_mesh(desc)
     sm = assemble(model, desc)
     weather = parse_weather(args.weather)
-    traj = simulate(sm, weather)
+    values = simulate(sm, weather)[0]
     path = _write(args.out, "trajectory.csv", csv_blocks(
-        "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), str, traj.values.T))
-    print(f"wrote {path} ({traj.n_steps} steps, {model.n_nodes} nodes)")
+        "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), str, values.T))
+    print(f"wrote {path} ({values.shape[1]} steps, {model.n_nodes} nodes)")
     return 0
 
 
@@ -681,8 +681,7 @@ def cmd_stats(args) -> int:
     model, sm, weather, meas = _load_measured_case(args)
     _check_skip_steps(args.skip_steps, meas.n_samples)
     air = model.air_node
-    traj = simulate(sm, weather)
-    sim_air = traj.node_series(air)[args.skip_steps:]
+    sim_air = simulate(sm, weather, rows=(air,))[0, 0, args.skip_steps:]
     meas_air = meas.node_series(air)[args.skip_steps:]
     mean, sd = residual_stats(sim_air, meas_air)
     print(f"n_samples = {sim_air.shape[0]}")

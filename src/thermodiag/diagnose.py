@@ -23,9 +23,7 @@ from .ga import (
     GAConfig, GAHistory, ScoredIndividual, decode, encode, fitness, rank, run_ga,
 )
 from .model import NodalModel, StateMatrices
-from .simulate import (
-    MeasurementSeries, WeatherSeries, initial_state, simulate, simulate_batch,
-)
+from .simulate import MeasurementSeries, WeatherSeries, initial_state, simulate
 
 __all__ = [
     "DiagnosisReport",
@@ -124,8 +122,12 @@ class ChromosomeEvaluator:
         key = self._key(chromosome)
         if key in self._air:
             return self._air[key]
-        traj = simulate(self.sm, self.weather, self._forcing(key), self.meas, self._T0)
-        return traj.node_series(self.air_node)
+        return self._march([key])[0]
+
+    def _march(self, keys: list) -> np.ndarray:
+        """The air series of the sets ``keys``, marched in one kernel call."""
+        return simulate(self.sm, self.weather, [self._forcing(k) for k in keys],
+                        self.meas, self._T0, rows=(self.air_node,))[:, 0]
 
     def _key(self, chromosome) -> tuple:
         key = tuple(map(int, chromosome))
@@ -147,8 +149,7 @@ class ChromosomeEvaluator:
         todo = list(dict.fromkeys(k for k in keys if k not in cache))
         for start in range(0, len(todo), MAX_BATCH):
             batch = todo[start:start + MAX_BATCH]
-            air = simulate_batch(self.sm, self.weather, [self._forcing(k) for k in batch],
-                                 self.meas, self._T0, rows=(self.air_node,))[:, 0]
+            air = self._march(batch)
             for key, sim_air in zip(batch, air):
                 cache[key] = objective(sim_air[self.skip_steps:], self._meas_air)
                 if key == self._empty:
@@ -202,8 +203,6 @@ class DiagnosisReport:
     """Everything one diagnosis run produced."""
 
     best: ScoredIndividual
-    best_forcing: frozenset
-    unforced_J: float            # °C²
     per_node: dict               # node id -> J; key 0 is the unforced run
     residuals_before: tuple      # (mean °C, sd °C) with no forcing
     residuals_after: tuple       # same under the best forcing set
@@ -215,6 +214,16 @@ class DiagnosisReport:
     skip_steps: int
     oracle_best: frozenset | None = None
     oracle_best_J: float | None = None
+
+    @property
+    def best_forcing(self) -> frozenset:
+        """The node ids the best chromosome forces."""
+        return decode(self.best.chromosome)
+
+    @property
+    def unforced_J(self) -> float:
+        """J of the unforced run, in °C²."""
+        return self.per_node[0]
 
     @property
     def ratio(self) -> float | None:
@@ -270,8 +279,6 @@ def run_diagnosis(sm: StateMatrices, weather: WeatherSeries,
 
     report = DiagnosisReport(
         best=best,
-        best_forcing=decode(best.chromosome),
-        unforced_J=unforced_J,
         per_node=scores,
         residuals_before=before,
         residuals_after=after,

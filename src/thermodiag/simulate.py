@@ -21,11 +21,11 @@ where D' is D with the forced rows zeroed and W is the input term with the
 measurements in the forced rows.  The two products are one,
 ``T_next = [G | M^-1] [T_prev; W_next]``.
 
-:func:`simulate_batch` marches a stack of forcing sets together, in groups
-of at most GROUP_SETS sets (a larger batch is split evenly and its groups
-marched one after the other), each over blocks of BLOCK_STEPS steps cut
-into chunks of CHUNK_STEPS = q steps, as a two-level scan of the linear
-recurrence:
+:func:`simulate`, the one routine that advances the model, marches a stack
+of forcing sets together, in groups of at most GROUP_SETS sets (a larger
+batch is split evenly and its groups marched one after the other), each
+over blocks of BLOCK_STEPS steps cut into chunks of CHUNK_STEPS = q steps,
+as a two-level scan of the linear recurrence:
 
 1. every chunk of the block is marched from a zero state, all chunks side
    by side, one (set, node, chunk) product per step;
@@ -55,7 +55,8 @@ result is the same alone or in any batch (every array is stacked per set
 and each product runs per set, with shapes that do not depend on the
 batch), and a run is repeatable.  What is not: the march differs from a
 step-by-step solve, and from another chunk length, by round-off (about
-1e-13 degC on the bundled cell).  :func:`simulate` is a batch of one.
+1e-13 degC on the bundled cell).  A run of one set is a batch of one, and
+every caller names the node rows it reads; only those are kept.
 
 All functions are pure; concurrent calls on distinct inputs are safe.  One
 simulation is inherently sequential (each step depends on the previous state).
@@ -74,9 +75,7 @@ __all__ = [
     "SingularSystemError",
     "WeatherSeries",
     "MeasurementSeries",
-    "Trajectory",
     "simulate",
-    "simulate_batch",
     "initial_state",
 ]
 
@@ -173,21 +172,6 @@ class MeasurementSeries:
             raise KeyError(f"no measurement series for node {node_id}") from None
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Simulated temperatures: one row per node, one column per time step."""
-
-    values: np.ndarray  # (n_nodes, n_steps) °C
-    dt: float           # s
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[1]
-
-    def node_series(self, node_id: int) -> np.ndarray:
-        return self.values[node_id - 1]
-
-
 def _check_forcing(forcing: frozenset, n: int, n_steps: int, dt: float,
                    meas: MeasurementSeries | None) -> list[int]:
     for node in forcing:
@@ -215,17 +199,19 @@ def _march_chunks(GW, Z, steps):
         np.matmul(GW, Z[:, :, i], out=Z[:, :n, i + 1])
 
 
-def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
-                   meas: MeasurementSeries | None = None,
-                   T0: np.ndarray | None = None, rows=None) -> np.ndarray:
-    """March several forcing sets over the whole weather series together.
+def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
+             meas: MeasurementSeries | None = None,
+             T0: np.ndarray | None = None, rows=None) -> np.ndarray:
+    """March forcing sets over the whole weather series together, by
+    default the one empty set.
 
     Returns an array of shape ``(len(forcings), len(rows), n_records)``:
     per forcing set, the temperatures of the node ids in ``rows`` (all
-    nodes by default), column 0 being the initial state.  Forced nodes are
-    overwritten with their measurement at every column, including the
-    initial one, so their rows reproduce the measurement series exactly.
-    A set's result is bit-identical whatever else is in the batch.
+    nodes by default, in id order), column 0 being the initial state.
+    Forced nodes are overwritten with their measurement at every column,
+    including the initial one, so their rows reproduce the measurement
+    series exactly.  A set's result, and a row's, is bit-identical
+    whatever else is in the batch and whichever rows are asked for.
 
     The sets are marched in groups of at most GROUP_SETS, one group after
     the other.  When sets fail the residual check, the error names the
@@ -237,6 +223,9 @@ def simulate_batch(sm: StateMatrices, weather: WeatherSeries, forcings,
     n_steps = weather.n_records
     forced = [_check_forcing(frozenset(f), n, n_steps, weather.dt, meas) for f in forcings]
     n_sets = len(forced)
+    for node in () if rows is None else rows:
+        if not 1 <= node <= n:
+            raise ValueError(f"row node {node} outside 1..{n}")
     keep = slice(None) if rows is None else np.asarray(rows, dtype=int) - 1
 
     if T0 is None:
@@ -369,15 +358,6 @@ def _march_group(sm, weather, forced, measured, series, T0, keep, out,
         kept = out[:, :, k0:k0 + c * q].reshape(n_sets, -1, c, q)
         kept[...] = X[:, keep, 1:].transpose(0, 1, 3, 2)
         start[...] = X[:, :, q, c - 1:]
-
-
-def simulate(sm: StateMatrices, weather: WeatherSeries,
-             forcing: frozenset = frozenset(),
-             meas: MeasurementSeries | None = None,
-             T0: np.ndarray | None = None) -> Trajectory:
-    """March the model over the whole weather series: a batch of one set."""
-    values = simulate_batch(sm, weather, [forcing], meas, T0)[0]
-    return Trajectory(values=values, dt=weather.dt)
 
 
 def initial_state(sm: StateMatrices, U_0: np.ndarray) -> np.ndarray:

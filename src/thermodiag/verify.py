@@ -153,10 +153,9 @@ def generate_pseudo_measurements(desc: BuildingDescription, weather: WeatherSeri
     for node in measured_nodes:
         if not 1 <= node <= model.n_nodes:
             raise ValueError(f"measured node {node} outside 1..{model.n_nodes}")
-    traj = simulate(sm, weather)
-    return MeasurementSeries(dt=weather.dt, series={
-        node: traj.node_series(node).copy()
-        for node in sorted(set(measured_nodes) | {model.air_node})})
+    nodes = sorted(set(measured_nodes) | {model.air_node})
+    return MeasurementSeries(dt=weather.dt, series=dict(zip(
+        nodes, simulate(sm, weather, rows=nodes)[0])))
 
 
 def run_case(spec: DefectSpec | None, reference: BuildingDescription,

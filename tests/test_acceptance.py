@@ -126,12 +126,11 @@ def test_forced_nodes_reproduce_measurements_bitwise(cell):
     perturbed = inject_defect(desc, door_defect())
     pseudo = generate_pseudo_measurements(perturbed, weather, measured)
     sm = assemble(model, desc)
-    traj = simulate(sm, weather, forcing=frozenset(measured), meas=pseudo)
-    assert traj.values.shape[1] == 480
-    for node in measured:
-        assert np.array_equal(traj.node_series(node),
-                              pseudo.node_series(node))
-    print(f"forced rows bit-identical over {traj.values.shape[1]} samples "
+    [values] = simulate(sm, weather, [measured], pseudo, rows=measured)
+    assert values.shape[1] == 480
+    for row, node in zip(values, measured):
+        assert np.array_equal(row, pseudo.node_series(node))
+    print(f"forced rows bit-identical over {values.shape[1]} samples "
           f"for nodes {sorted(measured)}")
 
 
@@ -144,8 +143,8 @@ def test_physics_sanity_constant_boundary_and_analytic_decay(cell):
     record = np.array([t0, t0, 0.0, 0.0, 0.0, 0.0, 0.0])
     weather = WeatherSeries(dt=900.0, values=np.tile(record, (6001, 1)))
     start = np.full(model.n_nodes, 30.0)
-    traj = simulate(sm, weather, T0=start)
-    worst = float(np.max(np.abs(traj.values[:, -1] - t0)))
+    [values] = simulate(sm, weather, T0=start)
+    worst = float(np.max(np.abs(values[:, -1] - t0)))
     assert worst < 1e-6
 
     # one lump against the exact exponential, time constant 20 steps
@@ -155,10 +154,10 @@ def test_physics_sanity_constant_boundary_and_analytic_decay(cell):
     n_steps = 200
     weather1 = WeatherSeries(
         dt=900.0, values=np.zeros((n_steps + 1, 7)))
-    traj1 = simulate(single, weather1, T0=np.array([10.0]))
+    [values1] = simulate(single, weather1, T0=np.array([10.0]))
     times = 900.0 * np.arange(n_steps + 1)
     exact = 10.0 * np.exp(-times / tau)
-    max_err = float(np.max(np.abs(traj1.values[0] - exact)))
+    max_err = float(np.max(np.abs(values1[0] - exact)))
     print(f"uniform-boundary worst residual {worst:.3g} °C, "
           f"single-lump decay error {max_err / 10.0:.3%} of amplitude")
     assert max_err / 10.0 < 0.02

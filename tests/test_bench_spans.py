@@ -43,14 +43,19 @@ def test_recorder_traces_one_diagnosis(tmp_path):
             "--weather", str(DATA / "example_weather.csv"),
             "--measurements", str(DATA / "example_measurements.csv"),
             "--generations", "3", "--exhaustive", "--out", str(tmp_path)])
-        # the diagnosis marches only through the evaluator's kernel calls;
-        # a simulation reaches the simulate layer
+        diagnosis = len(recorder.spans)
         rc_simulate = thermodiag.cli.main([
             "simulate", "--building", str(DATA / "example_cell.building"),
             "--weather", str(DATA / "example_weather.csv"), "--out", str(tmp_path)])
     finally:
         recorder.uninstall()
     assert rc == rc_simulate == 0
+    # the diagnosis marches the oracle's 32-set table in one kernel call,
+    # which every later set finds in the cache, and the simulation marches
+    # once; the recorder sees both where their callers look the kernel up
+    kernel_steps = [[s[6]["steps"] for s in run if s[3] == "simulate.simulate"]
+                    for run in (recorder.spans[:diagnosis], recorder.spans[diagnosis:])]
+    assert kernel_steps == [[479], [479]]
     metrics = spans.layer_metrics(recorder.spans)
     assert set(metrics) == KEYS
     # every layer the benchmark reports was reached through its wrapper

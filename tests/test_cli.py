@@ -577,10 +577,10 @@ class TestMainSimulate:
         assert rc == 0
         desc = example_cell()
         model = build_mesh(desc)
-        traj = simulate(assemble(model, desc), weather)
+        [values] = simulate(assemble(model, desc), weather)
         lines = ["step," + ",".join(f"node_{n.node_id}" for n in model.nodes)]
-        for k in range(traj.n_steps):
-            lines.append(f"{k}," + ",".join(repr(float(v)) for v in traj.values[:, k]))
+        for k in range(values.shape[1]):
+            lines.append(f"{k}," + ",".join(repr(float(v)) for v in values[:, k]))
         expected = ("\n".join(lines) + "\n").encode()
         assert (tmp_path / "sim" / "trajectory.csv").read_bytes() == expected
 
@@ -775,20 +775,19 @@ class TestMainDiagnose:
 
 @pytest.fixture
 def marches(monkeypatch):
-    """Every march a command starts: verify's reference, the diagnoses'
-    batches and the plain runs of ``simulate`` and ``stats``."""
+    """Every march a command starts, by the module that starts it: verify's
+    reference, the diagnoses' batches and the runs of ``simulate`` and
+    ``stats``."""
     calls = []
 
-    def counted(fn):
+    def counted(module):
         def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+            calls.append(module.__name__)
+            return simulate(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(thermodiag.verify, "simulate", counted(simulate))
-    monkeypatch.setattr(thermodiag.cli, "simulate", counted(simulate))
-    monkeypatch.setattr(thermodiag.diagnose, "simulate_batch",
-                        counted(thermodiag.diagnose.simulate_batch))
+    for module in (thermodiag.verify, thermodiag.cli, thermodiag.diagnose):
+        monkeypatch.setattr(module, "simulate", counted(module))
     return calls
 
 
@@ -804,7 +803,7 @@ class TestMainVerify:
     def test_reference_marched_once(self, tmp_path, capsys, marches):
         main(["verify", "--generations", "5", "--noise-sd", "0.05",
               "--out", str(tmp_path / "v")])
-        assert marches.count("simulate") == 1
+        assert marches.count("thermodiag.verify") == 1
 
     def test_corrupt_cases_file_exits_2(self, tmp_path, capsys):
         bad = write_tmp(tmp_path, "bad_cases.txt", "kind = nonsense\n")
@@ -961,9 +960,8 @@ class TestFlagsCheckedBeforeMarch:
         # every node but the air node measured: 22, two over the oracle's cap
         desc = parse_building(f"{DATA}/example_cell_door_defect.building")
         weather = parse_weather(f"{DATA}/example_weather.csv")
-        traj = simulate(assemble(build_mesh(desc), desc), weather)
-        meas = MeasurementSeries(dt=weather.dt, series={
-            n: traj.node_series(n) for n in range(1, traj.values.shape[0] + 1)})
+        [values] = simulate(assemble(build_mesh(desc), desc), weather)
+        meas = MeasurementSeries(dt=weather.dt, series=dict(enumerate(values, 1)))
         mpath = write_tmp(tmp_path, "dense.csv", measurements_csv(meas, weather.start))
         rc = main(["diagnose", "--building", f"{DATA}/example_cell_door_defect.building",
                    "--weather", f"{DATA}/example_weather.csv", "--measurements", mpath,

@@ -20,7 +20,7 @@ from thermodiag.diagnose import (
 )
 from thermodiag.ga import GAConfig, decode, encode, run_ga
 from thermodiag.model import assemble, build_mesh
-from thermodiag.simulate import MeasurementSeries, simulate, simulate_batch
+from thermodiag.simulate import MeasurementSeries, simulate
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
 from thermodiag.verify import generate_pseudo_measurements
 
@@ -217,9 +217,9 @@ class TestChromosomeEvaluator:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return simulate_batch(*args, **kwargs)
+            return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(diagnose, "simulate_batch", counted)
+        monkeypatch.setattr(diagnose, "simulate", counted)
         _, model, sm, weather, _, pseudo = cell
         n = pseudo.n_samples
         with pytest.raises(ValueError, match="two samples"):
@@ -293,8 +293,20 @@ def door_defect_matrices(cell):
     return assemble(build_mesh(perturbed), perturbed)
 
 
-def no_simulate(*args, **kwargs):
-    raise AssertionError("simulate called: a set was marched twice")
+class Marches:
+    """Stands in for ``diagnose.simulate``: marches, and lists every forcing
+    set that it is asked to march a second time."""
+
+    def __init__(self):
+        self.marched = set()
+        self.again = []
+
+    def __call__(self, sm, weather, forcings, *args, **kwargs):
+        for forcing in map(frozenset, forcings):
+            if forcing in self.marched:
+                self.again.append(forcing)
+            self.marched.add(forcing)
+        return simulate(sm, weather, forcings, *args, **kwargs)
 
 
 def diagnose_door_defect(cell, meas=None, exhaustive=True, skip_steps=0, **overrides):
@@ -338,16 +350,12 @@ class TestRunDiagnosis:
     def test_each_chromosome_and_air_series_simulated_once(self, cell, monkeypatch):
         import thermodiag.diagnose as diagnose
 
-        marched = []   # forcing sets per march: kernel calls and single runs
+        marched = []   # forcing sets per kernel call
         ga_calls = []  # (kernel calls, generations) of each GA run
 
-        def counting_batch(sm, weather, forcings, *args, **kwargs):
+        def counting_simulate(sm, weather, forcings, *args, **kwargs):
             marched.append(len(forcings))
-            return simulate_batch(sm, weather, forcings, *args, **kwargs)
-
-        def counting_simulate(*args, **kwargs):
-            marched.append(1)
-            return simulate(*args, **kwargs)
+            return simulate(sm, weather, forcings, *args, **kwargs)
 
         def counting_run_ga(config, evaluator, mask):
             before = len(marched)
@@ -355,7 +363,6 @@ class TestRunDiagnosis:
             ga_calls.append((len(marched) - before, history.generations))
             return best, history
 
-        monkeypatch.setattr(diagnose, "simulate_batch", counting_batch)
         monkeypatch.setattr(diagnose, "simulate", counting_simulate)
         monkeypatch.setattr(diagnose, "run_ga", counting_run_ga)
         rep, evaluator = diagnose_door_defect(cell)
@@ -394,12 +401,11 @@ class TestRunDiagnosis:
 
         calls = []  # forcing sets per kernel call
 
-        def counting_batch(sm, weather, forcings, *args, **kwargs):
+        def counting_simulate(sm, weather, forcings, *args, **kwargs):
             calls.append(len(forcings))
-            return simulate_batch(sm, weather, forcings, *args, **kwargs)
+            return simulate(sm, weather, forcings, *args, **kwargs)
 
-        monkeypatch.setattr(diagnose, "simulate_batch", counting_batch)
-        monkeypatch.setattr(diagnose, "simulate", no_simulate)
+        monkeypatch.setattr(diagnose, "simulate", counting_simulate)
         rep, evaluator = diagnose_door_defect(cell)
         air_comparison_csv(rep, evaluator)
         # the 2^5 subset table of the 5 sensors is marched first, in one
@@ -452,24 +458,19 @@ class TestHeldAirSeries:
     """The report's air series come from the marches that scored the sets."""
 
     def diagnose(self, cell, monkeypatch, **kwargs):
-        """The report of a run and the forcing set of each simulate call it
-        made; its outputs equal those of a run that marches both series again."""
+        """The report of a run and the forcing sets it marched a second time;
+        its outputs equal those of a run that marches both series again."""
         import thermodiag.diagnose as diagnose
 
-        calls = []
-
-        def counting_simulate(sm, weather, forcing, *args, **kwargs):
-            calls.append(forcing)
-            return simulate(sm, weather, forcing, *args, **kwargs)
-
+        marches = Marches()
         with monkeypatch.context() as m:
-            m.setattr(diagnose, "simulate", counting_simulate)
+            m.setattr(diagnose, "simulate", marches)
             rep, evaluator = diagnose_door_defect(cell, **kwargs)
         with monkeypatch.context() as m:
             m.setattr(diagnose, "ChromosomeEvaluator", Remarching)
             ref, ref_evaluator = diagnose_door_defect(cell, **kwargs)
         assert outputs(cell, rep, evaluator) == outputs(cell, ref, ref_evaluator)
-        return rep, calls
+        return rep, marches.again
 
     def test_bit_equal_to_solo_marches(self, cell, monkeypatch):
         _, model, _, weather, _, pseudo = cell
@@ -479,7 +480,7 @@ class TestHeldAirSeries:
         psm = door_defect_matrices(cell)
         for series, forcing in ((rep.air_unforced, frozenset()),
                                 (rep.air_best, rep.best_forcing)):
-            solo = simulate(psm, weather, forcing, pseudo).node_series(model.air_node)
+            solo = simulate(psm, weather, [forcing], pseudo)[0, model.air_node - 1]
             assert series.shape == solo.shape == (weather.n_records,)
             assert series.tobytes() == solo.tobytes()
 
@@ -496,10 +497,12 @@ class TestHeldAirSeries:
         desc, model, _, weather, _, _ = cell
         nodes = [n for n in range(1, model.n_nodes + 1) if n != model.air_node]
         dense = generate_pseudo_measurements(desc, weather, nodes)
+        marches = Marches()
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(diagnose, "simulate", no_simulate)
+            m.setattr(diagnose, "simulate", marches)
             rep, evaluator = diagnose_door_defect(cell, meas=dense, exhaustive=False,
                                                   max_generations=3, rng_seed=0)
+        assert marches.again == []
         assert evaluator.cache_size > 60
         # the best set was first marched after the initial population's call,
         # so the held series was replaced on the way

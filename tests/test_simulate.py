@@ -35,7 +35,6 @@ from thermodiag.simulate import (
     WeatherSeries,
     initial_state,
     simulate,
-    simulate_batch,
 )
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
 
@@ -55,7 +54,7 @@ def cell_setup():
 
 
 def march(sm, weather, T0, forcing=frozenset(), meas=None):
-    return simulate(sm, weather, forcing, meas, T0).values
+    return simulate(sm, weather, [forcing], meas, T0)[0]
 
 
 def reference_step(sm, dt, T_prev, u, forced=None):
@@ -71,6 +70,8 @@ def reference_step(sm, dt, T_prev, u, forced=None):
 
 
 class TestBuildStepSystem:
+    """Stepping: the unforced march against hand-checked states."""
+
     def test_identity_step_when_uncoupled(self):
         sm = StateMatrices(
             capacity=np.array([100.0, 50.0]),
@@ -108,6 +109,8 @@ class TestBuildStepSystem:
 
 
 class TestApplyForcing:
+    """Forcing: pinned rows and what the other rows see of them."""
+
     def test_unit_row_and_value(self):
         # uncoupled nodes: pinning node 2 changes its row only
         sm = StateMatrices(
@@ -148,16 +151,18 @@ class TestApplyForcing:
             n: np.zeros(weather.n_records) for n in (0, 24)})
         for node in (0, 24):
             with pytest.raises(ValueError, match="outside"):
-                simulate(sm, weather, frozenset({node}), meas)
+                simulate(sm, weather, [{node}], meas)
 
 
 class TestStep:
+    """The forcing errors, a singular step and a bit-exact forced value."""
+
     def test_missing_measurement_for_forced_node(self):
         _, sm = cell_setup()
         weather = synthetic_weather(days=1)
         meas = MeasurementSeries(dt=weather.dt, series={4: np.zeros(weather.n_records)})
         with pytest.raises(ValueError, match="forced node"):
-            simulate(sm, weather, frozenset({3}), meas)
+            simulate(sm, weather, [{3}], meas)
 
     def test_singular_system_detected(self):
         # a zero-capacity node with no couplings makes the step matrix singular
@@ -182,9 +187,9 @@ class TestSimulate:
     def test_empty_forcing_is_pure_prediction(self):
         model, sm = cell_setup()
         weather = synthetic_weather(days=1)
-        traj = simulate(sm, weather)
-        assert traj.values.shape == (23, weather.n_records)
-        assert np.all(np.isfinite(traj.values))
+        values = simulate(sm, weather)
+        assert values.shape == (1, 23, weather.n_records)
+        assert np.all(np.isfinite(values))
 
     def test_forced_rows_reproduce_measurements_bit_for_bit(self):
         model, sm = cell_setup()
@@ -193,22 +198,22 @@ class TestSimulate:
         nodes = (3, 14, 16)
         meas = MeasurementSeries(dt=weather.dt, series={
             n: rng.uniform(15.0, 30.0, size=weather.n_records) for n in nodes})
-        traj = simulate(sm, weather, frozenset(nodes), meas)
-        for n in nodes:
-            assert np.array_equal(traj.node_series(n), meas.node_series(n))
+        [values] = simulate(sm, weather, [nodes], meas, rows=nodes)
+        for row, n in zip(values, nodes):
+            assert np.array_equal(row, meas.node_series(n))
 
     def test_constant_weather_reaches_steady_state(self):
         model, sm = cell_setup()
         weather = constant_weather(25.0, 6000, t_sky=15.0)
         expected = np.linalg.solve(sm.exchange, -(sm.input_coupling @ weather.values[0]))
-        traj = simulate(sm, weather, T0=np.full(sm.n_nodes, 5.0))
-        assert traj.values[:, -1] == pytest.approx(expected, abs=1e-6)
+        [values] = simulate(sm, weather, T0=np.full(sm.n_nodes, 5.0))
+        assert values[:, -1] == pytest.approx(expected, abs=1e-6)
 
     def test_all_nodes_converge_to_uniform_boundary(self):
         model, sm = cell_setup()
         weather = constant_weather(20.0, 6000)
-        traj = simulate(sm, weather, T0=np.full(sm.n_nodes, 35.0))
-        assert np.max(np.abs(traj.values[:, -1] - 20.0)) < 1e-6
+        [values] = simulate(sm, weather, T0=np.full(sm.n_nodes, 35.0))
+        assert np.max(np.abs(values[:, -1] - 20.0)) < 1e-6
 
     def test_matches_analytic_single_rc_exponential(self):
         # tau = C/K = 18000 s, dt = 900 s: first-order scheme stays within 2 %
@@ -216,10 +221,10 @@ class TestSimulate:
         tau = capacity / conductance
         sm = single_node_matrices(capacity, conductance)
         weather = constant_weather(0.0, 200)
-        traj = simulate(sm, weather, T0=np.array([10.0]))
+        [values] = simulate(sm, weather, T0=np.array([10.0]))
         t = np.arange(200) * weather.dt
         analytic = 10.0 * np.exp(-t / tau)
-        assert np.max(np.abs(traj.values[0] - analytic)) / 10.0 < 0.02
+        assert np.max(np.abs(values[0] - analytic)) / 10.0 < 0.02
 
     def test_halving_dt_shrinks_analytic_error(self):
         capacity, conductance = 180000.0, 10.0
@@ -229,47 +234,62 @@ class TestSimulate:
         for dt in (900.0, 450.0):
             n = int(36000.0 / dt) + 1
             weather = constant_weather(0.0, n, dt=dt)
-            traj = simulate(sm, weather, T0=np.array([10.0]))
+            [values] = simulate(sm, weather, T0=np.array([10.0]))
             analytic = 10.0 * math.exp(-(n - 1) * dt / tau)
-            errors[dt] = abs(traj.values[0, -1] - analytic)
+            errors[dt] = abs(values[0, -1] - analytic)
         # first-order scheme: halving dt roughly halves the error
         assert errors[450.0] < 0.7 * errors[900.0]
 
     def test_forcing_without_measurements_rejected(self):
         _, sm = cell_setup()
         with pytest.raises(ValueError, match="measurement"):
-            simulate(sm, synthetic_weather(days=1), frozenset({3}))
+            simulate(sm, synthetic_weather(days=1), [{3}])
 
     def test_measurement_length_mismatch_rejected(self):
         _, sm = cell_setup()
         weather = synthetic_weather(days=1)
         meas = MeasurementSeries(dt=900.0, series={3: np.zeros(10)})
         with pytest.raises(ValueError, match="length"):
-            simulate(sm, weather, frozenset({3}), meas)
+            simulate(sm, weather, [{3}], meas)
 
     def test_measurement_dt_mismatch_rejected(self):
         _, sm = cell_setup()
         weather = synthetic_weather(days=1)
         meas = MeasurementSeries(dt=600.0, series={3: np.zeros(weather.n_records)})
         with pytest.raises(ValueError, match="dt"):
-            simulate(sm, weather, frozenset({3}), meas)
+            simulate(sm, weather, [{3}], meas)
 
     def test_deterministic(self):
         _, sm = cell_setup()
         weather = synthetic_weather(days=1)
         a = simulate(sm, weather)
         b = simulate(sm, weather)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
+
+    def test_rows_outside_the_nodes_rejected(self):
+        _, sm = cell_setup()
+        weather = synthetic_weather(days=1)
+        for node in (0, -3, sm.n_nodes + 1):
+            with pytest.raises(ValueError, match=rf"row node {node} outside 1\.\.23"):
+                simulate(sm, weather, rows=(1, node))
+
+    def test_rows_are_the_asked_nodes_in_the_asked_order(self):
+        _, sm = cell_setup()
+        weather = synthetic_weather(days=1)
+        [every] = simulate(sm, weather)
+        rows = (23, 16, 3, 16)
+        assert np.array_equal(simulate(sm, weather, rows=rows)[0],
+                              every[np.array(rows) - 1])
 
 
 def measured_cell(days: int = 2, seed: int = 3):
     """The bundled cell with every node measured (noisy series)."""
     model, sm = cell_setup()
     weather = synthetic_weather(days=days)
-    free = simulate(sm, weather)
+    [free] = simulate(sm, weather)
     rng = np.random.default_rng(seed)
     meas = MeasurementSeries(dt=weather.dt, series={
-        n: free.node_series(n) + rng.normal(0.0, 0.5, weather.n_records)
+        n: free[n - 1] + rng.normal(0.0, 0.5, weather.n_records)
         for n in range(1, sm.n_nodes + 1)})
     return model, sm, weather, meas
 
@@ -285,14 +305,14 @@ class TestBatchKernel:
         assert (weather.n_records - 1) % BLOCK_STEPS != 0
         rng = np.random.default_rng(5)
         sets = random_sets(rng, 12) + [frozenset()]
-        solo = [simulate(sm, weather, f, meas).values for f in sets]
+        solo = [simulate(sm, weather, [f], meas)[0] for f in sets]
         for _ in range(4):
             # random composition, order and duplicates
             picks = rng.choice(len(sets), size=int(rng.integers(2, 20)))
-            batch = simulate_batch(sm, weather, [sets[i] for i in picks], meas)
+            batch = simulate(sm, weather, [sets[i] for i in picks], meas)
             for values, i in zip(batch, picks):
                 assert np.array_equal(values, solo[i])
-        air = simulate_batch(sm, weather, sets, meas, rows=(model.air_node,))
+        air = simulate(sm, weather, sets, meas, rows=(model.air_node,))
         assert np.array_equal(air[:, 0], [v[model.air_node - 1] for v in solo])
 
     def test_J_bit_identical_alone_or_in_any_batch(self):
@@ -313,7 +333,7 @@ class TestBatchKernel:
         rng = np.random.default_rng(13)
         sets = random_sets(rng, 6)
         T0 = initial_state(sm, weather.values[0])
-        batch = simulate_batch(sm, weather, sets, meas, T0)
+        batch = simulate(sm, weather, sets, meas, T0)
         for values, forcing in zip(batch, sets):
             T = T0.copy()
             for node in forcing:
@@ -328,7 +348,7 @@ class TestBatchKernel:
     def test_every_step_within_residual_bound(self):
         _, sm, weather, meas = measured_cell(days=1)
         forcing = frozenset({3, 14, 16})
-        T = simulate(sm, weather, forcing, meas).values
+        [T] = simulate(sm, weather, [forcing], meas)
         c_over_dt = sm.capacity / weather.dt
         M = np.diag(c_over_dt) - sm.exchange
         for node in forcing:
@@ -345,16 +365,16 @@ class TestBatchKernel:
         model, sm, weather, meas = measured_cell()
         rng = np.random.default_rng(21)
         sets = random_sets(rng, 2 * GROUP_SETS + 1)
-        batch = simulate_batch(sm, weather, sets, meas)
+        batch = simulate(sm, weather, sets, meas)
         for values, forcing in zip(batch, sets):
-            assert np.array_equal(values, simulate(sm, weather, forcing, meas).values)
+            assert np.array_equal(values, simulate(sm, weather, [forcing], meas)[0])
 
     @staticmethod
     def traced_peak(sm, weather, sets, meas, rows):
-        simulate_batch(sm, weather, sets, meas, rows=rows)
+        simulate(sm, weather, sets, meas, rows=rows)
         tracemalloc.start()
         try:
-            out = simulate_batch(sm, weather, sets, meas, rows=rows)
+            out = simulate(sm, weather, sets, meas, rows=rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -423,11 +443,11 @@ class TestBatchKernel:
         weather = constant_weather(20.0, 5, dt=10.0, t_sky=5.0)
         meas = MeasurementSeries(dt=10.0, series={1: np.full(5, 1.0), 2: np.full(5, 2.0)})
         T0 = np.array([1.0, 2.0])
-        simulate_batch(sm, weather, [{1, 2}], meas, T0)
+        simulate(sm, weather, [{1, 2}], meas, T0)
         with pytest.raises(SingularSystemError, match=r"set 1 of the batch .* at step 1 "):
-            simulate_batch(sm, weather, [{1, 2}, set()], meas, T0)
+            simulate(sm, weather, [{1, 2}, set()], meas, T0)
         with pytest.raises(SingularSystemError, match=r"set 0 of the batch .* at step 1 "):
-            simulate_batch(sm, weather, [set(), {1, 2}], meas, T0)
+            simulate(sm, weather, [set(), {1, 2}], meas, T0)
 
     def test_residual_failure_names_the_set_by_its_batch_index(self):
         # the 1e14 W/K pair once more: pinned copies, marched in three
@@ -446,7 +466,7 @@ class TestBatchKernel:
         sets[failing] = set()
         with pytest.raises(SingularSystemError,
                            match=rf"set {failing} of the batch .* at step 1 "):
-            simulate_batch(sm, weather, sets, meas, np.array([1.0, 2.0]))
+            simulate(sm, weather, sets, meas, np.array([1.0, 2.0]))
 
     def test_residual_failure_names_a_late_step_and_its_set(self):
         # the 1e14 W/K pair at rest with zero inputs passes every check
@@ -465,9 +485,9 @@ class TestBatchKernel:
         meas = MeasurementSeries(dt=10.0, series={1: np.zeros(weather.n_records),
                                                   2: np.zeros(weather.n_records)})
         T0 = np.zeros(2)
-        simulate_batch(sm, weather, [{1, 2}], meas, T0)
+        simulate(sm, weather, [{1, 2}], meas, T0)
         with pytest.raises(SingularSystemError, match=rf"set 1 of the batch .* at step {onset} "):
-            simulate_batch(sm, weather, [{1, 2}, set(), set()], meas, T0)
+            simulate(sm, weather, [{1, 2}, set(), set()], meas, T0)
 
     def test_decay_to_zero_passes_the_gate(self):
         # zero inputs and a step far above the time constant: the state
@@ -559,9 +579,9 @@ class TestKernelAgainstDenseSolve:
         sets = [frozenset(int(k) + 1 for k in np.flatnonzero(rng.random(n) < p))
                 for p in (0.0, 0.3, 0.6)]
         T0 = initial_state(sm, weather.values[0])
-        batch = simulate_batch(sm, weather, sets, meas, T0)
+        batch = simulate(sm, weather, sets, meas, T0)
         for values, forcing in zip(batch, sets):
-            assert np.array_equal(values, simulate_batch(sm, weather, [forcing], meas, T0)[0])
+            assert np.array_equal(values, simulate(sm, weather, [forcing], meas, T0)[0])
             for node in forcing:
                 assert np.array_equal(values[node - 1], meas.node_series(node))
             T = T0.copy()

@@ -125,10 +125,9 @@ class TestPseudoMeasurements:
         desc, model, weather, measured = setting
         pseudo = generate_pseudo_measurements(desc, weather, measured)
         sm = assemble(model, desc)
-        traj = simulate(sm, weather)
+        [values] = simulate(sm, weather)
         for node in (*measured, model.air_node):
-            assert np.array_equal(pseudo.node_series(node),
-                                  traj.node_series(node))
+            assert np.array_equal(pseudo.node_series(node), values[node - 1])
 
     def test_air_node_always_included(self, setting):
         desc, model, weather, measured = setting
