@@ -294,8 +294,8 @@ def door_defect_matrices(cell):
 
 
 class Marches:
-    """Stands in for ``diagnose.simulate``: marches, and lists every forcing
-    set that it is asked to march a second time."""
+    """Stands in for ``diagnose.simulate``: marches, keeps every forcing set
+    it marched, and lists every set that it is asked to march a second time."""
 
     def __init__(self):
         self.marched = set()
@@ -470,6 +470,8 @@ class TestHeldAirSeries:
             m.setattr(diagnose, "ChromosomeEvaluator", Remarching)
             ref, ref_evaluator = diagnose_door_defect(cell, **kwargs)
         assert outputs(cell, rep, evaluator) == outputs(cell, ref, ref_evaluator)
+        # every set marched was one the evaluator scored
+        assert len(marches.marched) == evaluator.cache_size
         return rep, marches.again
 
     def test_bit_equal_to_solo_marches(self, cell, monkeypatch):
@@ -503,7 +505,7 @@ class TestHeldAirSeries:
             rep, evaluator = diagnose_door_defect(cell, meas=dense, exhaustive=False,
                                                   max_generations=3, rng_seed=0)
         assert marches.again == []
-        assert evaluator.cache_size > 60
+        assert len(marches.marched) == evaluator.cache_size > 60
         # the best set was first marched after the initial population's call,
         # so the held series was replaced on the way
         assert rep.history.best_J[0] > rep.best.J

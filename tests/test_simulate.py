@@ -70,8 +70,6 @@ def reference_step(sm, dt, T_prev, u, forced=None):
 
 
 class TestBuildStepSystem:
-    """Stepping: the unforced march against hand-checked states."""
-
     def test_identity_step_when_uncoupled(self):
         sm = StateMatrices(
             capacity=np.array([100.0, 50.0]),
@@ -109,8 +107,6 @@ class TestBuildStepSystem:
 
 
 class TestApplyForcing:
-    """Forcing: pinned rows and what the other rows see of them."""
-
     def test_unit_row_and_value(self):
         # uncoupled nodes: pinning node 2 changes its row only
         sm = StateMatrices(
@@ -155,8 +151,6 @@ class TestApplyForcing:
 
 
 class TestStep:
-    """The forcing errors, a singular step and a bit-exact forced value."""
-
     def test_missing_measurement_for_forced_node(self):
         _, sm = cell_setup()
         weather = synthetic_weather(days=1)
