@@ -72,8 +72,12 @@ skips blank lines and checks the time grid.  The csv loop is the reference:
 a file the fast read cannot vouch for goes to it whole, and it alone reports
 faults, so both read every file alike.  It also takes what only ``float()``
 reads (``1_0``, non-ASCII digits, quoted cells).  ``trajectory.csv`` is
-written in blocks of WRITE_BLOCK rows, so no whole-file list of rows or lines
-is held; a block's cells are converted and joined column by column.
+written in blocks of at most WRITE_BLOCK cells, so no whole-file list of rows
+or lines is held.  Every value is its Python ``repr`` and reads back to the
+same float; a block's strings are built by numpy over all its cells at once
+(``thermodiag.floatcsv``), and only nan, inf, non-zero magnitudes below 1e-4
+or from 1e15 up and a few hard 16- or 17-digit values are formatted by
+``repr`` itself.
 
 Exit status: 0 success, 2 bad input or configuration, 3 numerical failure,
 4 verification cases failed.

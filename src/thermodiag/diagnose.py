@@ -19,6 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .floatcsv import csv_rows
 from .ga import (
     GAConfig, GAHistory, ScoredIndividual, decode, encode, fitness, rank, run_ga,
 )
@@ -385,21 +386,22 @@ def history_csv(history: GAHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Rows formatted per write when a series file is written out.
+#: Cells formatted per write when a series file is written out: a block is
+#: WRITE_BLOCK // columns rows, and at least one.
 WRITE_BLOCK = 4096
 
 
 def csv_blocks(header: str, index, values: np.ndarray):
-    """Yield a CSV in blocks of WRITE_BLOCK rows: row k is ``index(k)``, then
-    ``values[k]`` in Python's float repr, which reads back to the same float.
-    A block's cells are converted and joined column by column, with no
-    Python loop over its rows."""
+    """Yield a CSV in blocks of at most WRITE_BLOCK cells (one row at least):
+    row k is ``index(k)``, then ``values[k]``, every value written as its
+    Python ``repr``, which reads back to the same float.  See
+    :mod:`~thermodiag.floatcsv` for how, and for the few cells that are
+    formatted by ``repr`` itself."""
     yield header + "\n"
-    for k0 in range(0, values.shape[0], WRITE_BLOCK):
-        columns = values[k0:k0 + WRITE_BLOCK].T.tolist()
-        rows = range(k0, k0 + len(columns[0]))
-        cells = zip(map(index, rows), *[map(repr, column) for column in columns])
-        yield "\n".join(map(",".join, cells)) + "\n"
+    rows = max(1, WRITE_BLOCK // values.shape[1])
+    for k0 in range(0, values.shape[0], rows):
+        block = values[k0:k0 + rows]
+        yield csv_rows([index(k) for k in range(k0, k0 + len(block))], block)
 
 
 def air_comparison_csv(report: DiagnosisReport, evaluator: ChromosomeEvaluator) -> str:

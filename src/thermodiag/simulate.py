@@ -191,6 +191,29 @@ def _check_forcing(forcing: frozenset, n: int, n_steps: int, dt: float,
     return sorted(forcing)
 
 
+def _check_step_scale(sm: StateMatrices, weather: WeatherSeries, T0, series) -> None:
+    """Reject a node whose C/dt term overflows before anything is marched.
+
+    A step's right-hand side holds C/dt T_prev, so where C/dt times the
+    largest temperature magnitude the march starts from or is driven by (the
+    initial state, the weather's temperatures, the forced measurements) is
+    not finite, the march would only produce inf and nan.
+    """
+    temperatures = weather.values[:, [INPUT_CHANNELS.index("T_ae"),
+                                      INPUT_CHANNELS.index("T_sky")]]
+    t_max = float(max(np.max(np.abs(T0)), np.max(np.abs(temperatures)),
+                      np.max(np.abs(series), initial=0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = sm.capacity / weather.dt * t_max
+    bad = np.flatnonzero(~np.isfinite(scale))
+    if bad.size:
+        node = bad[0]
+        raise ValueError(
+            f"node {node + 1}: capacity {float(sm.capacity[node])!r} J/K over "
+            f"dt = {weather.dt!r} s, times the largest temperature magnitude "
+            f"{t_max!r} °C, is not finite")
+
+
 def _march_chunks(GW, Z, steps):
     """March every chunk of a block ``steps`` steps from its start, the
     chunks side by side: one product per step."""
@@ -238,6 +261,7 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
     # allocates none over the horizon
     measured = sorted({node for nodes in forced for node in nodes})
     series = np.array([meas.node_series(node) for node in measured]).reshape(-1, n_steps)
+    _check_step_scale(sm, weather, T0, series)
 
     # the groups, split evenly, and the block buffers of the largest one,
     # which every group reuses; out has room for the padding

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from thermodiag.cli import (
     weather_csv,
     write_building,
 )
+from thermodiag.diagnose import csv_blocks
 from thermodiag.model import (
     ORIENTATIONS, AirZone, BuildingDescription, EnvelopeComponent, Layer, assemble, build_mesh,
 )
@@ -548,6 +550,85 @@ class TestCasesGrammar:
             parse_cases(path)
 
 
+def repr_rows(values):
+    """The reference CSV rows: the row index, then one Python repr per value."""
+    return "".join(f"{k}," + ",".join(map(repr, row)) + "\n"
+                   for k, row in enumerate(np.asarray(values).tolist()))
+
+
+def first_mismatch(got, expected):
+    """The first (written, repr) pair of cells that differ."""
+    for row, (g, e) in enumerate(zip(got.splitlines(), expected.splitlines())):
+        if g != e:
+            return row, next((a, b) for a, b in zip(g.split(","), e.split(",")) if a != b)
+    return "rows differ in number"
+
+
+def sweep_values():
+    """A fixed sweep of over 10^6 floats through every branch of the CSV
+    float formatter: 15, 16 and 17 digits, fixed and exponent notation and
+    each kind of cell that falls back to repr."""
+    rng = np.random.default_rng(16)
+    n = 150_000
+    sign = rng.choice([-1.0, 1.0], n)
+    powers = np.array([float(f"1e{k}") for k in range(-5, 17)] + [2.0 ** 52, 2.0 ** 53])
+    below, above = [powers], [powers]
+    for _ in range(64):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    subnormals = rng.integers(1, 2 ** 52, 1000, dtype=np.int64).view(np.float64)
+    # m 2^(e-17), m odd, in [10^e, 10^(e+1)): halfway between two 17-digit
+    # decimals
+    ties = [np.ldexp(rng.integers(int(10.0 ** e * 2.0 ** (17 - e)),
+                                  int(10.0 ** (e + 1) * 2.0 ** (17 - e)), 200) | 1, e - 17)
+            for e in range(-4, 15)]
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+               1.7976931348623157e+308, np.nan, np.inf, -np.inf]
+    return np.concatenate([
+        rng.normal(20.0, 15.0, n),                                    # temperatures
+        rng.uniform(-1e6, 1e6, n),                                    # wide uniform
+        sign * 10.0 ** rng.uniform(-5.0, 16.0, n),                    # log-uniform
+        rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),  # bit patterns
+        rng.integers(-10 ** 7, 10 ** 7, n) / 10.0 ** rng.integers(0, 8, n),   # short decimals
+        # mantissas whose 16-digit candidates reach 2^53
+        sign * rng.uniform(9.007199254740993, 9.999, n) * 10.0 ** rng.integers(-4, 15, n),
+        sign * rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-4, 15, n),  # every decade
+        *below, *above[1:], -powers, subnormals, -subnormals, *ties, special])
+
+
+class TestCsvBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(finite, min_size=1, max_size=40))
+    @example(list(EDGE_FLOATS))
+    def test_every_finite_float_is_its_repr(self, values):
+        values = np.array(values)[:, None]
+        got = "".join(csv_blocks("x", str, values))
+        assert got == "x\n" + repr_rows(values)
+
+    def test_sweep_is_repr(self):
+        values = sweep_values()
+        assert values.size >= 10 ** 6
+        values = np.concatenate([values, np.zeros(-values.size % 25)]).reshape(-1, 25)
+        got = "".join(csv_blocks("x", str, values))
+        expected = "x\n" + repr_rows(values)
+        same = got == expected  # pytest would diff two 30 MB strings
+        assert same, first_mismatch(got, expected)
+
+    @pytest.mark.parametrize("block", [None, 500])
+    def test_wide_rows_written_within_the_cell_budget(self, monkeypatch, block):
+        # a block holds WRITE_BLOCK // columns rows, or one row when a row
+        # alone is over the budget
+        if block is not None:
+            monkeypatch.setattr(thermodiag.diagnose, "WRITE_BLOCK", block)
+        values = np.random.default_rng(3).normal(20.0, 5.0, (9, 1000))
+        blocks = list(csv_blocks("x", str, values))
+        rows = [b.count("\n") for b in blocks[1:]]
+        per_block = max(1, thermodiag.diagnose.WRITE_BLOCK // 1000)
+        assert rows == [per_block] * (9 // per_block) + [9 % per_block] * (9 % per_block > 0)
+        same = "".join(blocks) == "x\n" + repr_rows(values)
+        assert same
+
+
 class TestMainSimulate:
     def test_writes_trajectory(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -657,6 +738,23 @@ class TestMainSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bpath}: {section}")
         assert message in err
+
+    def test_capacity_over_dt_overflow_exits_2(self, tmp_path, capsys, building_text):
+        # C/dt = 1e308 is finite, but C/dt T_prev is not: marched, every step
+        # overflows, warns and fails the residual check (exit 3)
+        text = re.sub(r"(?m)^air_capacity = .*$", "air_capacity = 1e305", building_text)
+        bpath = write_tmp(tmp_path, "heavy.building", text)
+        weather = WeatherSeries(dt=0.001, values=synthetic_weather(days=1).values[:8])
+        wpath = write_tmp(tmp_path, "w.csv", weather_csv(weather))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["simulate", "--building", bpath, "--weather", wpath,
+                       "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: node 23: capacity 1e+305 J/K over dt = 0.001 s")
+        assert not (tmp_path / "sim").exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["simulate",
