@@ -67,11 +67,14 @@ Weather CSV header: ``timestamp,T_ae,T_sky,I_N,I_S,I_E,I_W,I_H`` with
 ISO-8601 timestamps, temperatures in °C, fluxes in W/m².  Measurement CSV
 header: ``timestamp,node_<k>,...``, one column per measured node id.  Both
 must be uniformly sampled on the same grid, from the same first timestamp.
-Series files are read by numpy's C text reader, fed by a generator that
-skips blank lines and checks the time grid.  The csv loop is the reference:
-a file the fast read cannot vouch for goes to it whole, and it alone reports
-faults, so both read every file alike.  It also takes what only ``float()``
-reads (``1_0``, non-ASCII digits, quoted cells).  ``trajectory.csv`` is
+Series files are read in chunks of READ_BLOCK cells.  numpy checks a
+chunk's line layout, its ``YYYY-MM-DD?HH:MM:SS`` stamps and the time grid at
+once; a chunk of plain fixed-notation cells is read as int64 digits and
+rounded as ``float()`` rounds (``floatcsv.decimal_floats``), any other by
+numpy's C text reader.  The csv loop is the reference: a file the fast read
+cannot vouch for goes to it whole, and it alone reports faults, so both read
+every file alike.  It also takes what only ``float()`` reads (``1_0``,
+non-ASCII digits, quoted cells).  ``trajectory.csv`` is
 written in blocks of at most WRITE_BLOCK cells, so no whole-file list of rows
 or lines is held.  Every value is its Python ``repr`` and reads back to the
 same float; a block's strings are built by numpy over all its cells at once
@@ -94,6 +97,7 @@ import os
 import sys
 from array import array
 from datetime import datetime, timedelta
+from itertools import islice
 
 import numpy as np
 
@@ -108,6 +112,7 @@ from .diagnose import (
     residual_stats,
     run_diagnosis,
 )
+from .floatcsv import decimal_floats
 from .ga import GAConfig, GAError
 from .model import (
     INPUT_CHANNELS,
@@ -360,8 +365,27 @@ class _HandOver(Exception):
     """The fast series read cannot take this file; the csv loop reads it."""
 
 
-#: The lines ``csv.reader`` reads as an empty row, which a series read skips.
-_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+#: Cells per chunk of a fast series read, timestamps included: 2048 lines of
+#: a weather file.  The read holds one chunk's text and arrays at a time.
+READ_BLOCK = 2 ** 14
+
+#: Where a ``YYYY-MM-DD?HH:MM:SS`` stamp has its digits, and its dashes and
+#: colons; ``?`` is ``T`` or a space.
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_MARKS = [4, 7, 13, 16]
+_STAMP_MARK_BYTES = np.frombuffer(b"--::", np.uint8)
+#: 10^0 .. 10^18 as int64.
+_POW10 = np.array([10 ** k for k in range(19)], np.int64)
+#: Days per month of a common year, January at 1; month 0 has none.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+class _Grid:
+    """The time grid of the records read so far: the first stamp, the last
+    record's time and the step, in whole seconds, and the record count."""
+
+    def __init__(self):
+        self.first, self.last, self.step, self.n = None, 0, None, 0
 
 
 def _read_header(path: str, reader, check_header) -> tuple[int, list]:
@@ -380,63 +404,161 @@ def _read_series(path: str, check_header):
     column names ``check_header`` returns for the header cells after
     ``timestamp``, and the (n_records, n_columns) values.
 
-    numpy's C text reader converts the cells, one line at a time from
-    :func:`_grid_records`, which checks the time grid on the way.  The csv
-    loop, :func:`_read_series_csv`, is the reference: it reads the whole file
-    again whenever the fast read cannot take it, and it alone reports faults,
-    so every accepted file gives the same values bit for bit and every
-    rejected one the same message, that of its first fault in file order."""
+    The records are read in chunks of READ_BLOCK cells, by
+    :func:`_read_chunk`.  The csv loop, :func:`_read_series_csv`, is the
+    reference: it reads the whole file again whenever a chunk cannot be
+    taken, and it alone reports faults, so every accepted file gives the same
+    values bit for bit and every rejected one the same message, that of its
+    first fault in file order."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             width, names = _read_header(path, csv.reader(fh), check_header)
-            grid = []
-            values = np.loadtxt(_grid_records(fh, width - 1, grid), delimiter=",",
-                                comments=None, usecols=range(1, width), ndmin=2)
-    except (_HandOver, ParseError, csv.Error, OSError, ValueError, TypeError):
+            if width < 2:
+                raise _HandOver
+            grid, buf = _Grid(), array("d")
+            lines = max(1, READ_BLOCK // width)
+            while text := "".join(islice(fh, lines)):
+                buf.frombytes(_read_chunk(text, width - 1, grid).view(np.uint8))
+    except (_HandOver, ParseError, csv.Error, OSError, ValueError):
         # the reference reads the file again, outside this handler so that its
         # error chains no context, and reports the first fault if there is one
-        values = None
-    if values is None or values.shape != (grid[2], width - 1):
+        buf = None
+    if buf is None or grid.n < 2:
         return _read_series_csv(path, check_header)
-    return grid[0], grid[1].total_seconds(), names, values
+    return (datetime.fromisoformat(grid.first), float(grid.step), names,
+            np.frombuffer(buf).reshape(grid.n, -1))
 
 
-def _grid_records(lines, k: int, grid: list):
-    """Yield the records of ``lines`` for ``np.loadtxt``, skipping the blank
-    lines csv skips and checking each timestamp against the time grid; at the
-    end, append the first timestamp, the step and the record count to
-    ``grid``.
+def _read_chunk(text: str, k: int, grid: _Grid) -> np.ndarray:
+    """The (records, k) values of ``text``, whole lines of a series file, as
+    ``float()`` reads them; their stamps are checked on ``grid``.
 
-    Raise :class:`_HandOver` (or let ``fromisoformat``'s error out) at the
-    first line that csv could split otherwise, that does not have ``k``
-    value cells, or that breaks the grid, and when there are fewer than 2
-    records, so that ``np.loadtxt`` never sees an empty input.  Past these
-    checks a cell converts as ``float()`` converts it (both call
-    ``PyOS_string_to_double``), or ``np.loadtxt`` raises."""
-    limit, parse = csv.field_size_limit(), datetime.fromisoformat
-    n, start, last, step = 0, None, None, None
-    for line in lines:
-        if line.count(",") != k:
-            if line in _BLANK_LINES:
-                continue
-            raise _HandOver
-        if '"' in line or len(line) > limit:  # csv would unquote, or refuse a field
-            raise _HandOver
-        stamp = parse(line.partition(",")[0].strip())
-        n += 1
-        if n == 1:
-            start = stamp
-        elif n == 2:
-            step = stamp - last
-            if step <= timedelta(0):
-                raise _HandOver
-        elif stamp - last != step:
-            raise _HandOver
-        last = stamp
-        yield line
-    if n < 2:
+    Every ``\\r`` ends a line, as in the file's newline mode, and the blank
+    lines csv skips are dropped.  Raise :class:`_HandOver` where csv could
+    split a line otherwise (a quote, a field over its size limit), where a
+    record does not have a ``YYYY-MM-DD?HH:MM:SS`` stamp and ``k`` value
+    cells, or where a stamp leaves the grid.  A chunk of plain
+    fixed-notation cells is read by :func:`_fixed_cells`, any other by
+    ``np.loadtxt``, which converts a cell as ``float()`` converts it (both
+    call ``PyOS_string_to_double``) or raises."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    if text.startswith("\n") or "\n\n" in text:
+        text = "".join(line + "\n" for line in text.split("\n") if line)
+        if not text:
+            return np.empty((0, k))
+    if '"' in text:
         raise _HandOver
-    grid += start, step, n
+    b = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(b == ord(","))
+    # k commas to a line: the first ends the line's 19-byte stamp, the last
+    # comes before the line's end
+    if commas.size != ends.size * k:
+        raise _HandOver
+    commas = commas.reshape(-1, k)
+    if (np.any(commas[:, 0] != starts + 19) or np.any(commas[:, -1] > ends)
+            or np.max(ends - starts) >= csv.field_size_limit()):
+        raise _HandOver
+    _check_grid(b[starts[:, None] + np.arange(19)], grid)
+    if grid.first is None:
+        grid.first = text[:19]
+    values = _fixed_cells(text, b, commas, ends)
+    if values is None:
+        values = np.loadtxt(text.split("\n")[:-1], delimiter=",", comments=None,
+                            usecols=range(1, k + 1), ndmin=2)
+    return values
+
+
+def _check_grid(stamps: np.ndarray, grid: _Grid) -> None:
+    """Check stamps, (records, 19) bytes, for dates and times ``fromisoformat``
+    takes, on the grid of the records read before them, and carry the grid
+    on; raise :class:`_HandOver` at the first that fails."""
+    digits = stamps[:, _STAMP_DIGITS] - np.uint8(ord("0"))
+    separator = stamps[:, 10]
+    if (np.any(digits > 9) or np.any(stamps[:, _STAMP_MARKS] != _STAMP_MARK_BYTES)
+            or not np.all((separator == ord("T")) | (separator == ord(" ")))):
+        raise _HandOver
+    pairs = digits.astype(np.int64)
+    century, year, month, day, hour, minute, second = (10 * pairs[:, ::2] + pairs[:, 1::2]).T
+    year += 100 * century
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2))
+    if not np.all((year >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+                  & (hour < 24) & (minute < 60) & (second < 60)):
+        raise _HandOver
+    # days since 0000-03-01, years starting in March so that a leap day
+    # ends its year
+    march = year - (month <= 2)
+    days = (365 * march + march // 4 - march // 100 + march // 400
+            + (153 * ((month + 9) % 12) + 2) // 5 + day)
+    seconds = ((24 * days + hour) * 60 + minute) * 60 + second
+    gaps = np.diff(seconds, prepend=grid.last) if grid.n else np.diff(seconds)
+    if gaps.size:
+        grid.step = grid.step or int(gaps[0])
+        if grid.step <= 0 or np.any(gaps != grid.step):
+            raise _HandOver
+    grid.last = int(seconds[-1])
+    grid.n += seconds.size
+
+
+def _fixed_cells(text: str, b: np.ndarray, commas: np.ndarray, ends: np.ndarray):
+    """The values of a chunk, ``text`` and its bytes ``b``, when every cell is
+    a plain fixed-notation decimal, ``-?\\d+\\.\\d+``; else None.
+
+    The digits before and after the point are read as two int64 cells, by
+    ``np.loadtxt`` with the points read as commas, and the value N / 10^s,
+    N being all the digits and s the count after the point, is rounded to
+    the nearest double by :func:`~thermodiag.floatcsv.decimal_floats`, as
+    ``float()`` rounds it.  A cell qualifies while N < 10^18: at most 18
+    digits, or a whole part 0 and up to 22 after the point, all zeros but
+    the last 18.  A cell close to a rounding tie is read by ``float()``
+    itself."""
+    after = np.concatenate((commas[:, 1:], ends[:, None]), axis=1)
+    negative = b[commas + 1] == ord("-")
+    points = np.flatnonzero(b == ord("."))
+    if points.size != commas.size:
+        return None
+    points = points.reshape(commas.shape)
+    before = points - commas - 1 - negative
+    scale = after - points - 1
+    # one point to a cell with a digit on each side; the '-' and digit counts
+    # then leave no other byte in a cell, the stamps holding 2 dashes and 14
+    # digits each
+    lines = len(ends)
+    if (np.any(before < 1) or np.any(scale < 1)
+            or np.count_nonzero(b == ord("-")) != 2 * lines + np.count_nonzero(negative)
+            or np.count_nonzero(b - np.uint8(ord("0")) < 10)
+            != 14 * lines + before.sum() + scale.sum()):
+        return None
+    zero_whole = (before == 1) & (b[points - 1] == ord("0"))
+    if np.any((before + scale > 18) & ~(zero_whole & (scale <= 22))):
+        return None
+    # a 0. cell of over 18 digits after the point must lead with zeros up to
+    # its last 18, so that they fit int64: numpy 1.24, the oldest supported,
+    # reads an int64 cell past its range as a float and casts it, with only a
+    # DeprecationWarning, where numpy 2 raises
+    long = np.flatnonzero(scale > 18)
+    first = points.ravel()[long, None] + 1
+    lead = first + np.arange(4)
+    if np.any((b[lead] != ord("0")) & (lead < first + scale.ravel()[long, None] - 18)):
+        return None
+    parts = np.loadtxt(text.replace(".", ",").split("\n")[:-1], dtype=np.int64,
+                       delimiter=",", comments=None,
+                       usecols=range(1, 2 * commas.shape[1] + 1), ndmin=2)
+    n = np.abs(parts[:, ::2])
+    n *= _POW10[np.minimum(scale, 18)]
+    n += parts[:, 1::2]
+    del parts
+    if np.any((n < 0) | (n >= _POW10[18])):  # cannot be, after the checks above
+        return None
+    values = decimal_floats(n, scale)
+    for i in np.flatnonzero(np.isnan(values)):
+        values.flat[i] = float(b[points.flat[i] - before.flat[i]:after.flat[i]].tobytes())
+    return np.negative(values, out=values, where=negative)
 
 
 def _read_series_csv(path: str, check_header):

@@ -40,21 +40,26 @@ squeezes the nulls out.
 1e15 up (all of its exponent notation), 16-digit cells with several
 candidates or with rint + 1 >= 2^53, and 17-digit ties: about 0.04 % of the
 cells of a year's trajectory.
+
+:func:`decimal_floats` goes the other way, for the series reader: the
+doubles ``float()`` reads from decimals of at most 18 digits, given as
+int64 digits and a count of them after the point, with the same exact
+products.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["csv_rows"]
+__all__ = ["csv_rows", "decimal_floats"]
 
 #: Bytes per cell: sign, "0.000" prefix, 17 (digit, point) pairs.
 SLOT = 40
 
 #: The doubles nearest to 1e-4 .. 1e15; e = their count at or below |x|, - 5.
 _DECADES = np.array([float(f"1e{k}") for k in range(-4, 16)])
-#: 10^0 .. 10^20, every one an exact double.
-_POW10 = np.array([float(10 ** k) for k in range(21)])
+#: 10^0 .. 10^22, every one an exact double.
+_POW10 = np.array([float(10 ** k) for k in range(23)])
 #: Veltkamp's splitting constant for doubles, 2^27 + 1.
 _SPLIT = 134217729.0
 #: Candidates at or above this cannot be tested by an exact division.
@@ -69,6 +74,9 @@ def _split(x):
 
 
 _POW10_HI, _POW10_LO = _split(_POW10)
+#: Within this share of a gap between doubles of a rounding tie, the
+#: correction of a 17- or 18-digit decimal is too close to call.
+_TIE = 2.0 ** -30
 
 def _pair_table():
     """Digit groups as packed (digit, point) pairs, one uint64 per group of
@@ -199,3 +207,58 @@ def csv_rows(labels: list[str], values: np.ndarray) -> str:
     out = np.concatenate([text, np.full((rows, 1), ord(","), np.uint8),
                           cells.reshape(rows, n * SLOT)], axis=1).ravel()
     return np.compress(out != 0, out).tobytes().decode("ascii")
+
+
+def decimal_floats(n, s):
+    """The doubles ``float()`` reads from the decimals n / 10^s, for int64
+    0 <= n < 10^18 and 0 <= s <= 22.  NaN marks the rare value within 2^-30
+    of a gap between doubles of a rounding tie, which the caller reads with
+    ``float()`` itself.
+
+    n <= 2^53: n and 10^s are exact doubles, so n / 10^s rounds correctly
+    in one division (Clinger's fast path).  Otherwise n = nh + nl, nh the
+    double nearest n and nl exact; q = fl(nh / 10^s) leaves the remainder
+    nh - q 10^s, exact by Dekker's product, and n / 10^s = q + c with
+    c = (remainder + nl) / 10^s, which is below a gap between doubles and
+    carries errors of a few 2^-53 of it, so fl(q + c) is correctly rounded
+    unless q + c lies within them of a tie."""
+    p = _POW10[s]
+    x = n.astype(np.float64)
+    x /= p
+    big = n > np.int64(2 ** 53)
+    if big.any():
+        # in place where it can be: a chunk of a series file is the input
+        n, p, s = n[big], p[big], s[big]
+        hi = n.astype(np.float64)
+        n -= hi.astype(np.int64)
+        q = hi / p
+        t = q * p
+        q_hi, q_lo = _split(q)
+        p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
+        # Dekker's error of t, ((q_hi p_hi - t) + q_hi p_lo + q_lo p_hi) + q_lo p_lo
+        err = q_hi * p_hi
+        err -= t
+        q_hi *= p_lo
+        err += q_hi
+        p_hi *= q_lo
+        err += p_hi
+        q_lo *= p_lo
+        err += q_lo
+        # c = (hi - t - err + lo) / 10^s, in hi
+        hi -= t
+        hi -= err
+        hi += n
+        hi /= p
+        y = q + hi
+        # the offset of q + c from y, against half the gap to each
+        # neighbour; y > 0, so they are the next bit patterns either way
+        q -= y
+        q += hi
+        bits = y.view(np.int64)
+        up = (bits + 1).view(np.float64) - y
+        down = y - (bits - 1).view(np.float64)
+        tie = np.abs(q - up / 2) < _TIE * up
+        tie |= np.abs(q + down / 2) < _TIE * down
+        y[tie] = np.nan
+        x[big] = y
+    return x

@@ -22,10 +22,13 @@ measurements in the forced rows.  The two products are one,
 ``T_next = [G | M^-1] [T_prev; W_next]``.
 
 :func:`simulate`, the one routine that advances the model, marches a stack
-of forcing sets together, in groups of at most GROUP_SETS sets (a larger
-batch is split evenly and its groups marched one after the other), each
-over blocks of BLOCK_STEPS steps cut into chunks of CHUNK_STEPS = q steps,
-as a two-level scan of the linear recurrence:
+of forcing sets together over blocks of BLOCK_STEPS steps, or of
+LONG_BLOCK_STEPS over a horizon of at least LONG_BLOCKS of them: the block
+length depends on the horizon alone, never on the batch.  The sets are
+marched in groups of at most GROUP_SETS sets (a larger batch is split
+evenly and its groups marched one after the other).  Each block is cut into
+chunks of CHUNK_STEPS = q steps and marched as a two-level scan of the
+linear recurrence:
 
 1. every chunk of the block is marched from a zero state, all chunks side
    by side, one (set, node, chunk) product per step;
@@ -34,21 +37,22 @@ as a two-level scan of the linear recurrence:
 3. every chunk is marched again from its start, side by side, and ends on
    its chained end.
 
-So a block costs each set 2q + BLOCK_STEPS / q small products instead of
-one per step.  The states, the inputs, the check and the output are all
-laid out (set, node, step); within a block the step axis is split into
-(offset into the chunk, chunk), so the chunks of one offset sit side by
-side with unit stride and each step of a march is one product over all of
-them; the inputs, and the block's measurements, are gathered once in that
-order.  Forced rows are then overwritten with their measurements bit for
-bit, and every step's residual ``M T - V``, V = W + D T_prev, is checked
-against RESIDUAL_RTOL at once, T_prev being the reported state before it.
-A group works in preallocated block arrays of GROUP_SETS x BLOCK_STEPS
-set-steps that every block and every group reuse, so they do not grow
-with the batch; each group's step matrices are its own, and every group
-writes into one output array.  The last chunk of the horizon is padded
-with the last input record; the padding is marched and checked but
-neither judged nor kept.
+So a block of b steps costs each set 2q + b / q small products instead of
+one per step, and a long horizon's longer blocks pay the fixed cost of a
+block iteration a quarter as often.  The states, the inputs, the check and
+the output are all laid out (set, node, step); within a block the step axis
+is split into (offset into the chunk, chunk), so the chunks of one offset
+sit side by side with unit stride and each step of a march is one product
+over all of them; the inputs, and the block's measurements, are gathered
+once in that order.  Forced rows are then overwritten with their
+measurements bit for bit, and every step's residual ``M T - V``,
+V = W + D T_prev, is checked against RESIDUAL_RTOL at once, T_prev being
+the reported state before it.  A group works in preallocated block arrays
+of GROUP_SETS sets by a block's steps that every block and every group
+reuse, so they do not grow with the batch; each group's step matrices are
+its own, and every group writes into one output array.  The last chunk of
+the horizon is padded with the last input record; the padding is marched
+and checked but neither judged nor kept.
 
 What is bit-exact: forced rows reproduce their measurements, a set's
 result is the same alone or in any batch (every array is stacked per set
@@ -82,17 +86,28 @@ __all__ = [
 #: Relative residual bound for every linear solve.
 RESIDUAL_RTOL = 1e-9
 
-#: Time steps marched per block; every temporary of the march is this long.
+#: Time steps marched per block; every temporary of the march is a block
+#: long.
 BLOCK_STEPS = 128
 
-#: Time steps per chunk; a block marches its BLOCK_STEPS // CHUNK_STEPS
+#: Time steps per block over a horizon of at least LONG_BLOCKS such blocks.
+LONG_BLOCK_STEPS = 512
+LONG_BLOCKS = 16
+
+#: Time steps per chunk; a block marches its block length // CHUNK_STEPS
 #: chunks side by side.
 CHUNK_STEPS = 8
 
-#: Most forcing sets marched together; a larger batch is split evenly into
-#: groups of at most this many, so the block buffers and the step matrices
-#: do not grow with the batch.
+#: Most forcing sets marched together, at either block length; a larger
+#: batch is split evenly into groups of at most this many, so the block
+#: buffers and the step matrices do not grow with the batch.
 GROUP_SETS = 16
+
+
+def _block_steps(n_records: int) -> int:
+    """The block length of a march over ``n_records`` records."""
+    long = n_records >= LONG_BLOCKS * LONG_BLOCK_STEPS
+    return LONG_BLOCK_STEPS if long else BLOCK_STEPS
 
 
 class SingularSystemError(Exception):
@@ -266,22 +281,24 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
     # the groups, split evenly, and the block buffers of the largest one,
     # which every group reuses; out has room for the padding
     q = CHUNK_STEPS
+    block = _block_steps(n_steps)
     n_groups = -(-n_sets // GROUP_SETS)
     edges = [-(-g * n_sets // n_groups) for g in range(n_groups + 1)] if n_sets else [0]
     size = max(np.diff(edges), default=0)
-    Z_buf = np.empty(size * 2 * n * (q + 1) * (BLOCK_STEPS // q))
-    V_buf = np.empty(size * n * BLOCK_STEPS)
+    Z_buf = np.empty(size * 2 * n * (q + 1) * (block // q))
+    V_buf = np.empty(size * n * block)
     out = np.empty((n_sets, n if rows is None else keep.size, n_steps + q - 1))
     for a, b in zip(edges, edges[1:]):
         _march_group(sm, weather, forced[a:b], measured, series, T0, keep, out[a:b],
-                     Z_buf, V_buf, a)
+                     Z_buf, V_buf, block, a)
     return out[:, :, :n_steps]
 
 
 def _march_group(sm, weather, forced, measured, series, T0, keep, out,
-                 Z_buf, V_buf, first):
-    """March one group of forcing sets into ``out``, in the block buffers
-    given; ``first`` is the batch index of the group's first set."""
+                 Z_buf, V_buf, block, first):
+    """March one group of forcing sets into ``out`` over blocks of ``block``
+    steps, in the block buffers given; ``first`` is the batch index of the
+    group's first set."""
     n = sm.n_nodes
     n_steps = weather.n_records
     n_sets = len(forced)
@@ -317,15 +334,14 @@ def _march_group(sm, weather, forced, measured, series, T0, keep, out,
     # last offset is unused.  V_buf holds the block's right-hand sides, laid
     # out like W but contiguous; ``start`` holds the block's start and
     # ``chained`` a chunk's G^q term.
-    c_max = BLOCK_STEPS // q
     start = np.empty((n_sets, n, 1))
     chained = np.empty((n_sets, n, 1))
-    step_of = np.arange(BLOCK_STEPS).reshape(c_max, q).T
+    step_of = np.arange(block).reshape(-1, q).T
     start[:, :, 0] = T0
     start[set_idx, node_idx, 0] = series[series_row, 0]
     out[:, :, 0] = start[:, keep, 0]
-    for k0 in range(1, n_steps, BLOCK_STEPS):
-        b = min(BLOCK_STEPS, n_steps - k0)
+    for k0 in range(1, n_steps, block):
+        b = min(block, n_steps - k0)
         # the last chunk is padded to q steps with the last record; the
         # padding is marched and checked, but neither judged nor kept
         c = -(-b // q)

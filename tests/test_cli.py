@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from datetime import timedelta
+from decimal import ROUND_DOWN, Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,77 @@ def read_with(read, path):
     return start, step, names, values.shape, values.dtype, values.tobytes()
 
 
+def decimal_text(value: Decimal, nudge: int = 0) -> str:
+    """``value`` cut to a plain fixed-notation decimal of at most 18 digits
+    (22 after the point below 1, leading zeros included), its last digit
+    moved by ``nudge``."""
+    if value >= 1:
+        places = max(1, 18 - len(str(int(value))))
+    else:
+        places = min(22, 17 - value.adjusted())
+    unit = Decimal(1).scaleb(-places)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        cut = value.quantize(unit, rounding=ROUND_DOWN)
+        nudged = cut + nudge * unit
+    # a nudge that carries into one more whole digit is left out
+    keep = nudged > 0 and len(str(int(nudged))) == len(str(int(cut)))
+    return format(nudged if keep else cut, "f")
+
+
+@st.composite
+def fixed_notation(draw):
+    """A plain fixed-notation decimal, ``-?\\d+\\.\\d+`` of at most 18 digits or
+    a whole part 0 and at most 22 after the point: any digits with leading
+    zeros, a float's ``repr``, or a decimal at or next to the midpoint of two
+    adjacent doubles."""
+    sign = draw(st.sampled_from(("", "-")))
+    kind = draw(st.sampled_from(("digits", "below one", "repr", "midpoint")))
+    digits = "0123456789"
+    if kind == "digits":
+        whole = draw(st.text(digits, min_size=1, max_size=17))
+        return f"{sign}{whole}.{draw(st.text(digits, min_size=1, max_size=18 - len(whole)))}"
+    if kind == "below one":
+        zeros = "0" * draw(st.integers(0, 4))
+        rest = draw(st.text(digits, min_size=1, max_size=22 - len(zeros)))
+        return f"{sign}0.{zeros}{rest}"
+    if kind == "repr":
+        return sign + repr(draw(st.floats(1e-4, 1e16, exclude_max=True)))
+    # doubles of 2^51 .. 2^56 have midpoints of at most 18 digits, exact ties
+    low = draw(st.floats(1e-4, 1e17, exclude_max=True)
+               | st.integers(2 ** 51, 2 ** 56 - 1).map(float))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        mid = (Decimal(low) + Decimal(float(np.nextafter(low, np.inf)))) / 2
+    return sign + decimal_text(mid, draw(st.sampled_from((0, 0, -1, 1))))
+
+
+def chunk_text(rows) -> str:
+    """Records of the cells in ``rows`` on a 900 s grid, as a chunk's text."""
+    return "".join(f"{(CSV_EPOCH + timedelta(seconds=900 * r)).isoformat()},{','.join(row)}\n"
+                   for r, row in enumerate(rows))
+
+
+def fixed_cells(rows):
+    """What ``_fixed_cells`` reads from records of the cells in ``rows``."""
+    text = chunk_text(rows)
+    b = np.frombuffer(text.encode(), np.uint8)
+    commas = np.flatnonzero(b == ord(",")).reshape(len(rows), -1)
+    return thermodiag.cli._fixed_cells(text, b, commas, np.flatnonzero(b == ord("\n")))
+
+
+def fits_int64(cell: str) -> bool:
+    """Whether the digits of a fixed-notation cell fit the int64 read: at
+    most 18, or a whole part 0 and a fraction below 10^18."""
+    whole, frac = cell.lstrip("-").split(".")
+    return len(whole + frac) <= 18 or whole == "0" and int(frac) < 10 ** 18
+
+
+#: A weather file of 43 days, 4128 records: more than one chunk of the fast
+#: read, whose chunks hold READ_BLOCK // 8 records of a weather file.
+WEATHER_43_DAYS = synthetic_weather(days=43)
+
+
 class TestSeriesReaders:
     """numpy's reader behind ``_read_series`` against the csv loop alone."""
 
@@ -449,6 +521,77 @@ class TestSeriesReaders:
             assert main(argv) == 2
         assert err.getvalue() == f"error: {got}\n"
         assert got.startswith(f"{path}: ")
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(cols=st.integers(1, 4), cells=st.lists(fixed_notation(), min_size=1, max_size=24))
+    @example(cols=4, cells=["-0.0", "0.0", "-000.000", "9007199254740993.0"])
+    @example(cols=2, cells=["4503599627370496.5", "0.000100000000000000005"])
+    @example(cols=2, cells=["0.50000000000000000000", "-0.9999999999999999999"])
+    def test_fixed_cells_read_as_float_reads_them(self, cols, cells):
+        # the int64 read takes a chunk exactly when every cell's digits fit,
+        # and the chunk reads as float() reads it either way
+        for cell in cells:
+            whole, frac = cell.lstrip("-").split(".")
+            assert whole.isdigit() and frac.isdigit()
+        rows = [cells[i:i + cols] for i in range(0, len(cells), cols)]
+        rows[-1] += ["1.0"] * (cols - len(rows[-1]))
+        expected = np.array([[float(c) for c in row] for row in rows]).tobytes()
+        values = fixed_cells(rows)
+        if all(map(fits_int64, cells)):
+            assert values.tobytes() == expected
+        else:
+            assert values is None
+        chunk = thermodiag.cli._read_chunk(chunk_text(rows), cols, thermodiag.cli._Grid())
+        assert chunk.tobytes() == expected
+
+    @pytest.mark.parametrize("cell", ["1.5e3", "+1.5", " 1.5", "1_0.5", "1.", ".5", "15",
+                                      "1.2.3", "-", "1234567890123456789.0",
+                                      "0.12345678901234567890123", "0.50000000000000000000",
+                                      "0.9999999999999999999", "-0.0009999999999999999999"])
+    def test_other_cells_leave_the_fixed_read(self, monkeypatch, cell):
+        # refused before numpy reads any int64: numpy 1.24 reads a cell past
+        # int64's range as a float cast to int64 instead of raising
+        int_reads = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: (
+            int_reads.append(kw.get("dtype")), loadtxt(*args, **kw))[1])
+        assert fixed_cells([["20.5", cell, "-3.25"]]) is None
+        assert int_reads == []
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("fault", ["grid", "cell", "exponent"])
+    def test_fault_at_a_chunk_edge_read_as_csv_loop(self, tmp_path, monkeypatch, fault, offset):
+        # the last records of the first chunk and the first of the second:
+        # the grid broken by a second, a bad cell, or a value in exponent
+        # notation, which np.loadtxt reads for its chunk alone
+        record = thermodiag.cli.READ_BLOCK // 8 + offset
+        weather = WEATHER_43_DAYS
+        assert weather.n_records > record + 1
+        text = weather_csv(weather)
+        if fault == "grid":  # every record from this one a second late
+            for late in range(record, weather.n_records + 1):
+                stamp = CSV_EPOCH + timedelta(seconds=weather.dt * (late - 1) + 1)
+                text = edit_record(text, late, 0, stamp.isoformat())
+        elif fault == "cell":
+            text = edit_record(text, record, 3, "warm")
+        else:
+            text = edit_record(text, record, 1, "%.16e" % weather.values[record - 1, 0])
+        path = write_tmp(tmp_path, "w.csv", text)
+        expected = read_with(thermodiag.cli._read_series_csv, path)
+        calls = []
+        reference = thermodiag.cli._read_series_csv
+        monkeypatch.setattr(thermodiag.cli, "_read_series_csv",
+                            lambda *args: calls.append(args) or reference(*args))
+        assert read_with(thermodiag.cli._read_series, path) == expected
+        if fault == "exponent":
+            assert not calls
+            assert expected[5] == weather.values.tobytes()
+        else:
+            assert len(calls) == 1
+            assert expected.endswith(f"record {record}: " + (
+                "bad value for I_N: 'warm'" if fault == "cell" else
+                "non-uniform sampling (901.0 s after 900.0 s steps)"))
 
     @pytest.fixture
     def csv_loop_calls(self, monkeypatch):
@@ -503,6 +646,37 @@ class TestSeriesReaders:
             parse_measurements(path)
         assert str(exc.value) == f"{path}: {message}"
         assert csv_loop_calls == [path]
+
+    @pytest.mark.parametrize("stamps, fast", [
+        (("2000-02-28T23:45:00", "2000-02-29 00:00:00", "2000-02-29T00:15:00"), True),
+        (("2000-02-28T00:00:00", "2000-02-29T00:00:00", "2000-03-01T00:00:00"), True),
+        (("2100-02-28T00:00:00", "2100-03-01T00:00:00", "2100-03-02T00:00:00"), True),
+        (("1999-12-31T23:30:00", "2000-01-01T00:30:00", "2000-01-01T01:30:00"), True),
+        (("0001-01-01T00:00:00", "0001-01-01T00:00:01", "0001-01-01T00:00:02"), True),
+        (("9999-12-31T23:59:57", "9999-12-31T23:59:58", "9999-12-31T23:59:59"), True),
+        (("2100-02-29T00:00:00", "2100-02-29T00:15:00"), False),
+        (("1900-02-28T00:00:00", "1900-03-01T00:00:00", "1900-03-02T00:00:00"), True),
+        (("2000-04-31T00:00:00", "2000-04-31T00:15:00"), False),
+        (("0000-12-31T23:30:00", "0000-12-31T23:45:00"), False),
+        (("2000-13-01T00:00:00", "2000-13-01T00:15:00"), False),
+        (("2000-00-01T00:00:00", "2000-00-01T00:15:00"), False),
+        (("2000-03-00T00:00:00", "2000-03-00T00:15:00"), False),
+        (("2000-03-01T24:00:00", "2000-03-01T24:15:00"), False),
+        (("2000-03-01T00:60:00", "2000-03-01T01:60:00"), False),
+        (("2000-03-01T00:00:60", "2000-03-01T00:01:60"), False),
+        (("2000-03-01t00:00:00", "2000-03-01t00:15:00", "2000-03-01t00:30:00"), False),
+        (("2000-03-01T00:00:00", "2000-03-01T00:00:00", "2000-03-01T00:00:00"), False),
+    ])
+    def test_calendar_stamps_read_as_csv_loop(self, tmp_path, csv_loop_calls, stamps, fast):
+        # calendar and clock edges of the stamps; the fast read takes only
+        # valid ones on a uniform grid and hands the rest to the csv loop,
+        # each invalid field here on a grid that would be uniform
+        path = write_tmp(tmp_path, "c.csv", "timestamp,node_1\n" + "".join(
+            f"{stamp},1.5\n" for stamp in stamps))
+        expected = read_with(thermodiag.cli._read_series_csv, path)
+        csv_loop_calls.clear()
+        assert read_with(thermodiag.cli._read_series, path) == expected
+        assert csv_loop_calls == ([] if fast else [path])
 
     def test_whitespace_only_line_is_a_record(self, tmp_path, csv_loop_calls):
         lines = weather_csv(synthetic_weather(days=1)).split("\n")
@@ -643,21 +817,35 @@ class TestMainSimulate:
         assert header.endswith("node_23")
         assert len(text.strip().split("\n")) == 1 + 480
 
-    @pytest.mark.parametrize("block,days", [(None, 43), (100, 5)])
-    def test_trajectory_is_per_value_repr(self, tmp_path, monkeypatch, block, days):
-        # written in row blocks, over a horizon that is not a multiple of the
-        # block, the file is still one Python float repr per value
+    @pytest.mark.parametrize("block,days,last", [
+        pytest.param(None, 43, 34, id="None-43"),
+        pytest.param(100, 5, 4, id="100-5"),
+        pytest.param(170, 5, 4, id="170-5"),
+    ])
+    def test_trajectory_is_per_value_repr(self, tmp_path, monkeypatch, block, days, last):
+        # written in blocks of WRITE_BLOCK // 23 rows, the 23 node columns'
+        # cells within the budget: 178 rows by default, 4 and 7 rows for 100
+        # and 170 cells; every block is full but the last, of ``last`` rows,
+        # a partial one after 23 full blocks of the 43-day horizon, a full
+        # one for 100 cells, and the file is still one float repr per value
         if block is not None:
             monkeypatch.setattr(thermodiag.diagnose, "WRITE_BLOCK", block)
         weather = synthetic_weather(days=days)
-        assert weather.n_records % thermodiag.diagnose.WRITE_BLOCK != 0
-        assert weather.n_records > thermodiag.diagnose.WRITE_BLOCK
-        wpath = write_tmp(tmp_path, "w.csv", weather_csv(weather))
+        weather_text = weather_csv(weather)
+        desc = example_cell()
+        model = build_mesh(desc)
+        rows = thermodiag.diagnose.WRITE_BLOCK // model.n_nodes
+        blocks = []
+        csv_rows = thermodiag.diagnose.csv_rows
+        monkeypatch.setattr(thermodiag.diagnose, "csv_rows", lambda labels, values: (
+            blocks.append(len(labels)), csv_rows(labels, values))[1])
+        wpath = write_tmp(tmp_path, "w.csv", weather_text)
         rc = main(["simulate", "--building", f"{DATA}/example_cell.building",
                    "--weather", wpath, "--out", str(tmp_path / "sim")])
         assert rc == 0
-        desc = example_cell()
-        model = build_mesh(desc)
+        assert len(blocks) > 1
+        assert blocks == [rows] * (len(blocks) - 1) + [last]
+        assert sum(blocks) == weather.n_records
         [values] = simulate(assemble(model, desc), weather)
         lines = ["step," + ",".join(f"node_{n.node_id}" for n in model.nodes)]
         for k in range(values.shape[1]):

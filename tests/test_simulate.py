@@ -1,6 +1,7 @@
 """Implicit stepping, measurement forcing, series validation."""
 
 import dataclasses
+import importlib
 import itertools
 import math
 import sys
@@ -29,6 +30,8 @@ from thermodiag.simulate import (
     BLOCK_STEPS,
     CHUNK_STEPS,
     GROUP_SETS,
+    LONG_BLOCK_STEPS,
+    LONG_BLOCKS,
     RESIDUAL_RTOL,
     MeasurementSeries,
     SingularSystemError,
@@ -37,6 +40,9 @@ from thermodiag.simulate import (
     simulate,
 )
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
+
+#: The kernel's module, which the package's ``simulate`` function shadows.
+kernel = importlib.import_module("thermodiag.simulate")
 
 
 def constant_weather(t_ae: float, n: int, dt: float = 900.0,
@@ -491,6 +497,48 @@ class TestBatchKernel:
         T = march(sm, constant_weather(0.0, 400, dt=1e6), np.array([1.0]))
         assert 0.0 < T[0, 105] < np.finfo(float).tiny
         assert T[0, -1] == 0.0
+
+
+class TestLongHorizon:
+    """A horizon over the long-block threshold, marched in blocks of
+    LONG_BLOCK_STEPS and groups of at most GROUP_SETS sets."""
+
+    def test_forced_batch_bit_identical_to_solo_runs_and_within_the_gate(self, monkeypatch):
+        # 86 days: 8256 records, so the last block and its last chunk are partial
+        model, sm, weather, meas = measured_cell(days=86)
+        n_records = weather.n_records
+        assert n_records >= LONG_BLOCKS * LONG_BLOCK_STEPS
+        assert (n_records - 1) % LONG_BLOCK_STEPS and (n_records - 1) % CHUNK_STEPS
+        sets = random_sets(np.random.default_rng(17), GROUP_SETS) + [frozenset()]
+        # the (sets, chunks) of every chunk march: two a block, in groups of
+        # 9 and 8 sets, each over 17 blocks, the last of 8 chunks
+        marches = []
+        chunk_march = kernel._march_chunks
+        monkeypatch.setattr(kernel, "_march_chunks", lambda GW, Z, steps: (
+            marches.append((Z.shape[0], Z.shape[3])), chunk_march(GW, Z, steps)))
+        batch = simulate(sm, weather, sets, meas)
+        full, rest = divmod(n_records - 1, LONG_BLOCK_STEPS)
+        chunks = [LONG_BLOCK_STEPS // CHUNK_STEPS] * full + [-(-rest // CHUNK_STEPS)]
+        assert (full, chunks[-1]) == (16, 8)
+        assert marches == [(size, c) for size in (9, 8) for c in chunks for _ in range(2)]
+        monkeypatch.undo()
+        c_over_dt = sm.capacity / weather.dt
+        drive = sm.input_coupling @ weather.values.T
+        for values, forcing in zip(batch, sets):
+            assert np.array_equal(values, simulate(sm, weather, [forcing], meas)[0])
+            forced = sorted(forcing)
+            series = np.array([meas.node_series(node) for node in forced]).reshape(-1, n_records)
+            assert np.array_equal(values[np.array(forced, dtype=int) - 1], series)
+            # every step's residual M T_k - V_k, V_k = D T_(k-1) + B U_k with
+            # the measurements in the forced rows, against the gate
+            M = np.diag(c_over_dt) - sm.exchange
+            V = c_over_dt[:, None] * values[:, :-1] + drive[:, 1:]
+            for row, node in enumerate(forced):
+                M[node - 1, :] = 0.0
+                M[node - 1, node - 1] = 1.0
+                V[node - 1] = series[row, 1:]
+            residual = np.max(np.abs(M @ values[:, 1:] - V), axis=0)
+            assert np.all(residual <= RESIDUAL_RTOL * np.max(np.abs(V), axis=0))
 
 
 def small_components(count):
