@@ -33,8 +33,8 @@ holds the point, the last one the separator.  The pairs come from a table
 of the 10^4 groups of four digits, one uint64 each.  The groups after the
 last non-zero digit come from a second half of the table that leaves out
 trailing zeros, and a frame table puts back the zeros up to one past the
-point ("20.0").  Every byte not written is a null, and one mask per block
-squeezes the nulls out.
+point ("20.0").  Every byte not written is a null, and one
+``bytes.translate`` per block deletes the nulls without indexing the bytes.
 
 ``repr`` itself formats nan, inf, the non-zero ``|x|`` below 1e-4 or from
 1e15 up (all of its exponent notation), 16-digit cells with several
@@ -206,7 +206,7 @@ def csv_rows(labels: list[str], values: np.ndarray) -> str:
     text = text.view(np.uint8).reshape(rows, text.dtype.itemsize)
     out = np.concatenate([text, np.full((rows, 1), ord(","), np.uint8),
                           cells.reshape(rows, n * SLOT)], axis=1).ravel()
-    return np.compress(out != 0, out).tobytes().decode("ascii")
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def decimal_floats(n, s):

@@ -32,27 +32,31 @@ linear recurrence:
 
 1. every chunk of the block is marched from a zero state, all chunks side
    by side, one (set, node, chunk) product per step;
-2. the chunk ends are chained from the block's start state by G^q (computed
-   once per group), each adding its chunk's march from zero;
+2. the chunk ends are chained from the block's start state: G^q times the
+   start is added to the first chunk's end, then level k of a
+   Hillis-Steele scan adds G^(q 2^k) times the ends 2^k chunks back to
+   every later end (the powers are squared once per group, and each
+   product is written into the block's right-hand-side buffer, idle until
+   the check);
 3. every chunk is marched again from its start, side by side, and ends on
    its chained end.
 
-So a block of b steps costs each set 2q + b / q small products instead of
-one per step, and a long horizon's longer blocks pay the fixed cost of a
-block iteration a quarter as often.  The states, the inputs, the check and
-the output are all laid out (set, node, step); within a block the step axis
-is split into (offset into the chunk, chunk), so the chunks of one offset
-sit side by side with unit stride and each step of a march is one product
-over all of them; the inputs, and the block's measurements, are gathered
-once in that order.  Forced rows are then overwritten with their
-measurements bit for bit, and every step's residual ``M T - V``,
-V = W + D T_prev, is checked against RESIDUAL_RTOL at once, T_prev being
-the reported state before it.  A group works in preallocated block arrays
-of GROUP_SETS sets by a block's steps that every block and every group
-reuse, so they do not grow with the batch; each group's step matrices are
-its own, and every group writes into one output array.  The last chunk of
-the horizon is padded with the last input record; the padding is marched
-and checked but neither judged nor kept.
+So a block of c = b / q chunks costs each set 2q + ceil(log2 c) + 1 small
+products instead of one per step, and a long horizon's longer blocks pay
+the fixed cost of a block iteration a quarter as often.  The states, the
+inputs, the check and the output are all laid out (set, node, step);
+within a block the step axis is split into (offset into the chunk, chunk),
+so the chunks of one offset sit side by side with unit stride and each
+step of a march is one product over all of them; the inputs, and the
+block's measurements, are gathered once in that order.  Forced rows are
+then overwritten with their measurements bit for bit, and every step's
+residual ``M T - V``, V = W + D T_prev, is checked against RESIDUAL_RTOL
+at once, T_prev being the reported state before it.  A group works in
+preallocated block arrays of GROUP_SETS sets by a block's steps that every
+block and every group reuse, so they do not grow with the batch; each
+group's step matrices are its own, and every group writes into one output
+array.  The last chunk of the horizon is padded with the last input
+record; the padding is marched and checked but neither judged nor kept.
 
 What is bit-exact: forced rows reproduce their measurements, a set's
 result is the same alone or in any batch (every array is stacked per set
@@ -237,6 +241,30 @@ def _march_chunks(GW, Z, steps):
         np.matmul(GW, Z[:, :, i], out=Z[:, :n, i + 1])
 
 
+def _chain(G, ends, out):
+    """One product of the chunk-end scan: ``G ends`` per set, into ``out``."""
+    return np.matmul(G, ends, out=out)
+
+
+def _scan_ends(powers, start, ends, buf):
+    """Chain a block's chunk ends from its start, in place.
+
+    ``ends`` (set, node, chunk) holds every chunk's march from a zero state
+    and is left holding the ends of the march from ``start`` (set, node, 1).
+    ``powers`` holds G^q, G^2q, G^4q, ..., at least ceil(log2 c) of them for
+    c chunks, and ``buf`` has room for one product of every end.  G^q start
+    is folded into chunk 0's end; then level k of a Hillis-Steele scan adds
+    G^(q 2^k) times the ends 2^k chunks back to every later end, so a block
+    takes ceil(log2 c) + 1 products.
+    """
+    n_sets, n, c = ends.shape
+    ends[:, :, :1] += _chain(powers[0], start, buf[:n_sets * n].reshape(n_sets, n, 1))
+    for k in range((c - 1).bit_length()):
+        s = 1 << k
+        back = buf[:n_sets * n * (c - s)].reshape(n_sets, n, c - s)
+        ends[:, :, s:] += _chain(powers[k], ends[:, :, :c - s], back)
+
+
 def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
              meas: MeasurementSeries | None = None,
              T0: np.ndarray | None = None, rows=None) -> np.ndarray:
@@ -324,7 +352,10 @@ def _march_group(sm, weather, forced, measured, series, T0, keep, out,
         raise SingularSystemError(f"step matrix could not be inverted: {exc}") from exc
     np.multiply(GW[:, :, n:], d[:, None, :], out=GW[:, :, :n])
     q = CHUNK_STEPS
-    G_q = np.linalg.matrix_power(GW[:, :, :n], q)
+    # G^q, G^2q, ..., one per level of the scan of the group's longest block
+    powers = [np.linalg.matrix_power(GW[:, :, :n], q)]
+    for _ in range(1, ((min(block, n_steps - 1) - 1) // q).bit_length()):
+        powers.append(powers[-1] @ powers[-1])
     d = d[:, :, None, None]
 
     # a block of c chunks of q steps: Z stacks the states X over the inputs
@@ -332,10 +363,9 @@ def _march_group(sm, weather, forced, measured, series, T0, keep, out,
     # chunk j is step k0 + j q + i - 1 for X, k0 + j q + i for W; X at
     # offset 0 holds the chunk starts and at offset q the chunk ends, and W's
     # last offset is unused.  V_buf holds the block's right-hand sides, laid
-    # out like W but contiguous; ``start`` holds the block's start and
-    # ``chained`` a chunk's G^q term.
+    # out like W but contiguous, and earlier in the block the scan's products;
+    # ``start`` holds the block's start.
     start = np.empty((n_sets, n, 1))
-    chained = np.empty((n_sets, n, 1))
     step_of = np.arange(block).reshape(-1, q).T
     start[:, :, 0] = T0
     start[set_idx, node_idx, 0] = series[series_row, 0]
@@ -356,11 +386,8 @@ def _march_group(sm, weather, forced, measured, series, T0, keep, out,
         # 1. every chunk marched from a zero state
         X[:, :, 0] = 0.0
         _march_chunks(GW, Z, q)
-        # 2. the chunk ends chained by G^q from the block's start, each
-        # adding its chunk's march from zero, in place
-        for j in range(c):
-            np.matmul(G_q, X[:, :, q, j - 1:j] if j else start, out=chained)
-            X[:, :, q, j:j + 1] += chained
+        # 2. the chunk ends chained from the block's start, in place
+        _scan_ends(powers, start, X[:, :, q], V_buf)
         # 3. every chunk marched again from its start up to its chained end
         X[:, :, 0, :1] = start
         X[:, :, 0, 1:] = X[:, :, q, :c - 1]

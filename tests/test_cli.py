@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from datetime import timedelta
 from decimal import ROUND_DOWN, Decimal, localcontext
@@ -34,6 +35,7 @@ from thermodiag.cli import (
     write_building,
 )
 from thermodiag.diagnose import csv_blocks
+from thermodiag.floatcsv import SLOT, csv_rows
 from thermodiag.model import (
     ORIENTATIONS, AirZone, BuildingDescription, EnvelopeComponent, Layer, assemble, build_mesh,
 )
@@ -801,6 +803,24 @@ class TestCsvBlocks:
         assert rows == [per_block] * (9 // per_block) + [9 % per_block] * (9 % per_block > 0)
         same = "".join(blocks) == "x\n" + repr_rows(values)
         assert same
+
+
+class TestCsvRowsMemory:
+    @pytest.mark.parametrize("rows, columns", [(256, 16), (4096, 1), (1, 4096)])
+    def test_block_peak_is_a_few_slots_per_cell(self, rows, columns):
+        # a block's cells, their digit groups and the squeezed text, but no
+        # per-byte index array: one would take another 8 bytes per byte kept
+        values = np.random.default_rng(7).normal(20.0, 5.0, (rows, columns))
+        labels = [str(k) for k in range(rows)]
+        expected = csv_rows(labels, values)
+        tracemalloc.start()
+        try:
+            text = csv_rows(labels, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == expected
+        assert peak <= 5 * rows * columns * SLOT
 
 
 class TestMainSimulate:

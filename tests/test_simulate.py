@@ -390,12 +390,14 @@ class TestBatchKernel:
         n_sets, n = len(sets), sm.n_nodes
         chunks = BLOCK_STEPS // CHUNK_STEPS
         # a group's block: its states over its inputs, both with one
-        # chunk-wide slab more than the block, its right-hand sides, the
-        # block's start and one chained chunk end; one group's M, propagator
-        # [G | M^-1] and G^q; numpy copies at most two strided operands of
-        # one elementwise step through its iteration buffers
-        blocks = (2 * (BLOCK_STEPS + chunks) + BLOCK_STEPS + 2) * GROUP_SETS * n * 8
-        step_matrices = 4 * GROUP_SETS * n * n * 8
+        # chunk-wide slab more than the block, its right-hand sides and the
+        # block's start; one group's M, propagator [G | M^-1] and G^q, and
+        # the chunk-end scan's G^2q .. G^(q 2^(K-1)), K = ceil(log2 chunks);
+        # numpy copies at most two strided operands of one elementwise step
+        # through its iteration buffers
+        blocks = (2 * (BLOCK_STEPS + chunks) + BLOCK_STEPS + 1) * GROUP_SETS * n * 8
+        powers = (chunks - 1).bit_length() - 1
+        step_matrices = (4 + powers) * GROUP_SETS * n * n * 8
         buffers = 2 * np.getbufsize() * 8
         assert n_sets == 2 * GROUP_SETS
         assert peak <= 1.1 * (blocks + step_matrices + out.nbytes) + buffers
@@ -497,6 +499,62 @@ class TestBatchKernel:
         T = march(sm, constant_weather(0.0, 400, dt=1e6), np.array([1.0]))
         assert 0.0 < T[0, 105] < np.finfo(float).tiny
         assert T[0, -1] == 0.0
+
+
+def chained_ends(G_q, start, ends):
+    """A block's chunk ends chained one after the other from its start,
+    E_j = G^q E_(j-1) + e_j, E_(-1) the start."""
+    chained = np.empty_like(ends)
+    end = start
+    for j in range(ends.shape[2]):
+        end = G_q @ end + ends[:, :, j:j + 1]
+        chained[:, :, j:j + 1] = end
+    return chained
+
+
+class TestChunkEndScan:
+    """Phase 2 of a block: its chunk ends chained from its start by a
+    Hillis-Steele scan of ceil(log2 c) + 1 products."""
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 12, 16, 64])
+    def test_scan_matches_a_sequential_chain(self, chunks):
+        rng = np.random.default_rng(chunks)
+        n_sets, n = 3, 7
+        # stable step matrices, G = Q diag(0.5 .. 0.99) Q^T, per set
+        Q = np.linalg.qr(rng.normal(size=(n_sets, n, n)))[0]
+        G = (Q * rng.uniform(0.5, 0.99, (n_sets, 1, n))) @ Q.transpose(0, 2, 1)
+        powers = [np.linalg.matrix_power(G, CHUNK_STEPS)]
+        for _ in range(1, (chunks - 1).bit_length()):
+            powers.append(powers[-1] @ powers[-1])
+        start = rng.normal(20.0, 5.0, (n_sets, n, 1))
+        ends = rng.normal(0.0, 2.0, (n_sets, n, chunks))
+        expected = chained_ends(powers[0], start, ends)
+        kernel._scan_ends(powers, start, ends, np.empty(n_sets * n * chunks))
+        assert np.max(np.abs(ends - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_each_block_takes_log_depth_products_and_sets_stay_bit_identical(
+            self, monkeypatch):
+        # 5 days: 479 steps, three blocks of 16 chunks and one of 95 steps,
+        # so 12 chunks, the last one partial
+        _, sm, weather, meas = measured_cell(days=5)
+        full, rest = divmod(weather.n_records - 1, BLOCK_STEPS)
+        chunks = [BLOCK_STEPS // CHUNK_STEPS] * full + [-(-rest // CHUNK_STEPS)]
+        assert chunks == [16, 16, 16, 12] and rest % CHUNK_STEPS
+        sets = random_sets(np.random.default_rng(23), 12) + [frozenset()]
+        products = []
+        chain = kernel._chain
+        monkeypatch.setattr(kernel, "_chain", lambda G, ends, out: (
+            products.append(out.shape), chain(G, ends, out))[1])
+        batch = simulate(sm, weather, sets, meas)
+        monkeypatch.undo()
+        # per block, G^q times its start, then at level k the ends that
+        # have an end 2^k chunks back
+        levels = [math.ceil(math.log2(c)) for c in chunks]
+        assert products == [(len(sets), sm.n_nodes, width) for c, K in zip(chunks, levels)
+                            for width in [1] + [c - 2 ** k for k in range(K)]]
+        assert len(products) == sum(K + 1 for K in levels)
+        for values, forcing in zip(batch, sets):
+            assert np.array_equal(values, simulate(sm, weather, [forcing], meas)[0])
 
 
 class TestLongHorizon:
