@@ -19,11 +19,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .floatcsv import csv_rows
 from .ga import (
     GAConfig, GAHistory, ScoredIndividual, decode, encode, fitness, rank, run_ga,
 )
 from .model import NodalModel, StateMatrices
+from .seriescsv import csv_blocks
 from .simulate import MeasurementSeries, WeatherSeries, initial_state, simulate
 
 __all__ = [
@@ -384,24 +384,6 @@ def history_csv(history: GAHistory) -> str:
             f"{history.mean_fitness[g]!r},{bits}"
         )
     return "\n".join(lines) + "\n"
-
-
-#: Cells formatted per write when a series file is written out: a block is
-#: WRITE_BLOCK // columns rows, and at least one.
-WRITE_BLOCK = 4096
-
-
-def csv_blocks(header: str, index, values: np.ndarray):
-    """Yield a CSV in blocks of at most WRITE_BLOCK cells (one row at least):
-    row k is ``index(k)``, then ``values[k]``, every value written as its
-    Python ``repr``, which reads back to the same float.  See
-    :mod:`~thermodiag.floatcsv` for how, and for the few cells that are
-    formatted by ``repr`` itself."""
-    yield header + "\n"
-    rows = max(1, WRITE_BLOCK // values.shape[1])
-    for k0 in range(0, values.shape[0], rows):
-        block = values[k0:k0 + rows]
-        yield csv_rows([index(k) for k in range(k0, k0 + len(block))], block)
 
 
 def air_comparison_csv(report: DiagnosisReport, evaluator: ChromosomeEvaluator) -> str:

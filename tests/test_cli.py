@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import thermodiag.cli
 import thermodiag.diagnose
+import thermodiag.seriescsv
 import thermodiag.verify
 from thermodiag.cli import (
     CSV_EPOCH,
@@ -34,11 +35,10 @@ from thermodiag.cli import (
     weather_csv,
     write_building,
 )
-from thermodiag.diagnose import csv_blocks
-from thermodiag.floatcsv import SLOT, csv_rows
 from thermodiag.model import (
     ORIENTATIONS, AirZone, BuildingDescription, EnvelopeComponent, Layer, assemble, build_mesh,
 )
+from thermodiag.seriescsv import SLOT, csv_blocks, csv_rows
 from thermodiag.simulate import MeasurementSeries, WeatherSeries, simulate
 from thermodiag.testcell import example_cell, synthetic_weather
 
@@ -478,7 +478,7 @@ def fixed_cells(rows):
     text = chunk_text(rows)
     b = np.frombuffer(text.encode(), np.uint8)
     commas = np.flatnonzero(b == ord(",")).reshape(len(rows), -1)
-    return thermodiag.cli._fixed_cells(text, b, commas, np.flatnonzero(b == ord("\n")))
+    return thermodiag.seriescsv._fixed_cells(text, b, commas, np.flatnonzero(b == ord("\n")))
 
 
 def fits_int64(cell: str) -> bool:
@@ -504,8 +504,8 @@ class TestSeriesReaders:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("".join(lines))
         path = str(path)
-        got = read_with(thermodiag.cli._read_series, path)
-        assert got == read_with(thermodiag.cli._read_series_csv, path)
+        got = read_with(thermodiag.seriescsv.read_series, path)
+        assert got == read_with(thermodiag.seriescsv._read_series_csv, path)
         if not isinstance(got, str):
             return
         bad = first_bad_cell(names, rows)
@@ -544,7 +544,7 @@ class TestSeriesReaders:
             assert values.tobytes() == expected
         else:
             assert values is None
-        chunk = thermodiag.cli._read_chunk(chunk_text(rows), cols, thermodiag.cli._Grid())
+        chunk = thermodiag.seriescsv._read_chunk(chunk_text(rows), cols, thermodiag.seriescsv._Grid())
         assert chunk.tobytes() == expected
 
     @pytest.mark.parametrize("cell", ["1.5e3", "+1.5", " 1.5", "1_0.5", "1.", ".5", "15",
@@ -567,7 +567,7 @@ class TestSeriesReaders:
         # the last records of the first chunk and the first of the second:
         # the grid broken by a second, a bad cell, or a value in exponent
         # notation, which np.loadtxt reads for its chunk alone
-        record = thermodiag.cli.READ_BLOCK // 8 + offset
+        record = thermodiag.seriescsv.READ_BLOCK // 8 + offset
         weather = WEATHER_43_DAYS
         assert weather.n_records > record + 1
         text = weather_csv(weather)
@@ -580,12 +580,12 @@ class TestSeriesReaders:
         else:
             text = edit_record(text, record, 1, "%.16e" % weather.values[record - 1, 0])
         path = write_tmp(tmp_path, "w.csv", text)
-        expected = read_with(thermodiag.cli._read_series_csv, path)
+        expected = read_with(thermodiag.seriescsv._read_series_csv, path)
         calls = []
-        reference = thermodiag.cli._read_series_csv
-        monkeypatch.setattr(thermodiag.cli, "_read_series_csv",
+        reference = thermodiag.seriescsv._read_series_csv
+        monkeypatch.setattr(thermodiag.seriescsv, "_read_series_csv",
                             lambda *args: calls.append(args) or reference(*args))
-        assert read_with(thermodiag.cli._read_series, path) == expected
+        assert read_with(thermodiag.seriescsv.read_series, path) == expected
         if fault == "exponent":
             assert not calls
             assert expected[5] == weather.values.tobytes()
@@ -598,13 +598,13 @@ class TestSeriesReaders:
     @pytest.fixture
     def csv_loop_calls(self, monkeypatch):
         calls = []
-        reference = thermodiag.cli._read_series_csv
+        reference = thermodiag.seriescsv._read_series_csv
 
         def counted(path, check_header):
             calls.append(path)
             return reference(path, check_header)
 
-        monkeypatch.setattr(thermodiag.cli, "_read_series_csv", counted)
+        monkeypatch.setattr(thermodiag.seriescsv, "_read_series_csv", counted)
         return calls
 
     def test_fast_path_reads_clean_files(self, tmp_path, monkeypatch):
@@ -612,12 +612,12 @@ class TestSeriesReaders:
         files = [(parse_weather, f"{DATA}/example_weather.csv"),
                  (parse_measurements, f"{DATA}/example_measurements.csv"),
                  (parse_weather, month)]
-        expected = [read_with(thermodiag.cli._read_series_csv, path) for _, path in files]
+        expected = [read_with(thermodiag.seriescsv._read_series_csv, path) for _, path in files]
 
         def refuse(path, check_header):
             raise AssertionError(f"the csv loop read {path}")
 
-        monkeypatch.setattr(thermodiag.cli, "_read_series_csv", refuse)
+        monkeypatch.setattr(thermodiag.seriescsv, "_read_series_csv", refuse)
         for (parse, path), (start, step, names, shape, _, data) in zip(files, expected):
             series = parse(path)
             assert (series.start, series.dt) == (start, step)
@@ -675,9 +675,9 @@ class TestSeriesReaders:
         # each invalid field here on a grid that would be uniform
         path = write_tmp(tmp_path, "c.csv", "timestamp,node_1\n" + "".join(
             f"{stamp},1.5\n" for stamp in stamps))
-        expected = read_with(thermodiag.cli._read_series_csv, path)
+        expected = read_with(thermodiag.seriescsv._read_series_csv, path)
         csv_loop_calls.clear()
-        assert read_with(thermodiag.cli._read_series, path) == expected
+        assert read_with(thermodiag.seriescsv.read_series, path) == expected
         assert csv_loop_calls == ([] if fast else [path])
 
     def test_whitespace_only_line_is_a_record(self, tmp_path, csv_loop_calls):
@@ -795,11 +795,11 @@ class TestCsvBlocks:
         # a block holds WRITE_BLOCK // columns rows, or one row when a row
         # alone is over the budget
         if block is not None:
-            monkeypatch.setattr(thermodiag.diagnose, "WRITE_BLOCK", block)
+            monkeypatch.setattr(thermodiag.seriescsv, "WRITE_BLOCK", block)
         values = np.random.default_rng(3).normal(20.0, 5.0, (9, 1000))
         blocks = list(csv_blocks("x", str, values))
         rows = [b.count("\n") for b in blocks[1:]]
-        per_block = max(1, thermodiag.diagnose.WRITE_BLOCK // 1000)
+        per_block = max(1, thermodiag.seriescsv.WRITE_BLOCK // 1000)
         assert rows == [per_block] * (9 // per_block) + [9 % per_block] * (9 % per_block > 0)
         same = "".join(blocks) == "x\n" + repr_rows(values)
         assert same
@@ -849,15 +849,15 @@ class TestMainSimulate:
         # a partial one after 23 full blocks of the 43-day horizon, a full
         # one for 100 cells, and the file is still one float repr per value
         if block is not None:
-            monkeypatch.setattr(thermodiag.diagnose, "WRITE_BLOCK", block)
+            monkeypatch.setattr(thermodiag.seriescsv, "WRITE_BLOCK", block)
         weather = synthetic_weather(days=days)
         weather_text = weather_csv(weather)
         desc = example_cell()
         model = build_mesh(desc)
-        rows = thermodiag.diagnose.WRITE_BLOCK // model.n_nodes
+        rows = thermodiag.seriescsv.WRITE_BLOCK // model.n_nodes
         blocks = []
-        csv_rows = thermodiag.diagnose.csv_rows
-        monkeypatch.setattr(thermodiag.diagnose, "csv_rows", lambda labels, values: (
+        csv_rows = thermodiag.seriescsv.csv_rows
+        monkeypatch.setattr(thermodiag.seriescsv, "csv_rows", lambda labels, values: (
             blocks.append(len(labels)), csv_rows(labels, values))[1])
         wpath = write_tmp(tmp_path, "w.csv", weather_text)
         rc = main(["simulate", "--building", f"{DATA}/example_cell.building",
