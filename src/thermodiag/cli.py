@@ -89,6 +89,7 @@ import numpy as np
 
 from .diagnose import (
     MAX_EXHAUSTIVE_NODES,
+    ObjectiveOverflow,
     air_comparison_csv,
     format_report,
     history_csv,
@@ -120,6 +121,7 @@ from .verify import (
     format_outcomes,
     generate_pseudo_measurements,
     inject_defect,
+    measurement_noise,
     outcomes_key_values,
     run_case,
 )
@@ -487,6 +489,13 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+#: Most records ``verify --dt`` may give the 5 days of synthetic weather: one
+#: a second.  A verify run's peak memory grows by about 450 bytes a record
+#: (the oracle's 32 air series are 256 of them), so it is about 200 MB at
+#: this count, where dt = 1 ms would ask 22.5 GiB for the weather alone.
+MAX_SYNTHETIC_RECORDS = 5 * 86400
+
+
 def cmd_verify(args) -> int:
     if args.weather and args.dt is not None:
         raise ParseError("--dt sets the synthetic weather's step; "
@@ -494,6 +503,10 @@ def cmd_verify(args) -> int:
     dt = 900.0 if args.dt is None else args.dt
     if not 0.0 < dt < math.inf:
         raise ParseError(f"--dt must be a positive number of seconds, got {dt!r}")
+    records = 5 * 86400.0 / dt  # of the 5-day synthetic weather
+    if not (records <= MAX_SYNTHETIC_RECORDS and round(records) >= 2):
+        raise ParseError(f"--dt {dt!r} gives {records:.6g} records of synthetic weather over "
+                         f"5 days; it must give 2 to {MAX_SYNTHETIC_RECORDS}")
     if not 0.0 <= args.noise_sd < math.inf:
         raise ParseError(f"--noise-sd must be a finite sd >= 0 °C, got {args.noise_sd!r}")
     config = _ga_config(args)
@@ -514,6 +527,12 @@ def cmd_verify(args) -> int:
     except KeyError:
         # custom building: fall back to every inside surface
         measured = tuple(model.inside_surface_node(c.name) for c in desc.components)
+
+    series = len(set(measured) | {model.air_node})
+    if args.noise_sd > 0.0 and not np.isfinite(measurement_noise(
+            series, weather.n_records, args.noise_sd, args.seed)).all():
+        raise ParseError(f"--noise-sd {args.noise_sd!r} makes the noisy pseudo-measurements "
+                         "non-finite")
 
     pseudo = generate_pseudo_measurements(desc, weather, measured)
     outcomes = [
@@ -536,9 +555,10 @@ def cmd_stats(args) -> int:
     air = model.air_node
     sim_air = simulate(sm, weather, rows=(air,))[0, 0, args.skip_steps:]
     meas_air = meas.node_series(air)[args.skip_steps:]
+    J = objective(sim_air, meas_air)
     mean, sd = residual_stats(sim_air, meas_air)
     print(f"n_samples = {sim_air.shape[0]}")
-    print(f"J = {objective(sim_air, meas_air)!r}")
+    print(f"J = {J!r}")
     print(f"residual_mean = {mean!r}")
     print(f"residual_sd = {sd!r}")
     return 0
@@ -632,6 +652,13 @@ def main(argv=None) -> int:
     except (SingularSystemError, GAError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ObjectiveOverflow as exc:
+        # the measured air series, or verify's pseudo-measurements, which
+        # only noise or a weather file takes that far from the model
+        source = (args.measurements if "measurements" in args else
+                  f"--noise-sd {args.noise_sd!r}" if args.noise_sd else args.weather)
+        print(f"error: {source}: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

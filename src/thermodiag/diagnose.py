@@ -29,6 +29,7 @@ from .simulate import MeasurementSeries, WeatherSeries, initial_state, simulate
 __all__ = [
     "DiagnosisReport",
     "ChromosomeEvaluator",
+    "ObjectiveOverflow",
     "objective",
     "exhaustive_search",
     "per_node_scores",
@@ -41,16 +42,25 @@ __all__ = [
 ]
 
 
+class ObjectiveOverflow(ValueError):
+    """J does not fit a double, though every residual is finite."""
+
+
 def objective(sim_air: np.ndarray, meas_air: np.ndarray) -> float:
-    """Sum of squared residuals (measured minus simulated), in °C²."""
+    """Sum of squared residuals (measured minus simulated), in °C²; raise
+    :class:`ObjectiveOverflow` where it overflows."""
     sim_air = np.asarray(sim_air, dtype=float)
     meas_air = np.asarray(meas_air, dtype=float)
     if sim_air.shape != meas_air.shape:
         raise ValueError(f"series lengths differ: {sim_air.shape} vs {meas_air.shape}")
     if sim_air.size < 1:
         raise ValueError("objective needs at least one sample")
-    residuals = meas_air - sim_air
-    return float(residuals @ residuals)
+    with np.errstate(over="ignore"):
+        residuals = meas_air - sim_air
+        J = float(residuals @ residuals)
+    if J == np.inf:
+        raise ObjectiveOverflow("J, the sum of squared air residuals, overflows a double")
+    return J
 
 
 def residual_stats(sim_air: np.ndarray, meas_air: np.ndarray) -> tuple[float, float]:

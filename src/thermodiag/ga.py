@@ -160,6 +160,8 @@ def _wheel(population: Sequence[ScoredIndividual]) -> np.ndarray:
 
 def _spin(wheel: np.ndarray, u):
     """Index of the roulette pick of each uniform ``u``."""
+    if not wheel[-1] > 0.0:
+        raise GAError("every fitness is 0: the roulette wheel has no total")
     return np.searchsorted(wheel, u * wheel[-1], side="right")
 
 
@@ -234,9 +236,13 @@ def _score(chromosomes: list, evaluator: Evaluator, known: dict) -> list[ScoredI
     """Score one generation; a chromosome already in ``known`` with the very
     J object the evaluator returned (a memoising evaluator returns the same
     float each time) reuses its individual instead of building a new one.
-    Equal values alone would merge 0.0 and -0.0."""
+    Equal values alone would merge 0.0 and -0.0.  A ValueError, input the
+    evaluator rejects (such as an objective that overflows), passes
+    through; any other failure becomes a GAError."""
     try:
         scores = [float(J) for J in evaluator(list(chromosomes))]
+    except ValueError:
+        raise
     except Exception as exc:
         raise GAError(
             f"evaluator failed on a generation of {len(chromosomes)} chromosomes: {exc}") from exc

@@ -41,6 +41,7 @@ __all__ = [
     "CONTROL_ID",
     "inject_defect",
     "generate_pseudo_measurements",
+    "measurement_noise",
     "run_case",
     "format_outcomes",
     "outcomes_key_values",
@@ -158,6 +159,13 @@ def generate_pseudo_measurements(desc: BuildingDescription, weather: WeatherSeri
         nodes, simulate(sm, weather, rows=nodes)[0])))
 
 
+def measurement_noise(n_series: int, n_records: int, noise_sd: float,
+                      seed: int) -> np.ndarray:
+    """The Gaussian noise :func:`run_case` adds to pseudo-measurements, one
+    row per series in node order."""
+    return np.random.default_rng(seed).normal(0.0, noise_sd, size=(n_series, n_records))
+
+
 def run_case(spec: DefectSpec | None, reference: BuildingDescription,
              weather: WeatherSeries, pseudo: MeasurementSeries, config: GAConfig,
              skip_steps: int = 0, noise_sd: float = 0.0) -> VerificationOutcome:
@@ -172,10 +180,11 @@ def run_case(spec: DefectSpec | None, reference: BuildingDescription,
     if not 0.0 <= noise_sd < np.inf:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     if noise_sd > 0.0:
-        rng = np.random.default_rng(config.rng_seed)
+        noise = measurement_noise(len(pseudo.series), pseudo.n_samples, noise_sd,
+                                  config.rng_seed)
         pseudo = MeasurementSeries(dt=pseudo.dt, series={
-            node: values + rng.normal(0.0, noise_sd, size=values.shape)
-            for node, values in sorted(pseudo.series.items())})
+            node: values + row
+            for (node, values), row in zip(sorted(pseudo.series.items()), noise)})
     desc = reference if spec is None else inject_defect(reference, spec)
     model = build_mesh(desc)
     report, _ = run_diagnosis(assemble(model, desc), weather, pseudo, model.air_node,

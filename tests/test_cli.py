@@ -379,13 +379,18 @@ def series_files(draw):
     rows = [[(CSV_EPOCH + timedelta(seconds=900 * r)).isoformat()]
             + draw(st.lists(plain_cells, min_size=len(names), max_size=len(names)))
             for r in range(n_rows)]
-    fault = draw(st.sampled_from(("none", "cell", "stamp", "extra", "short", "spaces")))
+    fault = draw(st.sampled_from(("none", "cell", "stamp", "digits", "extra", "short",
+                                  "spaces")))
     for _ in range(draw(st.integers(1, 2)) if rows and fault != "none" else 0):
         row = rows[draw(st.integers(0, n_rows - 1))]
         if fault == "cell":
             row[draw(st.integers(1, len(names)))] = draw(st.sampled_from(ODD_CELLS))
         elif fault == "stamp":
             row[0] = draw(st.sampled_from(ODD_STAMPS)).format(row[0])
+        elif fault == "digits":  # any 14 digits and separator in a stamp's layout
+            d = draw(st.text("0123456789", min_size=14, max_size=14))
+            row[0] = (f"{d[:4]}-{d[4:6]}-{d[6:8]}{draw(st.sampled_from('T t'))}"
+                      f"{d[8:10]}:{d[10:12]}:{d[12:]}")
         elif fault == "extra":
             row.append(draw(plain_cells))
         elif fault == "short" and len(row) > 1:
@@ -1200,6 +1205,10 @@ class TestVerifyRejectsUpFront:
         (["--dt", "900", "--weather", f"{DATA}/example_weather.csv"], "--dt"),
         (["--noise-sd", "-0.2"], "--noise-sd"),
         (["--noise-sd", "inf"], "--noise-sd"),
+        # 432,000,000 records of weather, one, and noise past the largest double
+        (["--dt", "0.001"], "--dt 0.001 gives 4.32e+08 records"),
+        (["--dt", "300000"], "--dt 300000.0 gives 1.44 records"),
+        (["--noise-sd", "1e308"], "--noise-sd 1e+308 makes the noisy pseudo-measurements"),
     ])
     def test_bad_flag_named(self, tmp_path, capsys, marches, flags, named):
         out = tmp_path / "v"
@@ -1208,6 +1217,22 @@ class TestVerifyRejectsUpFront:
         assert named in capsys.readouterr().err
         assert marches == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("dt, records", [(1.0, 432_000), (216_000.0, 2), (288_000.0, 2)])
+    def test_dt_records_at_the_bounds(self, monkeypatch, dt, records):
+        # one record a second and two records are taken; the weather is the
+        # first thing built past the check
+        class Built(Exception):
+            pass
+
+        def built(**kwargs):
+            raise Built(round(kwargs["days"] * 86400.0 / kwargs["dt"]))
+
+        monkeypatch.setattr(thermodiag.cli, "synthetic_weather", built)
+        with pytest.raises(Built) as exc:
+            main(["verify", "--dt", repr(dt)])
+        assert exc.value.args == (records,)
+        assert thermodiag.cli.MAX_SYNTHETIC_RECORDS == 432_000
 
     def test_dt_sets_synthetic_step(self, tmp_path, capsys, monkeypatch):
         steps = []
@@ -1298,6 +1323,38 @@ class TestFlagsCheckedBeforeMarch:
         assert err.startswith(f"error: {flag} ")
         assert field not in err
         assert marches == []
+        assert not (tmp_path / "o").exists()
+
+
+class TestObjectiveOverflow:
+    """A J past the largest double exits 2 naming the overflow and its source."""
+
+    @pytest.fixture
+    def huge_air(self, tmp_path):
+        meas = parse_measurements(f"{DATA}/example_measurements.csv")
+        series = dict(meas.series)
+        series[23] = np.full(meas.n_samples, 1e160)  # the air node
+        return write_tmp(tmp_path, "huge.csv", measurements_csv(
+            MeasurementSeries(dt=meas.dt, start=meas.start, series=series), meas.start))
+
+    @pytest.mark.parametrize("command", ["diagnose", "diagnose --exhaustive", "stats"])
+    def test_measurement_file_named(self, tmp_path, capsys, huge_air, command):
+        argv = [*command.split(), "--building", f"{DATA}/example_cell_door_defect.building",
+                "--weather", f"{DATA}/example_weather.csv", "--measurements", huge_air]
+        if command != "stats":
+            argv += ["--generations", "3", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {huge_air}: J, the sum of squared air residuals, overflows a double\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_noise_sd_named(self, tmp_path, capsys):
+        rc = main(["verify", "--noise-sd", "1e200", "--generations", "3",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --noise-sd 1e+200: J, the sum of squared air residuals, overflows a double\n")
         assert not (tmp_path / "o").exists()
 
 

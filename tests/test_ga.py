@@ -106,6 +106,15 @@ class TestRoulette:
         with pytest.raises(GAError):
             select_roulette([], np.random.default_rng(0))
 
+    def test_wheel_without_total_rejected(self):
+        # every J overflowed to inf, so every fitness is 0
+        pop = [ScoredIndividual((1,), math.inf, fitness(math.inf)),
+               ScoredIndividual((0,), math.inf, fitness(math.inf))]
+        with pytest.raises(GAError, match="no total"):
+            select_roulette(pop, np.random.default_rng(0))
+        with pytest.raises(GAError, match="no total"):
+            run_ga(config(), lambda chromosomes: [math.inf] * len(chromosomes), FULL_MASK)
+
     def test_dominant_individual_always_wins(self):
         pop = [
             ScoredIndividual((1,), 0.0, 1.0),
