@@ -69,7 +69,7 @@ header: ``timestamp,node_<k>,...``, one column per measured node id.  Both
 must be uniformly sampled on the same grid, from the same first timestamp.
 Series files are read and written by :mod:`thermodiag.seriescsv`, which says
 how: every value written reads back to the same float, and a file that cannot
-be read exits 2 naming the record and column of its first fault.
+be read exits 2 naming the file and its first fault.
 
 Exit status: 0 success, 2 bad input or configuration, 3 numerical failure,
 4 verification cases failed.
@@ -528,9 +528,9 @@ def cmd_verify(args) -> int:
         # custom building: fall back to every inside surface
         measured = tuple(model.inside_surface_node(c.name) for c in desc.components)
 
-    series = len(set(measured) | {model.air_node})
     if args.noise_sd > 0.0 and not np.isfinite(measurement_noise(
-            series, weather.n_records, args.noise_sd, args.seed)).all():
+            len({*measured, model.air_node}), weather.n_records, args.noise_sd,
+            args.seed)).all():
         raise ParseError(f"--noise-sd {args.noise_sd!r} makes the noisy pseudo-measurements "
                          "non-finite")
 
