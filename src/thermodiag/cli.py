@@ -108,7 +108,9 @@ from .model import (
     assemble,
     build_mesh,
 )
-from .seriescsv import ParseError, _file_fault, csv_blocks, iso_stamps, read_series
+from .seriescsv import (
+    ParseError, _file_fault, csv_blocks, csv_text, iso_stamps, read_series, row_numbers,
+)
 from .simulate import (
     MeasurementSeries,
     SingularSystemError,
@@ -146,8 +148,6 @@ CSV_EPOCH = datetime(2000, 3, 1)
 # ---------------------------------------------------------------------------
 # building description files
 
-_ORIENTATION_HELP = "N, S, E, W, horizontal-up or horizontal-down"
-
 #: Largest ``internal_nodes`` a component may ask for.  A diagnosis marches a
 #: GA generation of up to 30 forcing sets on dense (n, n) step matrices, 8·n²
 #: bytes each: at this count in each of the bundled cell's 8 components,
@@ -156,24 +156,32 @@ _ORIENTATION_HELP = "N, S, E, W, horizontal-up or horizontal-down"
 MAX_INTERNAL_NODES = 128
 
 
-def _read_ini(path: str) -> configparser.ConfigParser:
+def _read_ini(path: str) -> dict[str, dict[str, str]]:
+    """The sections of an INI file in file order, each a dict of its options
+    (and of a ``[DEFAULT]`` section's)."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))
+        return {section: dict(cp.items(section)) for section in cp.sections()}
     except (OSError, UnicodeDecodeError) as exc:
         raise _file_fault(path, exc) from exc
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
-    return cp
+    finally:
+        # the parser and its section proxies refer to each other; cleared,
+        # they go with their last reference, not with the cyclic collector
+        for proxy in cp.values():
+            vars(proxy).clear()
+        vars(cp).clear()
 
 
-def _field(cp, section: str, key: str, path: str, convert, default=None):
-    if not cp.has_option(section, key):
+def _field(options: dict, section: str, key: str, path: str, convert, default=None):
+    if key not in options:
         if default is not None:
             return default
         raise ParseError(f"{path}: [{section}] is missing the field '{key}'")
-    raw = cp.get(section, key)
+    raw = options[key]
     try:
         return convert(raw)
     except ValueError as exc:
@@ -223,12 +231,12 @@ def _parse_layers(raw: str) -> tuple:
 
 def parse_building(path: str) -> BuildingDescription:
     """Read and validate a building description file."""
-    cp = _read_ini(path)
-    if not cp.has_section("zone"):
+    ini = _read_ini(path)
+    if "zone" not in ini:
         raise ParseError(f"{path}: missing the [zone] section")
 
     components = []
-    for section in cp.sections():
+    for section, options in ini.items():
         if section == "zone":
             continue
         if not section.startswith("component "):
@@ -239,31 +247,32 @@ def parse_building(path: str) -> BuildingDescription:
         try:
             components.append(EnvelopeComponent(
                 name=name,
-                orientation=_field(cp, section, "orientation", path, str.strip),
-                area=_field(cp, section, "area", path, float),
-                layers=_field(cp, section, "layers", path, _parse_layers),
-                h_ci=_field(cp, section, "h_ci", path, float),
-                h_ce=_field(cp, section, "h_ce", path, float),
-                h_ri=_field(cp, section, "h_ri", path, float),
-                h_re=_field(cp, section, "h_re", path, float),
-                absorptivity=_field(cp, section, "absorptivity", path, float),
-                internal_node_count=_field(cp, section, "internal_nodes", path,
+                orientation=_field(options, section, "orientation", path, str.strip),
+                area=_field(options, section, "area", path, float),
+                layers=_field(options, section, "layers", path, _parse_layers),
+                h_ci=_field(options, section, "h_ci", path, float),
+                h_ce=_field(options, section, "h_ce", path, float),
+                h_ri=_field(options, section, "h_ri", path, float),
+                h_re=_field(options, section, "h_re", path, float),
+                absorptivity=_field(options, section, "absorptivity", path, float),
+                internal_node_count=_field(options, section, "internal_nodes", path,
                                            _to_node_count, 0),
-                outside_boundary=_field(cp, section, "boundary", path, str.strip, "ambient"),
-                is_glazing=_field(cp, section, "glazing", path, _to_bool, False),
+                outside_boundary=_field(options, section, "boundary", path, str.strip, "ambient"),
+                is_glazing=_field(options, section, "glazing", path, _to_bool, False),
             ))
         except ValueError as exc:
             raise ParseError(f"{path}: [{section}]: {exc}") from exc
 
+    options = ini["zone"]
     try:
         zone = AirZone(
-            air_capacity=_field(cp, "zone", "air_capacity", path, float),
-            air_specific_heat=_field(cp, "zone", "air_specific_heat", path, float),
-            ventilation_flow=_field(cp, "zone", "ventilation_flow", path, float),
+            air_capacity=_field(options, "zone", "air_capacity", path, float),
+            air_specific_heat=_field(options, "zone", "air_specific_heat", path, float),
+            ventilation_flow=_field(options, "zone", "ventilation_flow", path, float),
         )
     except ValueError as exc:
         raise ParseError(f"{path}: [zone]: {exc}") from exc
-    glazing = _field(cp, "zone", "glazing_transmitted_fraction", path, _to_fraction, 0.0)
+    glazing = _field(options, "zone", "glazing_transmitted_fraction", path, _to_fraction, 0.0)
     try:
         return BuildingDescription(
             components=tuple(components), zone=zone, glazing_transmitted_fraction=glazing)
@@ -298,22 +307,21 @@ def write_building(desc: BuildingDescription) -> str:
 
 def parse_cases(path: str) -> list[DefectSpec]:
     """Read a defect case file into specs, preserving file order."""
-    cp = _read_ini(path)
     specs = []
-    for section in cp.sections():
+    for section, options in _read_ini(path).items():
         if not section.startswith("case "):
             raise ParseError(
                 f"{path}: unknown section [{section}] (expected [case <id>])")
         case_id = section[len("case "):].strip()
-        component = cp.get(section, "component", fallback=None)
+        component = options.get("component")
         try:
             specs.append(DefectSpec(
                 case_id=case_id,
-                kind=_field(cp, section, "kind", path, str.strip),
-                base=_field(cp, section, "base", path, float),
-                perturbed=_field(cp, section, "perturbed", path, float),
+                kind=_field(options, section, "kind", path, str.strip),
+                base=_field(options, section, "base", path, float),
+                perturbed=_field(options, section, "perturbed", path, float),
                 component=component.strip() if component else None,
-                layer_index=_field(cp, section, "layer", path, int, 0),
+                layer_index=_field(options, section, "layer", path, int, 0),
             ))
         except ValueError as exc:
             raise ParseError(f"{path}: [{section}]: {exc}") from exc
@@ -373,29 +381,30 @@ def parse_measurements(path: str) -> MeasurementSeries:
 
 def weather_csv(weather: WeatherSeries, start: datetime = CSV_EPOCH) -> str:
     """Serialize a weather series; parse_weather reads it back identically."""
-    return "".join(csv_blocks(
-        "timestamp," + ",".join(INPUT_CHANNELS),
-        iso_stamps(start, weather.dt), weather.values))
+    return csv_text("timestamp," + ",".join(INPUT_CHANNELS),
+                    iso_stamps(start, weather.dt), weather.values)
 
 
 def measurements_csv(meas: MeasurementSeries, start: datetime = CSV_EPOCH) -> str:
     """Serialize a measurement series, node columns in ascending id order."""
     nodes = sorted(meas.node_ids)
-    return "".join(csv_blocks(
-        "timestamp," + ",".join(f"node_{n}" for n in nodes),
-        iso_stamps(start, meas.dt),
-        np.column_stack([meas.node_series(n) for n in nodes])))
+    return csv_text("timestamp," + ",".join(f"node_{n}" for n in nodes),
+                    iso_stamps(start, meas.dt),
+                    np.column_stack([meas.node_series(n) for n in nodes]))
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _write(out_dir: str, name: str, text) -> str:
-    """Write ``text``, a string or an iterable of strings, to out_dir/name."""
+def _write(out_dir: str, name: str, data) -> str:
+    """Write ``data`` to out_dir/name: a string, as UTF-8, bytes, or an
+    iterable of bytes blocks."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.writelines([data] if isinstance(data, bytes) else data)
     return path
 
 
@@ -462,7 +471,7 @@ def cmd_simulate(args) -> int:
     weather = parse_weather(args.weather)
     values = simulate(sm, weather)[0]
     path = _write(args.out, "trajectory.csv", csv_blocks(
-        "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), str, values.T))
+        "step," + ",".join(f"node_{n.node_id}" for n in model.nodes), row_numbers, values.T))
     print(f"wrote {path} ({values.shape[1]} steps, {model.n_nodes} nodes)")
     return 0
 

@@ -23,7 +23,7 @@ from .ga import (
     GAConfig, GAHistory, ScoredIndividual, decode, encode, fitness, rank, run_ga,
 )
 from .model import NodalModel, StateMatrices
-from .seriescsv import csv_blocks
+from .seriescsv import csv_blocks, row_numbers
 from .simulate import MeasurementSeries, WeatherSeries, initial_state, simulate
 
 __all__ = [
@@ -396,9 +396,10 @@ def history_csv(history: GAHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def air_comparison_csv(report: DiagnosisReport, evaluator: ChromosomeEvaluator) -> str:
-    """Plot data: measured vs simulated air temperature, unforced and best."""
+def air_comparison_csv(report: DiagnosisReport, evaluator: ChromosomeEvaluator) -> bytes:
+    """Plot data: measured vs simulated air temperature, unforced and best,
+    as ASCII bytes."""
     values = np.column_stack([evaluator.meas.node_series(report.air_node),
                               report.air_unforced, report.air_best])
-    return "".join(csv_blocks("step,measured,simulated_unforced,simulated_best_forcing",
-                              str, values))
+    return b"".join(csv_blocks("step,measured,simulated_unforced,simulated_best_forcing",
+                               row_numbers, values))

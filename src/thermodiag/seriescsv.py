@@ -2,21 +2,24 @@
 per line, a ``YYYY-MM-DD?HH:MM:SS`` stamp (``?`` is ``T`` or a space) on a
 uniform time grid and one float per column.
 
-:func:`read_series` reads the records in chunks of READ_BLOCK cells, stamps
-included.  numpy checks a chunk's line layout, casts its stamps to
-``datetime64`` and checks the grid.  A chunk of plain fixed-notation cells,
-``-?\\d+\\.\\d+``, whose digits N fit int64 (at most 18, or a whole part 0
-and up to 22 after the point, all zeros but the last 18) is read as int64
-digits, and :func:`decimal_floats` rounds N / 10^s, s the digits after the
-point, as ``float()`` does.  N <= 2^53 and 10^s are exact doubles, so one
-division rounds correctly (Clinger's fast path).  Otherwise N = nh + nl, nh
-the double nearest N; q = fl(nh / 10^s) leaves the remainder nh - q 10^s,
-exact by Dekker's product, and N / 10^s = q + (remainder + nl) / 10^s, a
-correction below a gap between doubles with errors of a few 2^-53 of it.
-The sum rounds correctly unless it lies within 2^-30 of a gap of a tie;
-``float()`` reads such a cell itself.  Any other chunk is read by
-``np.loadtxt``, which converts a cell as ``float()`` does (both call
-``PyOS_string_to_double``) or raises.
+:func:`read_series` reads the text after the header READ_BLOCK characters
+at a time, through the file's UTF-8 text layer, and cuts each read after its
+last line end; a chunk is the whole lines of a read with the part line the
+read before it left over, and a ``\\r`` last in a read waits for the next,
+as it may be the first half of a ``\\r\\n``.  numpy checks a chunk's line
+layout, casts its stamps to ``datetime64`` and checks the grid.  A chunk of
+plain fixed-notation cells, ``-?\\d+\\.\\d+``, whose digits N fit int64 (at
+most 18, or a whole part 0 and up to 22 after the point, all zeros but the
+last 18) is read as int64 digits, and :func:`decimal_floats` rounds
+N / 10^s, s the digits after the point, as ``float()`` does.  N <= 2^53 and
+10^s are exact doubles, so one division rounds correctly (Clinger's fast
+path).  Otherwise N = nh + nl, nh the double nearest N; q = fl(nh / 10^s)
+leaves the remainder nh - q 10^s, exact by Dekker's product, and
+N / 10^s = q + (remainder + nl) / 10^s, a correction below a gap between
+doubles with errors of a few 2^-53 of it.  The sum rounds correctly unless
+it lies within 2^-30 of a gap of a tie; ``float()`` reads such a cell
+itself.  Any other chunk is read by ``np.loadtxt``, which converts a cell as
+``float()`` does (both call ``PyOS_string_to_double``) or raises.
 
 The csv loop, ``csv.reader`` rows and ``float()``, is the reference.  A file
 the chunked read cannot vouch for (a quote, a stamp off the layout or the
@@ -30,10 +33,12 @@ only ``float()`` reads (``1_0``, non-ASCII digits, quoted cells).
 shortest decimal that reads back to the same float and of those the closest,
 with numpy operations over all cells at once.  The fast path takes zero and
 the finite ``|x|`` in [1e-4, 1e15), which ``repr`` writes in fixed notation.
-The decimal exponent e of ``|x|`` is read off a table of the doubles nearest
-to each power of ten, so it is the exponent of ``repr``'s digits.  The
-digits are those at the first of 15, 16 or 17 significant digits where some
-decimal reads back:
+The decimal exponent e of ``|x|`` is counted against the doubles nearest to
+each power of ten, so it is the exponent of ``repr``'s digits:
+``np.frexp`` gives the binary exponent b, |x| in [2^(b-1), 2^b), a table
+gives the e of 2^(b-1), and one compare with the one such double in the
+binade, if any, adds 1.  The digits are those at the first of 15, 16 or 17
+significant digits where some decimal reads back:
 
 * 15: N = rint(|x| 10^s), s = 14 - e.  A decimal N / 10^s reads back iff
   ``N / 10**s == |x|``: N < 2^53 and 10^s <= 10^20 are exact doubles and the
@@ -53,10 +58,20 @@ not have 17 digits falls back as well.  Each cell is one 40-byte slot: the
 sign, the "0.000" prefix of a number below 1, then 17 (digit, point) byte
 pairs; the point slot after digit e holds the point, the last one the
 separator.  The pairs come from a table of the 10^4 groups of four digits,
-one uint64 each.  The groups after the last non-zero digit come from a
-second half of the table that leaves out trailing zeros, and a frame table
-puts back the zeros up to one past the point ("20.0").  Every byte not
-written is a null, and one ``bytes.translate`` per block deletes the nulls.
+one uint64 each, gathered by ``np.take`` from a (5, cells) array that holds
+each group's values contiguously.  The groups after the last non-zero digit
+come from a second half of the table that leaves out trailing zeros, and a
+frame table puts back the zeros up to one past the point ("20.0").
+
+A block's rows are built in one zeroed buffer: each row is its label
+(:func:`row_numbers`, numpy's cast of the row numbers to bytes, or
+:func:`iso_stamps`), nulls up to a whole number of 8-byte words with the
+comma last, then the row's slots, written in place, the last separator a
+newline.  Every byte not written is a null, and one ``bytes.translate`` per
+block deletes the nulls.  Blocks are bytes: :func:`csv_blocks` yields them
+to a binary file, so no text is decoded and encoded again, and
+:func:`csv_text` makes the one string of a series file that a caller wants
+as text.
 
 ``repr`` itself formats nan, inf, the non-zero ``|x|`` below 1e-4 or from
 1e15 up (all of its exponent notation), 16-digit cells with several
@@ -69,11 +84,10 @@ from __future__ import annotations
 import csv
 from array import array
 from datetime import datetime, timedelta
-from itertools import islice
 
 import numpy as np
 
-__all__ = ["ParseError", "read_series", "csv_blocks", "iso_stamps"]
+__all__ = ["ParseError", "read_series", "csv_blocks", "csv_text", "iso_stamps", "row_numbers"]
 
 
 class ParseError(Exception):
@@ -115,9 +129,10 @@ class _HandOver(Exception):
     """The fast series read cannot take this file; the csv loop reads it."""
 
 
-#: Cells per chunk of a fast series read, timestamps included: 2048 lines of
-#: a weather file.  The read holds one chunk's text and arrays at a time.
-READ_BLOCK = 2 ** 14
+#: Characters per read of a fast series read: about 2300 lines of a weather
+#: file.  A chunk is the whole lines of a read and the part line before it,
+#: and the read holds one chunk's text and arrays at a time.
+READ_BLOCK = 2 ** 18
 
 #: Where a ``YYYY-MM-DD?HH:MM:SS`` stamp has its digits, and its dashes and
 #: colons; ``?`` is ``T`` or a space.
@@ -156,10 +171,16 @@ def read_series(path: str, check_header):
             width, names = _read_header(path, csv.reader(fh), check_header)
             if width < 2:
                 raise _HandOver
-            grid, buf = _Grid(), array("d")
-            lines = max(1, READ_BLOCK // width)
-            while text := "".join(islice(fh, lines)):
-                buf.frombytes(_read_chunk(text, width - 1, grid).view(np.uint8))
+            grid, buf, tail = _Grid(), array("d"), ""
+            while text := fh.read(READ_BLOCK):
+                # whole lines only; a last \r may be the first half of \r\n
+                text = tail + text
+                cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+                text, tail = text[:cut], text[cut:]
+                if text:
+                    buf.frombytes(_read_chunk(text, width - 1, grid).view(np.uint8))
+            if tail:
+                buf.frombytes(_read_chunk(tail, width - 1, grid).view(np.uint8))
     except (_HandOver, ParseError, csv.Error, OSError, ValueError):
         # the reference reads the file again, outside this handler so that its
         # error chains no context, and reports the first fault if there is one
@@ -388,6 +409,25 @@ _DECADES = np.array([float(f"1e{k}") for k in range(-4, 16)])
 _EXACT = 2.0 ** 53
 
 
+def _binade_decades():
+    """The decimal exponent by binary exponent: for each b with |x| in
+    [2^(b - 1), 2^b) of [1e-4, 1e15), ``np.frexp``'s exponent (a negative b
+    indexes from the end), the e of 2^(b - 1), and the double of _DECADES
+    inside the binade, from which on e is one more, or inf where it holds
+    none."""
+    low = np.zeros(64, np.int64)
+    up = np.full(64, np.inf)
+    for b in range(-13, 51):
+        low[b] = np.searchsorted(_DECADES, 2.0 ** (b - 1), side="right") - 5
+        decade = _DECADES[min(low[b] + 5, _DECADES.size - 1)]
+        if 2.0 ** (b - 1) < decade < 2.0 ** b:
+            up[b] = decade
+    return low, up
+
+
+_BINADE_E, _BINADE_UP = _binade_decades()
+
+
 def _pair_table():
     """Digit groups as packed (digit, point) pairs, one uint64 per group of
     four: [0, 10^4) every digit; [10^4, 2 10^4) the same without trailing
@@ -462,61 +502,83 @@ def _digits17(a, e):
     return digits
 
 
-def _slots(x):
-    """One SLOT-byte row per value of ``x``, nulls padding the unused bytes,
-    ending in a comma."""
+def _divmod(n, d, quotient, remainder):
+    """``np.divmod(n, d, out=(quotient, remainder))`` for int64 n >= 0 and
+    an int64 scalar d > 0, n and remainder possibly one array; numpy's
+    floor_divide by a scalar is faster than its divmod."""
+    np.floor_divide(n, d, out=quotient)
+    np.subtract(n, quotient * d, out=remainder)
+
+
+def _write_cells(x, slots):
+    """Write each value of ``x`` into its SLOT bytes of ``slots``, a
+    (rows, columns, SLOT) uint8 view of zeros holding one cell per value,
+    nulls padding the unused bytes and a comma ending each."""
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e15)
     zero = a == 0.0
     # the other cells are formatted as 1.0 and overwritten below
-    a = np.where(fast, a, 1.0)
-    e = np.searchsorted(_DECADES, a, side="right") - 5
+    np.copyto(a, 1.0, where=~fast)
+    binade = np.frexp(a)[1]  # int32
+    e = _BINADE_E.take(binade)
+    e += a >= _BINADE_UP.take(binade)
     digits = _digits17(a, e)
+    frame_row = np.int64(2) * (e + np.int64(4)) + np.signbit(x)
+    del a, binade, e
     digits[zero] = 0
     fallback = np.flatnonzero(~(zero | (fast & (digits >= np.int64(10 ** 16))
                                         & (digits < np.int64(10 ** 17)))))
     digits[fallback] = 0
 
-    # five groups: the leading digit, then four of four digits; a group
-    # drops its trailing zeros when every later group is zero
-    groups = np.empty((x.size, 5), np.int64)
-    high, low = np.divmod(digits, np.int64(10 ** 8))
-    np.divmod(high, _GROUP, out=(groups[:, 1], groups[:, 2]))
-    np.divmod(groups[:, 1], _GROUP, out=(groups[:, 0], groups[:, 1]))
-    np.divmod(low, _GROUP, out=(groups[:, 3], groups[:, 4]))
+    # five groups, each contiguous: the leading digit, then four of four
+    # digits; a group drops its trailing zeros when every later group is zero
+    groups = np.empty((5, x.size), np.int64)
+    high = np.empty(x.size, np.int64)
+    _divmod(digits, np.int64(10 ** 8), high, digits)  # digits keeps the low 8
+    _divmod(high, _GROUP, groups[1], groups[2])
+    _divmod(groups[1], _GROUP, groups[0], groups[1])
+    _divmod(digits, _GROUP, groups[3], groups[4])
+    del high, digits
     trailing = np.ones(x.size, bool)
     for j in (4, 3, 2, 1):
-        zeros = groups[:, j] == 0
-        groups[:, j] += _GROUP * trailing
+        zeros = groups[j] == 0
+        np.add(groups[j], _GROUP, out=groups[j], where=trailing)
         trailing &= zeros
-    groups[:, 0] += np.int64(2) * _GROUP
+    groups[0] += np.int64(2) * _GROUP
 
-    words = _PAIRS[groups]
-    words |= _FRAME[2 * (e + 4) + np.signbit(x)]
-    cells = words.view(np.uint8)
+    words = np.take(_PAIRS, groups.T)
+    del groups
+    words |= np.take(_FRAME, frame_row, axis=0)
+    cells = slots.view(np.uint64)
+    cells[...] = words.reshape(cells.shape)
     if fallback.size:
         text = np.array([repr(v) for v in x[fallback].tolist()], dtype="S")
         width = text.dtype.itemsize
-        cells[fallback, :width] = text.view(np.uint8).reshape(fallback.size, width)
-        cells[fallback, width:SLOT - 1] = 0
-    return cells
+        row, column = np.divmod(fallback, np.int64(slots.shape[1]))
+        slots[row, column, :width] = text.view(np.uint8).reshape(fallback.size, width)
+        slots[row, column, width:SLOT - 1] = 0
 
 
-def csv_rows(labels: list[str], values: np.ndarray) -> str:
-    """CSV rows ``labels[k],repr(values[k, 0]),...`` each ending in a newline.
+def csv_rows(labels, values: np.ndarray) -> bytes:
+    """CSV rows ``labels[k],repr(values[k, 0]),...`` each ending in a newline,
+    as ASCII bytes.
 
     ``values`` is a 2-D float array with at least one column and one row per
-    label; labels are ASCII without nulls.
+    label; ``labels`` are ASCII without nulls, as a bytes (``"S"``) array or
+    any sequence numpy casts to one.  Each row is built in one buffer: the
+    label, nulls up to a whole number of 8-byte words, a comma, then a SLOT
+    of each value; one ``bytes.translate`` deletes the nulls.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     rows, n = values.shape
-    cells = _slots(values.ravel()).reshape(rows, n, SLOT)
-    cells[:, -1, SLOT - 1] = ord("\n")
-    text = np.array(labels, dtype="S")
-    text = text.view(np.uint8).reshape(rows, text.dtype.itemsize)
-    out = np.concatenate([text, np.full((rows, 1), ord(","), np.uint8),
-                          cells.reshape(rows, n * SLOT)], axis=1).ravel()
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    labels = np.asarray(labels, dtype="S")
+    head = labels.dtype.itemsize // 8 * 8 + 8
+    buf = np.zeros((rows, head // 8 + n * SLOT // 8), np.uint64).view(np.uint8)
+    buf[:, :labels.dtype.itemsize] = labels.view(np.uint8).reshape(rows, labels.dtype.itemsize)
+    buf[:, head - 1] = ord(",")
+    _write_cells(values.ravel(), buf[:, head:].reshape(rows, n, SLOT))
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().translate(None, b"\0")
 
 
 #: Cells formatted per write when a series file is written out: a block is
@@ -524,18 +586,37 @@ def csv_rows(labels: list[str], values: np.ndarray) -> str:
 WRITE_BLOCK = 4096
 
 
-def csv_blocks(header: str, index, values: np.ndarray):
-    """Yield a CSV in blocks of at most WRITE_BLOCK cells (one row at least):
-    row k is ``index(k)``, then ``values[k]``, every value written as its
-    Python ``repr`` by :func:`csv_rows`."""
-    yield header + "\n"
+def csv_blocks(header: str, labels, values: np.ndarray):
+    """Yield a CSV as ASCII bytes in blocks of at most WRITE_BLOCK cells (one
+    row at least): the header line, then row k is its label, then
+    ``values[k]``, every value written as its Python ``repr`` by
+    :func:`csv_rows`.  ``labels(k0, k1)`` gives the labels of rows k0 to
+    k1 - 1 as a bytes array: :func:`row_numbers` or :func:`iso_stamps`."""
+    yield header.encode("ascii") + b"\n"
     rows = max(1, WRITE_BLOCK // values.shape[1])
     for k0 in range(0, values.shape[0], rows):
         block = values[k0:k0 + rows]
-        yield csv_rows([index(k) for k in range(k0, k0 + len(block))], block)
+        yield csv_rows(labels(k0, k0 + len(block)), block)
+
+
+def csv_text(header: str, labels, values: np.ndarray) -> str:
+    """The CSV of :func:`csv_blocks` as one string.  CPython appends to a
+    string that only one name holds in place, so this holds the text and
+    one block, where joining the blocks would hold them and their join."""
+    text = ""
+    for block in csv_blocks(header, labels, values):
+        text += block.decode("ascii")
+    return text
+
+
+def row_numbers(k0: int, k1: int) -> np.ndarray:
+    """The row labels of a trajectory or plot file, for :func:`csv_blocks`:
+    row k's is ``str(k)``, cast by numpy, k1 having as many digits as any."""
+    return np.arange(k0, k1, dtype=np.int64).astype(f"S{len(str(k1))}")
 
 
 def iso_stamps(start: datetime, dt: float):
     """The row labels of a series file from ``start`` in steps of ``dt``
-    seconds: row k's is the ISO stamp of start + k dt."""
-    return lambda k: (start + timedelta(seconds=k * dt)).isoformat()
+    seconds, for :func:`csv_blocks`: row k's is the ISO stamp of start + k dt."""
+    return lambda k0, k1: np.array(
+        [(start + timedelta(seconds=k * dt)).isoformat() for k in range(k0, k1)], dtype="S")

@@ -1,7 +1,9 @@
 """File grammars and command-line entry points, end to end."""
 
+import configparser
 import contextlib
 import dataclasses
+import gc
 import io
 import os
 import re
@@ -38,7 +40,7 @@ from thermodiag.cli import (
 from thermodiag.model import (
     ORIENTATIONS, AirZone, BuildingDescription, EnvelopeComponent, Layer, assemble, build_mesh,
 )
-from thermodiag.seriescsv import SLOT, csv_blocks, csv_rows
+from thermodiag.seriescsv import SLOT, WRITE_BLOCK, csv_blocks, csv_rows, row_numbers
 from thermodiag.simulate import MeasurementSeries, WeatherSeries, simulate
 from thermodiag.testcell import example_cell, synthetic_weather
 
@@ -572,10 +574,12 @@ class TestSeriesReaders:
         # the last records of the first chunk and the first of the second:
         # the grid broken by a second, a bad cell, or a value in exponent
         # notation, which np.loadtxt reads for its chunk alone
-        record = thermodiag.seriescsv.READ_BLOCK // 8 + offset
         weather = WEATHER_43_DAYS
-        assert weather.n_records > record + 1
         text = weather_csv(weather)
+        # the first chunk holds the whole records of the first read
+        body = text.split("\n", 1)[1]
+        record = body[:thermodiag.seriescsv.READ_BLOCK].count("\n") + offset
+        assert weather.n_records > record + 1
         if fault == "grid":  # every record from this one a second late
             for late in range(record, weather.n_records + 1):
                 stamp = CSV_EPOCH + timedelta(seconds=weather.dt * (late - 1) + 1)
@@ -599,6 +603,42 @@ class TestSeriesReaders:
             assert expected.endswith(f"record {record}: " + (
                 "bad value for I_N: 'warm'" if fault == "cell" else
                 "non-uniform sampling (901.0 s after 900.0 s steps)"))
+
+    @pytest.mark.parametrize("fault", [None, "cell"])
+    @pytest.mark.parametrize("cut", ["in a CRLF", "after a CR", "in a record"])
+    def test_line_end_at_a_chunk_edge_read_as_csv_loop(self, tmp_path, monkeypatch,
+                                                       csv_loop_calls, cut, fault):
+        # the first read ends between the \r and \n of record 60's line end,
+        # right after its lone \r, or inside record 61, which holds the bad
+        # cell if there is one; the second chunk starts with record 60 in
+        # the first two cases (a \r last in a read may be half of a \r\n)
+        weather = synthetic_weather(days=2)
+        text = weather_csv(weather)
+        if fault:
+            text = edit_record(text, 61, 3, "warm")
+        end = {"in a CRLF": "\r\n", "after a CR": "\r", "in a record": "\n"}[cut]
+        lines = text.split("\n")[:-1]
+        text = "".join(line + end for line in lines)
+        body = text[len(lines[0] + end):]
+        first = sum(len(line + end) for line in lines[1:61])
+        first += {"in a CRLF": -1, "after a CR": 0, "in a record": 30}[cut]
+        if cut == "in a record":
+            assert "\n" not in body[first - 1:first + 1]
+        else:
+            assert body[first - 1:first + 1] == ("\r\n" if cut == "in a CRLF" else "\r2")
+        path = tmp_path / "w.csv"
+        path.write_bytes(text.encode())
+        path = str(path)
+        expected = read_with(thermodiag.seriescsv._read_series_csv, path)
+        csv_loop_calls.clear()
+        monkeypatch.setattr(thermodiag.seriescsv, "READ_BLOCK", first)
+        assert read_with(thermodiag.seriescsv.read_series, path) == expected
+        if fault:
+            assert csv_loop_calls == [path]
+            assert expected.endswith("record 61: bad value for I_N: 'warm'")
+        else:
+            assert csv_loop_calls == []
+            assert expected[5] == weather.values.tobytes()
 
     @pytest.fixture
     def csv_loop_calls(self, monkeypatch):
@@ -783,14 +823,14 @@ class TestCsvBlocks:
     @example(list(EDGE_FLOATS))
     def test_every_finite_float_is_its_repr(self, values):
         values = np.array(values)[:, None]
-        got = "".join(csv_blocks("x", str, values))
-        assert got == "x\n" + repr_rows(values)
+        got = b"".join(csv_blocks("x", row_numbers, values))
+        assert got == ("x\n" + repr_rows(values)).encode()
 
     def test_sweep_is_repr(self):
         values = sweep_values()
         assert values.size >= 10 ** 6
         values = np.concatenate([values, np.zeros(-values.size % 25)]).reshape(-1, 25)
-        got = "".join(csv_blocks("x", str, values))
+        got = b"".join(csv_blocks("x", row_numbers, values)).decode("ascii")
         expected = "x\n" + repr_rows(values)
         same = got == expected  # pytest would diff two 30 MB strings
         assert same, first_mismatch(got, expected)
@@ -802,11 +842,11 @@ class TestCsvBlocks:
         if block is not None:
             monkeypatch.setattr(thermodiag.seriescsv, "WRITE_BLOCK", block)
         values = np.random.default_rng(3).normal(20.0, 5.0, (9, 1000))
-        blocks = list(csv_blocks("x", str, values))
-        rows = [b.count("\n") for b in blocks[1:]]
+        blocks = list(csv_blocks("x", row_numbers, values))
+        rows = [b.count(b"\n") for b in blocks[1:]]
         per_block = max(1, thermodiag.seriescsv.WRITE_BLOCK // 1000)
         assert rows == [per_block] * (9 // per_block) + [9 % per_block] * (9 % per_block > 0)
-        same = "".join(blocks) == "x\n" + repr_rows(values)
+        same = b"".join(blocks) == ("x\n" + repr_rows(values)).encode()
         assert same
 
 
@@ -828,6 +868,29 @@ class TestCsvRowsMemory:
         assert peak <= 5 * rows * columns * SLOT
 
 
+class TestSeriesTextMemory:
+    @pytest.mark.parametrize("kind", ["weather", "measurements"])
+    def test_peak_is_the_text_and_one_block(self, kind):
+        # a year of 15-minute weather, and 480 records of 23 nodes: the
+        # string is built block by block, never held twice
+        if kind == "weather":
+            series, write = synthetic_weather(days=365), weather_csv
+        else:
+            rng = np.random.default_rng(5)
+            series, write = MeasurementSeries(dt=900.0, series={
+                node: rng.normal(20.0, 5.0, 480) for node in range(1, 24)}), measurements_csv
+        expected = write(series)
+        tracemalloc.start()
+        try:
+            text = write(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == expected
+        assert len(text) > 5 * WRITE_BLOCK * SLOT / 4
+        assert peak <= len(text) + 5 * WRITE_BLOCK * SLOT
+
+
 class TestMainSimulate:
     def test_writes_trajectory(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -841,6 +904,26 @@ class TestMainSimulate:
         assert header.startswith("step,node_1,")
         assert header.endswith("node_23")
         assert len(text.strip().split("\n")) == 1 + 480
+
+    def test_leaves_no_configparser_garbage(self, tmp_path):
+        # the building file's parser and its section proxies refer to each
+        # other; a call must leave them to reference counting, not to the
+        # cyclic collector
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--building", f"{DATA}/example_cell.building",
+                             "--weather", f"{DATA}/example_weather.csv",
+                             "--out", str(tmp_path)]) == 0
+            gc.collect()
+            # a parser, a section proxy or a converter map, or a method of one
+            left = [type(getattr(obj, "__self__", obj)).__name__ for obj in gc.garbage
+                    if type(getattr(obj, "__self__", obj)).__module__ == configparser.__name__]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
 
     @pytest.mark.parametrize("block,days,last", [
         pytest.param(None, 43, 34, id="None-43"),
