@@ -415,13 +415,12 @@ def _binade_decades():
     indexes from the end), the e of 2^(b - 1), and the double of _DECADES
     inside the binade, from which on e is one more, or inf where it holds
     none."""
+    decades = _DECADES.tolist()
     low = np.zeros(64, np.int64)
     up = np.full(64, np.inf)
     for b in range(-13, 51):
-        low[b] = np.searchsorted(_DECADES, 2.0 ** (b - 1), side="right") - 5
-        decade = _DECADES[min(low[b] + 5, _DECADES.size - 1)]
-        if 2.0 ** (b - 1) < decade < 2.0 ** b:
-            up[b] = decade
+        low[b] = sum(d <= 2.0 ** (b - 1) for d in decades) - 5
+        up[b] = next((d for d in decades if 2.0 ** (b - 1) < d < 2.0 ** b), np.inf)
     return low, up
 
 
