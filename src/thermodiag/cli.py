@@ -662,10 +662,16 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ObjectiveOverflow as exc:
-        # the measured air series, or verify's pseudo-measurements, which
-        # only noise or a weather file takes that far from the model
-        source = (args.measurements if "measurements" in args else
-                  f"--noise-sd {args.noise_sd!r}" if args.noise_sd else args.weather)
+        # a simulated series that overflows on its own comes from the
+        # weather file; else the measured air series, or verify's
+        # pseudo-measurements, which only noise or the weather takes that
+        # far from the model
+        if exc.simulated:
+            source = args.weather
+        elif "measurements" in args:
+            source = args.measurements
+        else:
+            source = f"--noise-sd {args.noise_sd!r}" if args.noise_sd else args.weather
         print(f"error: {source}: {exc}", file=sys.stderr)
         return 2
     except (ParseError, ValueError, OSError) as exc:

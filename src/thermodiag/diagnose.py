@@ -43,35 +43,46 @@ __all__ = [
 
 
 class ObjectiveOverflow(ValueError):
-    """J does not fit a double, though every residual is finite."""
+    """J does not fit a double, though every residual is finite.
+
+    ``simulated`` tells whether the simulated series' own sum of squares
+    overflows as well, which points at the model's inputs (the weather)
+    rather than at the measured series.
+    """
+
+    def __init__(self, simulated: bool):
+        super().__init__("J, the sum of squared air residuals, overflows a double")
+        self.simulated = simulated
+
+
+def _residuals(sim_air, meas_air, least: int, too_few: str) -> tuple[np.ndarray, np.ndarray]:
+    """The simulated series and measured minus simulated, as float arrays;
+    the two series must have one shape and at least ``least`` samples."""
+    sim_air = np.asarray(sim_air, dtype=float)
+    meas_air = np.asarray(meas_air, dtype=float)
+    if sim_air.shape != meas_air.shape:
+        raise ValueError(f"series lengths differ: {sim_air.shape} vs {meas_air.shape}")
+    if sim_air.size < least:
+        raise ValueError(too_few)
+    return sim_air, meas_air - sim_air
 
 
 def objective(sim_air: np.ndarray, meas_air: np.ndarray) -> float:
     """Sum of squared residuals (measured minus simulated), in °C²; raise
     :class:`ObjectiveOverflow` where it overflows."""
-    sim_air = np.asarray(sim_air, dtype=float)
-    meas_air = np.asarray(meas_air, dtype=float)
-    if sim_air.shape != meas_air.shape:
-        raise ValueError(f"series lengths differ: {sim_air.shape} vs {meas_air.shape}")
-    if sim_air.size < 1:
-        raise ValueError("objective needs at least one sample")
     with np.errstate(over="ignore"):
-        residuals = meas_air - sim_air
+        sim_air, residuals = _residuals(sim_air, meas_air, 1,
+                                        "objective needs at least one sample")
         J = float(residuals @ residuals)
-    if J == np.inf:
-        raise ObjectiveOverflow("J, the sum of squared air residuals, overflows a double")
+        if J == np.inf:
+            raise ObjectiveOverflow(simulated=float(sim_air @ sim_air) == np.inf)
     return J
 
 
 def residual_stats(sim_air: np.ndarray, meas_air: np.ndarray) -> tuple[float, float]:
     """Mean and sample standard deviation (N-1) of measured minus simulated."""
-    sim_air = np.asarray(sim_air, dtype=float)
-    meas_air = np.asarray(meas_air, dtype=float)
-    if sim_air.shape != meas_air.shape:
-        raise ValueError(f"series lengths differ: {sim_air.shape} vs {meas_air.shape}")
-    if sim_air.size < 2:
-        raise ValueError("residual statistics need at least two samples")
-    residuals = meas_air - sim_air
+    _, residuals = _residuals(sim_air, meas_air, 2,
+                              "residual statistics need at least two samples")
     return float(np.mean(residuals)), float(np.std(residuals, ddof=1))
 
 

@@ -20,10 +20,8 @@ draws the first pair's three, then each pair draws its cut if crossing and,
 in one call, its two mutation blocks and the next pair's three uniforms.  A
 uniform is the same drawn alone or in a block, so the stream is unchanged.
 All children are then selected, spliced, flipped and masked at once on one
-(population x L) array; the one-row operators :func:`select_roulette`,
-:func:`crossover` and :func:`mutate` call the same helpers, so each pick
-rule and each bit rule is written once.  Objective evaluations draw
-nothing, so the stream does not depend on the evaluator.
+(population x L) array.  Objective evaluations draw nothing, so the stream
+does not depend on the evaluator.
 """
 
 from __future__ import annotations
@@ -44,9 +42,6 @@ __all__ = [
     "encode",
     "fitness",
     "rank",
-    "select_roulette",
-    "crossover",
-    "mutate",
     "evolve",
     "run_ga",
 ]
@@ -191,32 +186,6 @@ def _flip(bits: np.ndarray, draws: np.ndarray, mutation_probability: float,
 
 def _bits(chromosomes) -> np.ndarray:
     return np.array(chromosomes, dtype=np.uint8)
-
-
-def select_roulette(population: Sequence[ScoredIndividual],
-                    rng: np.random.Generator) -> ScoredIndividual:
-    """Fitness-proportionate selection; consumes exactly one draw."""
-    if not population:
-        raise GAError("cannot select from an empty population")
-    return population[_spin(_wheel(population), rng.random())]
-
-
-def crossover(p1: Chromosome, p2: Chromosome, crossover_probability: float,
-              rng: np.random.Generator) -> tuple[Chromosome, Chromosome]:
-    """Single-point crossover with the given probability, else plain copies."""
-    if len(p1) != len(p2):
-        raise GAError("parents must have equal length")
-    cut = _cut(len(p1), crossover_probability, rng.random(), rng)
-    c1, c2 = _splice(_bits([p1, p2]), cut).tolist()
-    return tuple(c1), tuple(c2)
-
-
-def mutate(chromosome: Chromosome, mutation_probability: float,
-           rng: np.random.Generator, mask: Sequence) -> Chromosome:
-    """Flip each maskable bit independently; masked loci stay 0."""
-    draws = rng.random(len(chromosome))  # masked loci draw too
-    return tuple(_flip(_bits(chromosome), draws, mutation_probability,
-                       _bits(mask)).tolist())
 
 
 class _Generation(list):

@@ -40,7 +40,6 @@ __all__ = [
     "layer_stack_to_rc",
     "build_mesh",
     "assemble",
-    "single_node_matrices",
 ]
 
 ORIENTATIONS = ("N", "S", "E", "W", "horizontal-up", "horizontal-down")
@@ -291,9 +290,6 @@ class StateMatrices:
     def n_nodes(self) -> int:
         return self.capacity.shape[0]
 
-    def channel_index(self, channel: str) -> int:
-        return INPUT_CHANNELS.index(channel)
-
 
 def _stack_totals(layers, area: float) -> tuple[float, float]:
     """Total resistance (K/W) and total capacity (J/K) of a layer stack; a
@@ -456,22 +452,6 @@ def assemble(model: NodalModel, desc: BuildingDescription) -> StateMatrices:
 
     return StateMatrices(
         capacity=model.capacities.copy(),
-        exchange=exchange,
-        input_coupling=coupling,
-    )
-
-
-def single_node_matrices(capacity: float, conductance_to_ambient: float) -> StateMatrices:
-    """One capacity coupled to the ambient temperature channel.
-
-    Handy as the minimal mesh for solver checks: the analytic response to a
-    boundary step is a single exponential with time constant C/K.
-    """
-    exchange = np.array([[-conductance_to_ambient]])
-    coupling = np.zeros((1, len(INPUT_CHANNELS)))
-    coupling[0, INPUT_CHANNELS.index("T_ae")] = conductance_to_ambient
-    return StateMatrices(
-        capacity=np.array([capacity], dtype=float),
         exchange=exchange,
         input_coupling=coupling,
     )

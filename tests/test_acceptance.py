@@ -19,13 +19,14 @@ from thermodiag.diagnose import (
 from thermodiag.ga import (
     GAConfig,
     ScoredIndividual,
+    _flip,
+    _spin,
+    _wheel,
     encode,
     fitness,
-    mutate,
     run_ga,
-    select_roulette,
 )
-from thermodiag.model import assemble, build_mesh, single_node_matrices
+from thermodiag.model import assemble, build_mesh
 from thermodiag.simulate import WeatherSeries, simulate
 from thermodiag.testcell import (
     default_measured_nodes,
@@ -39,6 +40,8 @@ from thermodiag.verify import (
     inject_defect,
     run_case,
 )
+
+from helpers import single_node_matrices
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +189,7 @@ def test_ga_operator_statistical_properties():
     total = sum(ind.f for ind in scored)
     rng = np.random.default_rng(123)
     n_draws = 10_000
-    counts = [0, 0, 0, 0]
-    for _ in range(n_draws):
-        counts[select_roulette(scored, rng).chromosome[0]] += 1
+    counts = np.bincount(_spin(_wheel(scored), rng.random(n_draws)), minlength=4)
     worst_gap = max(abs(c / n_draws - ind.f / total)
                     for c, ind in zip(counts, scored))
     assert worst_gap < 0.02
@@ -197,8 +198,9 @@ def test_ga_operator_statistical_properties():
     length, p_m, trials = 22, 0.03, 10_000
     mask = (1,) * length
     rng = np.random.default_rng(7)
-    zero = (0,) * length
-    flips = sum(sum(mutate(zero, p_m, rng, mask)) for _ in range(trials))
+    zero = np.zeros((trials, length), dtype=np.uint8)
+    draws = rng.random((trials, length))
+    flips = int(_flip(zero, draws, p_m, np.array(mask, dtype=np.uint8)).sum())
     mean = trials * length * p_m
     sigma = math.sqrt(trials * length * p_m * (1.0 - p_m))
     assert abs(flips - mean) < 3.0 * sigma

@@ -1433,6 +1433,25 @@ class TestObjectiveOverflow:
         assert err == f"error: {huge_air}: J, the sum of squared air residuals, overflows a double\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["diagnose", "stats", "verify --noise-sd 0.1"])
+    def test_weather_file_named(self, tmp_path, capsys, command):
+        # the simulated air series reaches about 8e198 °C, whose own squares
+        # overflow, while the measured air series' squares sum to about 3e5
+        # and the noise is small
+        with open(f"{DATA}/example_weather.csv", encoding="utf-8") as fh:
+            huge = write_tmp(tmp_path, "huge.csv", edit_record(fh.read(), 5, 1, "1e200"))
+        argv = [*command.split(), "--building", f"{DATA}/example_cell.building",
+                "--weather", huge]
+        if command != "stats":
+            argv += ["--generations", "3", "--out", str(tmp_path / "o")]
+        if not command.startswith("verify"):
+            argv += ["--measurements", f"{DATA}/example_measurements.csv"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {huge}: J, the sum of squared air residuals, overflows a double\n"
+        assert not (tmp_path / "o").exists()
+
     def test_noise_sd_named(self, tmp_path, capsys):
         rc = main(["verify", "--noise-sd", "1e200", "--generations", "3",
                    "--out", str(tmp_path / "o")])

@@ -8,6 +8,7 @@ import pytest
 
 from thermodiag.diagnose import (
     ChromosomeEvaluator,
+    ObjectiveOverflow,
     air_comparison_csv,
     exhaustive_search,
     format_report,
@@ -57,12 +58,22 @@ class TestObjective:
         assert objective(sim, meas) == pytest.approx(9.0)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="series lengths differ"):
             objective(np.zeros(3), np.zeros(4))
 
     def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="objective needs at least one sample"):
             objective(np.zeros(0), np.zeros(0))
+
+    @pytest.mark.parametrize("sim, meas, simulated", [
+        ([1e160, 0.0], [0.0, 0.0], True),
+        ([0.0, 0.0], [1e160, 0.0], False),
+        ([1e160, 0.0], [-1e160, 0.0], True),
+    ])
+    def test_overflow_says_whether_the_simulated_series_overflows(self, sim, meas, simulated):
+        with pytest.raises(ObjectiveOverflow, match="overflows a double") as info:
+            objective(np.array(sim), np.array(meas))
+        assert info.value.simulated is simulated
 
 
 class TestResidualStats:
@@ -78,8 +89,12 @@ class TestResidualStats:
         assert residual_stats(series, series.copy()) == (0.0, 0.0)
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="residual statistics need at least two samples"):
             residual_stats(np.zeros(1), np.zeros(1))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="series lengths differ"):
+            residual_stats(np.zeros(3), np.zeros(4))
 
 
 SHORT_GA = GAConfig(population_size=4, crossover_probability=0.8,

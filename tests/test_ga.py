@@ -1,6 +1,8 @@
 """Genetic operators, generation loop, reproducibility."""
 
+import bisect
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -12,14 +14,16 @@ from thermodiag.ga import (
     GAConfig,
     GAError,
     ScoredIndividual,
-    crossover,
+    _cut,
+    _flip,
+    _spin,
+    _splice,
+    _wheel,
     decode,
     encode,
     evolve,
     fitness,
-    mutate,
     run_ga,
-    select_roulette,
 )
 
 L = 22
@@ -101,17 +105,18 @@ class TestFitness:
             fitness(-1e-9)
 
 
-class TestRoulette:
-    def test_empty_population_rejected(self):
-        with pytest.raises(GAError):
-            select_roulette([], np.random.default_rng(0))
+def spin(population, u):
+    """The array roulette over ``population`` at uniforms ``u``."""
+    return _spin(_wheel(population), u)
 
+
+class TestRoulette:
     def test_wheel_without_total_rejected(self):
         # every J overflowed to inf, so every fitness is 0
         pop = [ScoredIndividual((1,), math.inf, fitness(math.inf)),
                ScoredIndividual((0,), math.inf, fitness(math.inf))]
         with pytest.raises(GAError, match="no total"):
-            select_roulette(pop, np.random.default_rng(0))
+            spin(pop, np.random.default_rng(0).random())
         with pytest.raises(GAError, match="no total"):
             run_ga(config(), lambda chromosomes: [math.inf] * len(chromosomes), FULL_MASK)
 
@@ -122,32 +127,30 @@ class TestRoulette:
             ScoredIndividual((0,), 1e12, 1e-12),
         ]
         rng = np.random.default_rng(0)
-        assert all(select_roulette(pop, rng) is pop[0] for _ in range(200))
+        assert (spin(pop, rng.random(200)) == 0).all()
 
     def test_three_to_one_frequencies(self):
         pop = [ScoredIndividual((1,), 0.0, 3.0), ScoredIndividual((0,), 0.0, 1.0)]
         rng = np.random.default_rng(123)
         n = 10_000
-        hits = sum(select_roulette(pop, rng) is pop[0] for _ in range(n))
+        hits = int((spin(pop, rng.random(n)) == 0).sum())
         assert abs(hits / n - 0.75) < 0.02
 
     def test_uniform_fitness_is_uniform_selection(self):
         pop = [ScoredIndividual((i,), 1.0, 0.5) for i in range(4)]
         rng = np.random.default_rng(77)
         n = 10_000
-        counts = [0, 0, 0, 0]
-        for _ in range(n):
-            counts[select_roulette(pop, rng).chromosome[0]] += 1
+        counts = np.bincount(spin(pop, rng.random(n)), minlength=4)
         for c in counts:
             assert abs(c / n - 0.25) < 0.02
 
-    def test_consumes_exactly_one_draw(self):
-        pop = [ScoredIndividual((1,), 0.0, 1.0), ScoredIndividual((0,), 1.0, 0.5)]
-        rng = np.random.default_rng(9)
-        select_roulette(pop, rng)
-        reference = np.random.default_rng(9)
-        reference.random()
-        assert rng.random() == reference.random()
+
+def cross(p1, p2, crossover_probability, rng):
+    """One pair through the array operators: the decision, the cut if
+    crossing, and the splice; returns the two children and the cut."""
+    cut = _cut(len(p1), crossover_probability, rng.random(), rng)
+    c1, c2 = _splice(np.array([p1, p2], dtype=np.uint8), cut).tolist()
+    return tuple(c1), tuple(c2), cut
 
 
 class TestCrossover:
@@ -155,13 +158,13 @@ class TestCrossover:
         p1, p2 = (1,) * L, (0,) * L
         rng = np.random.default_rng(0)
         for _ in range(20):
-            c1, c2 = crossover(p1, p2, 0.0, rng)
+            c1, c2, _ = cross(p1, p2, 0.0, rng)
             assert c1 == p1 and c2 == p2
 
     def test_single_point_cut_structure(self):
         p1, p2 = (1,) * L, (0,) * L
         rng = np.random.default_rng(4)
-        c1, c2 = crossover(p1, p2, 1.0, rng)
+        c1, c2, _ = cross(p1, p2, 1.0, rng)
         # replay the stream: one decision draw, then the cut
         replay = np.random.default_rng(4)
         replay.random()
@@ -174,57 +177,57 @@ class TestCrossover:
         p = tuple(np.random.default_rng(1).integers(0, 2, L))
         rng = np.random.default_rng(2)
         for _ in range(10):
-            c1, c2 = crossover(p, p, 1.0, rng)
+            c1, c2, _ = cross(p, p, 1.0, rng)
             assert c1 == p and c2 == p
 
     def test_bit_multiset_preserved_per_locus_pair(self):
+        # 100 pairs spliced at once, as a generation splices them
         rng = np.random.default_rng(8)
-        for _ in range(100):
-            p1 = tuple(rng.integers(0, 2, L))
-            p2 = tuple(rng.integers(0, 2, L))
-            c1, c2 = crossover(p1, p2, 0.8, rng)
-            for k in range(L):
-                assert sorted((c1[k], c2[k])) == sorted((p1[k], p2[k]))
+        parents = rng.integers(0, 2, (100, 2, L)).astype(np.uint8)
+        cuts = [_cut(L, 0.8, rng.random(), rng) for _ in range(100)]
+        children = _splice(parents, np.array(cuts))
+        assert (np.sort(children, axis=1) == np.sort(parents, axis=1)).all()
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(GAError):
-            crossover((0, 1), (0, 1, 1), 0.5, np.random.default_rng(0))
+
+def flip(bits, mutation_probability, rng, mask):
+    """Rows of bits through the array mutation, one block of draws a row."""
+    bits = np.array(bits, dtype=np.uint8)
+    return _flip(bits, rng.random(bits.shape), mutation_probability,
+                 np.array(mask, dtype=np.uint8))
 
 
 class TestMutate:
     def test_probability_zero_is_identity(self):
-        bits = tuple(np.random.default_rng(3).integers(0, 2, L))
-        assert mutate(bits, 0.0, np.random.default_rng(0), FULL_MASK) == bits
+        bits = np.random.default_rng(3).integers(0, 2, L)
+        assert (flip(bits, 0.0, np.random.default_rng(0), FULL_MASK) == bits).all()
 
     def test_probability_one_flips_every_maskable_bit(self):
-        bits = (0,) * L
-        assert mutate(bits, 1.0, np.random.default_rng(0), FULL_MASK) == (1,) * L
+        assert (flip((0,) * L, 1.0, np.random.default_rng(0), FULL_MASK) == 1).all()
 
     def test_masked_loci_always_zero(self):
         mask = tuple(1 if i % 3 == 0 else 0 for i in range(L))
         rng = np.random.default_rng(10)
-        for _ in range(200):
-            out = mutate((1,) * L, 0.5, rng, mask)
-            assert all(b == 0 for b, m in zip(out, mask) if not m)
+        out = flip(np.ones((200, L)), 0.5, rng, mask)
+        assert not out[:, np.array(mask) == 0].any()
 
     def test_flip_count_matches_binomial(self):
         rng = np.random.default_rng(100)
         p, trials = 0.03, 10_000
-        flips = 0
-        zero = (0,) * L
-        for _ in range(trials):
-            flips += sum(mutate(zero, p, rng, FULL_MASK))
+        flips = int(flip(np.zeros((trials, L)), p, rng, FULL_MASK).sum())
         mean = trials * L * p
         sd = math.sqrt(trials * L * p * (1 - p))
         assert abs(flips - mean) < 3 * sd
 
     def test_draw_count_independent_of_mask(self):
-        mask = (1, 0) * (L // 2)
-        rng = np.random.default_rng(6)
-        mutate((0,) * L, 0.5, rng, mask)
-        reference = np.random.default_rng(6)
-        reference.random(L)
-        assert rng.random() == reference.random()
+        # masked loci draw too, so a generation ends at the same stream
+        # position whatever the mask
+        pop = [scored(np.random.default_rng(i).integers(0, 2, L)) for i in range(30)]
+        states = []
+        for mask in ((1, 0) * (L // 2), FULL_MASK):
+            rng = np.random.default_rng(6)
+            evolve(pop, config(), rng, onemax, mask)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
 
 
 class TestEvolve:
@@ -367,16 +370,41 @@ class TestGAConfig:
         assert by_J == by_f
 
 
+def roulette(population, rng):
+    """One spin: the first individual whose running fitness sum passes
+    u times the total, the sums added left to right."""
+    sums = list(itertools.accumulate(ind.f for ind in population))
+    return population[bisect.bisect_right(sums, rng.random() * sums[-1])]
+
+
+def one_point(p1, p2, crossover_probability, rng):
+    """Single-point crossover: a decision uniform, then a cut in [1, L-1]
+    when crossing; a chromosome of one locus is never cut."""
+    if rng.random() < crossover_probability and len(p1) >= 2:
+        cut = int(rng.integers(1, len(p1)))
+        return p1[:cut] + p2[cut:], p2[:cut] + p1[cut:]
+    return p1, p2
+
+
+def bit_flip(chromosome, mutation_probability, rng, mask):
+    """One uniform per locus, masked loci too; a draw below the probability
+    flips its bit, and masked loci stay 0."""
+    draws = rng.random(len(chromosome)).tolist()
+    return tuple((b ^ (u < mutation_probability)) & m
+                 for b, u, m in zip(chromosome, draws, mask))
+
+
 def per_pair_evolve(population, config, rng, evaluator, mask):
-    """Reference generation: each pair's draws and children made one pair at
-    a time by the one-row operators, as the generation was first written."""
+    """Reference generation, independent of the GA module's operators: each
+    pair's draws and children made one pair at a time, as the generation was
+    first written."""
     offspring = []
     while len(offspring) < config.population_size:
-        p1 = select_roulette(population, rng).chromosome
-        p2 = select_roulette(population, rng).chromosome
-        c1, c2 = crossover(p1, p2, config.crossover_probability, rng)
-        offspring.append(mutate(c1, config.mutation_probability, rng, mask))
-        offspring.append(mutate(c2, config.mutation_probability, rng, mask))
+        p1 = roulette(population, rng).chromosome
+        p2 = roulette(population, rng).chromosome
+        c1, c2 = one_point(p1, p2, config.crossover_probability, rng)
+        offspring.append(bit_flip(c1, config.mutation_probability, rng, mask))
+        offspring.append(bit_flip(c2, config.mutation_probability, rng, mask))
     scored = [ScoredIndividual(c, J, fitness(J)) for c, J in zip(offspring, evaluator(offspring))]
     if config.elitism:
         def key(ind):
@@ -457,9 +485,9 @@ class TestArrayGeneration:
 
     @pytest.mark.parametrize("case, digest", zip(STREAM_CASES, STREAM_DIGESTS))
     def test_stream_pinned(self, case, digest):
-        # the one-row operators share the draw helpers with the array
-        # generation, so a change to a draw rule moves both; the digests
-        # pin the stream itself
+        # the reference generation and the array generation could drift
+        # together only by the same change to both; the digests pin the
+        # stream itself
         _, overrides, mask = case
         batches, best, history = recorded_run(stream_config(**overrides), mask)
         text = repr((batches, best.chromosome, best.J, history.best_J,
@@ -492,7 +520,7 @@ class TestArrayGeneration:
 
     def test_one_locus_draws_decision_without_cut(self):
         rng = np.random.default_rng(21)
-        assert crossover((1,), (0,), 1.0, rng) == ((1,), (0,))
+        assert cross((1,), (0,), 1.0, rng) == ((1,), (0,), 1)
         reference = np.random.default_rng(21)
         reference.random()
         assert rng.random() == reference.random()

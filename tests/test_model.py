@@ -234,7 +234,7 @@ class TestAssemble:
         sm = assemble(build_mesh(desc), desc)
         for i in range(sm.n_nodes):
             offdiag = sm.exchange[i].sum() - sm.exchange[i, i]
-            boundary = sum(sm.input_coupling[i, sm.channel_index(ch)]
+            boundary = sum(sm.input_coupling[i, INPUT_CHANNELS.index(ch)]
                            for ch in TEMPERATURE_CHANNELS)
             assert -sm.exchange[i, i] == pytest.approx(offdiag + boundary)
 
@@ -244,7 +244,7 @@ class TestAssemble:
         sm = assemble(model, desc)
         air = model.air_node - 1
         vent = desc.zone.air_specific_heat * desc.zone.ventilation_flow
-        assert sm.input_coupling[air, sm.channel_index("T_ae")] == pytest.approx(vent)
+        assert sm.input_coupling[air, INPUT_CHANNELS.index("T_ae")] == pytest.approx(vent)
         # the compensating loss term sits on the diagonal
         comp = desc.components[0]
         assert -sm.exchange[air, air] == pytest.approx(comp.h_ci * comp.area + vent)
@@ -255,11 +255,11 @@ class TestAssemble:
         sm = assemble(model, desc)
         comp = desc.components[0]
         outside = 0
-        assert sm.input_coupling[outside, sm.channel_index("T_ae")] == pytest.approx(
+        assert sm.input_coupling[outside, INPUT_CHANNELS.index("T_ae")] == pytest.approx(
             comp.h_ce * comp.area)
-        assert sm.input_coupling[outside, sm.channel_index("T_sky")] == pytest.approx(
+        assert sm.input_coupling[outside, INPUT_CHANNELS.index("T_sky")] == pytest.approx(
             comp.h_re * comp.area)
-        assert sm.input_coupling[outside, sm.channel_index("I_N")] == pytest.approx(
+        assert sm.input_coupling[outside, INPUT_CHANNELS.index("I_N")] == pytest.approx(
             comp.absorptivity * comp.area)
 
     def test_mean_radiant_steady_state_is_area_weighted_mean(self):
@@ -286,7 +286,7 @@ class TestAssemble:
         model = build_mesh(desc)
         sm = assemble(model, desc)
         window = desc.component("window")
-        col = sm.channel_index("I_S")  # the window faces south
+        col = INPUT_CHANNELS.index("I_S")  # the window faces south
         total_area = sum(c.area for c in desc.components)
         transmitted = desc.glazing_transmitted_fraction * window.area
         for comp in desc.components:

@@ -22,7 +22,6 @@ from thermodiag.model import (
     StateMatrices,
     assemble,
     build_mesh,
-    single_node_matrices,
 )
 from thermodiag.diagnose import ChromosomeEvaluator
 from thermodiag.ga import encode
@@ -40,6 +39,8 @@ from thermodiag.simulate import (
     simulate,
 )
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
+
+from helpers import single_node_matrices
 
 #: The kernel's module, which the package's ``simulate`` function shadows.
 kernel = importlib.import_module("thermodiag.simulate")
@@ -639,7 +640,7 @@ class TestRandomBuildings:
     @given(desc=small_buildings)
     def test_exchange_and_temperature_couplings_conserve_energy(self, desc):
         sm = assemble(build_mesh(desc), desc)
-        boundary = sum(sm.input_coupling[:, sm.channel_index(ch)] for ch in ("T_ae", "T_sky"))
+        boundary = sum(sm.input_coupling[:, INPUT_CHANNELS.index(ch)] for ch in ("T_ae", "T_sky"))
         row_sums = sm.exchange.sum(axis=1) + boundary
         assert np.all(np.abs(row_sums) <= 1e-12 * np.abs(np.diag(sm.exchange)))
 
