@@ -98,7 +98,7 @@ from .diagnose import (
     residual_stats,
     run_diagnosis,
 )
-from .ga import GAConfig, GAError
+from .ga import MAX_POPULATION_SIZE, GAConfig, GAError
 from .model import (
     INPUT_CHANNELS,
     AirZone,
@@ -579,7 +579,7 @@ def cmd_stats(args) -> int:
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("search parameters")
     g.add_argument("--pop-size", type=int, default=30, metavar="N",
-                   help="population size, even (default 30)")
+                   help=f"population size, even, 2..{MAX_POPULATION_SIZE} (default 30)")
     g.add_argument("--pc", type=float, default=0.8, metavar="P",
                    help="crossover probability (default 0.8)")
     g.add_argument("--pm", type=float, default=0.03, metavar="P",

@@ -164,9 +164,14 @@ class ChromosomeEvaluator:
 
     def __call__(self, chromosomes) -> list[float]:
         # a cached tuple is its own key: tuples of 0/1 ints, bools or numpy
-        # integers hash and compare like the int key, so only misses are
-        # normalised and checked
+        # integers hash and compare like the int key.  A fully cached call
+        # returns the cached float objects themselves (ga._score relies on
+        # it); otherwise only misses are normalised and checked
         cache = self._cache
+        try:
+            return [cache[c] for c in chromosomes]
+        except (KeyError, TypeError):  # a miss, or an unhashable chromosome
+            pass
         keys = [c if type(c) is tuple and c in cache else self._key(c) for c in chromosomes]
         todo = list(dict.fromkeys(k for k in keys if k not in cache))
         for start in range(0, len(todo), MAX_BATCH):

@@ -11,15 +11,16 @@ less than the node count.  Loci of nodes without a measurement are kept at
 zero by a mask, given to :func:`run_ga`, rather than by shortening the
 string.
 
-Reproducibility: every stochastic draw comes from one sequential generator,
-consumed in a fixed order per pair of children: one uniform for each of the
-two roulette spins, one for the crossover decision, one bounded integer for
-the cut point if crossing, then one block of L uniforms per child for
-mutation.  A generation keeps this order but groups the uniforms: one call
-draws the first pair's three, then each pair draws its cut if crossing and,
-in one call, its two mutation blocks and the next pair's three uniforms.  A
-uniform is the same drawn alone or in a block, so the stream is unchanged.
-All children are then selected, spliced, flipped and masked at once on one
+Reproducibility: every stochastic draw comes from one sequential generator.
+The initial population is one (population x L) block of uniforms, a bit
+set where its uniform is below 0.5.  Each generation is then one
+(pairs x (4 + 2L)) block: a row holds a pair's two roulette spins, its
+crossover decision, its cut uniform u, and one block of L mutation
+uniforms per child.  A pair whose decision is below the crossover
+probability, with L >= 2, is cut at 1 + floor(u*(L-1)); any other pair is
+cut at L, a plain copy.  Every column is drawn whether or not it is used,
+so the stream position depends only on the population size and L.  All
+children are selected, spliced, flipped and masked at once on one
 (population x L) array.  Objective evaluations draw nothing, so the stream
 does not depend on the evaluator.
 """
@@ -54,6 +55,12 @@ Evaluator = Callable[[list], Sequence[float]]  # chromosomes -> their J values
 STAGNATION_EPS = 1e-12
 STAGNATION_WINDOW = 50
 
+#: Largest population a config accepts.  A generation draws one
+#: (population/2 x (4 + 2L)) block of doubles: 83 MB at this size and
+#: L = 1040, the chromosome of the bundled cell at the most internal nodes
+#: a building file may ask for.
+MAX_POPULATION_SIZE = 10_000
+
 
 class GAError(Exception):
     """Evaluator failure or invalid GA state."""
@@ -71,8 +78,8 @@ class GAConfig:
     elitism: bool = True
 
     def __post_init__(self):
-        if self.population_size < 2 or self.population_size % 2:
-            raise ValueError("population_size must be even and >= 2")
+        if not 2 <= self.population_size <= MAX_POPULATION_SIZE or self.population_size % 2:
+            raise ValueError(f"population_size must be even and in 2..{MAX_POPULATION_SIZE}")
         if not 0.0 <= self.crossover_probability <= 1.0:
             raise ValueError("crossover_probability outside [0, 1]")
         if not 0.0 <= self.mutation_probability <= 1.0:
@@ -160,15 +167,12 @@ def _spin(wheel: np.ndarray, u):
     return np.searchsorted(wheel, u * wheel[-1], side="right")
 
 
-def _cut(length: int, crossover_probability: float, u, rng: np.random.Generator) -> int:
-    """Crossing point in [1, L-1], or L for plain copies.
-
-    ``u`` is the drawn decision uniform; the cut is drawn only when
-    crossing, and a chromosome of one locus is never cut.
-    """
-    if u < crossover_probability and length >= 2:
-        return int(rng.integers(1, length))
-    return length
+def _cut(length: int, crossover_probability: float, decision, u):
+    """Crossing point in [1, L-1] of each pair whose decision uniform is below
+    the probability, or L for plain copies; the cut uniform ``u`` in [0, 1)
+    picks the point, and a chromosome of one locus is never cut."""
+    crossing = (decision < crossover_probability) & (length >= 2)
+    return np.where(crossing, 1 + np.floor(u * (length - 1)).astype(np.intp), length)
 
 
 def _splice(parents: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -232,33 +236,22 @@ def evolve(population: Sequence[ScoredIndividual], config: GAConfig,
            mask: Sequence) -> list[ScoredIndividual]:
     """Produce and score the next generation; loci where ``mask`` is 0 stay 0.
 
-    Each pair's draws are made in stream order (two roulette spins on one
-    wheel per generation, the crossover decision and cut, two mutation
-    blocks), grouped as the module docstring describes; then every pair's
-    parents are picked, spliced, flipped and masked at once.  With elitism
-    the best parent replaces the worst child, which makes the best J
-    non-increasing between generations.
+    One block of uniforms holds the generation's draws, laid out as the
+    module docstring describes; every pair's parents are then picked,
+    spliced, flipped and masked at once.  With elitism the best parent
+    replaces the worst child, which makes the best J non-increasing between
+    generations.
     """
     length = len(mask)
     pairs = config.population_size // 2
-    # row i: pair i's two spins and crossover decision, then its two
-    # mutation blocks; one call fills a pair's blocks and the next row's
-    # three uniforms, and the slice stops short of them for the last pair
-    stride = 3 + 2 * length
-    draws = np.empty((pairs, stride))
-    flat = draws.reshape(-1)
-    rng.random(out=flat[:3])
-    cuts = []
-    for i in range(pairs):
-        cuts.append(_cut(length, config.crossover_probability, flat[i * stride + 2], rng))
-        rng.random(out=flat[i * stride + 3:(i + 1) * stride + 3])
+    draws = rng.random((pairs, 4 + 2 * length))
     parents = _spin(_wheel(population), draws[:, :2])
     bits = getattr(population, "bits", None)
     if bits is None:
         bits = _bits([ind.chromosome for ind in population])
     known = getattr(population, "known", {})
-    children = _flip(_splice(bits[parents], np.array(cuts)),
-                     draws[:, 3:].reshape(pairs, 2, length),
+    cuts = _cut(length, config.crossover_probability, draws[:, 2], draws[:, 3])
+    children = _flip(_splice(bits[parents], cuts), draws[:, 4:].reshape(pairs, 2, length),
                      config.mutation_probability, _bits(mask)).reshape(-1, length)
     scored = _score([tuple(c) for c in children.tolist()], evaluator, known)
     if config.elitism:
@@ -284,8 +277,7 @@ def run_ga(config: GAConfig, evaluator: Evaluator,
         raise ValueError("mask must be a non-empty 0/1 sequence")
     rng = np.random.default_rng(config.rng_seed)
 
-    initial = _bits([rng.integers(0, 2, size=len(mask))
-                     for _ in range(config.population_size)]) & _bits(mask)
+    initial = (rng.random((config.population_size, len(mask))) < 0.5) & _bits(mask)
     known: dict = {}
     population = _Generation(_score([tuple(c) for c in initial.tolist()], evaluator, known),
                              initial, known)

@@ -1397,6 +1397,9 @@ class TestFlagsCheckedBeforeMarch:
         ("--pc", "2", "crossover_probability"),
         ("--pm", "-0.1", "mutation_probability"),
         ("--pop-size", "31", "population_size"),
+        # one (population/2 x (4 + 2L)) draw block a generation: capped
+        ("--pop-size", "10002", "population_size"),
+        ("--pop-size", "1000000000", "population_size"),
         ("--generations", "0", "max_generations"),
         ("--seed", "-1", "rng_seed"),
     ])

@@ -198,6 +198,53 @@ class TestChromosomeEvaluator:
             with pytest.raises(ValueError, match="length"):
                 ev([*forms[1], tuple(np.uint8(b) for b in ints[1] + (0,))])
 
+    def test_fully_cached_call_is_one_lookup_pass(self, cell, monkeypatch):
+        # the cached float objects themselves come back, nothing is marched,
+        # and no chromosome is normalised
+        import thermodiag.diagnose as diagnose
+
+        _, model, sm, weather, _, pseudo = cell
+        ev = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
+        ints = [encode(nodes, 22) for nodes in ((), (3,), (3, 16))]
+        first = ev(ints)
+        marches, keyed = [], []
+        monkeypatch.setattr(diagnose, "simulate", lambda *args, **kwargs: marches.append(args))
+        key = ev._key
+        monkeypatch.setattr(ev, "_key", lambda c: keyed.append(c) or key(c))
+        for form in (ints, [tuple(bool(b) for b in c) for c in ints],
+                     [tuple(np.int64(b) for b in c) for c in ints]):
+            again = ev([*form, form[0]])
+            assert all(a is b for a, b in zip(again, [*first, first[0]], strict=True))
+        assert marches == [] and keyed == []
+        # a list is not hashable and a wrong-length tuple misses: both are
+        # normalised and checked, as on a partly cached call
+        assert ev([list(ints[1])])[0] is first[1]
+        with pytest.raises(ValueError, match="length"):
+            ev([*ints, (0, 1)])
+        with pytest.raises(ValueError, match="length"):
+            ev([*ints, list(ints[0]) + [0]])
+        assert keyed[0] == list(ints[1]) and (0, 1) in keyed and marches == []
+
+    def test_partly_cached_call_marches_only_its_misses_at_once(self, cell, monkeypatch):
+        import thermodiag.diagnose as diagnose
+
+        _, model, sm, weather, _, pseudo = cell
+        ev = ChromosomeEvaluator(sm, weather, pseudo, model.air_node)
+        cached = [encode(nodes, 22) for nodes in ((), (3,))]
+        first = ev(cached)
+        marched = []
+
+        def counted(sm, weather, forcings, *args, **kwargs):
+            marched.append(list(forcings))
+            return simulate(sm, weather, forcings, *args, **kwargs)
+
+        monkeypatch.setattr(diagnose, "simulate", counted)
+        misses = [encode(nodes, 22) for nodes in ((14,), (19, 20))]
+        scores = ev([cached[0], misses[0], cached[1], misses[1], misses[0]])
+        assert marched == [[{14}, {19, 20}]]
+        assert scores[0] is first[0] and scores[2] is first[1]
+        assert scores[1] is scores[4]
+
     def test_air_node_bit_rejected_among_cached(self, cell):
         _, _, sm, weather, _, pseudo = cell
         ev = ChromosomeEvaluator(sm, weather, pseudo, air_node=3)

@@ -146,9 +146,10 @@ class TestRoulette:
 
 
 def cross(p1, p2, crossover_probability, rng):
-    """One pair through the array operators: the decision, the cut if
-    crossing, and the splice; returns the two children and the cut."""
-    cut = _cut(len(p1), crossover_probability, rng.random(), rng)
+    """One pair through the array operators: the decision and cut uniforms,
+    both drawn whether crossing or not, and the splice; returns the two
+    children and the cut."""
+    cut = _cut(len(p1), crossover_probability, rng.random(), rng.random())
     c1, c2 = _splice(np.array([p1, p2], dtype=np.uint8), cut).tolist()
     return tuple(c1), tuple(c2), cut
 
@@ -165,10 +166,10 @@ class TestCrossover:
         p1, p2 = (1,) * L, (0,) * L
         rng = np.random.default_rng(4)
         c1, c2, _ = cross(p1, p2, 1.0, rng)
-        # replay the stream: one decision draw, then the cut
+        # replay the stream: the decision uniform, then the cut uniform
         replay = np.random.default_rng(4)
         replay.random()
-        cut = int(replay.integers(1, L))
+        cut = 1 + math.floor(replay.random() * (L - 1))
         assert c1 == p1[:cut] + p2[cut:]
         assert c2 == p2[:cut] + p1[cut:]
         assert 1 <= cut <= L - 1
@@ -184,9 +185,27 @@ class TestCrossover:
         # 100 pairs spliced at once, as a generation splices them
         rng = np.random.default_rng(8)
         parents = rng.integers(0, 2, (100, 2, L)).astype(np.uint8)
-        cuts = [_cut(L, 0.8, rng.random(), rng) for _ in range(100)]
-        children = _splice(parents, np.array(cuts))
+        cuts = _cut(L, 0.8, rng.random(100), rng.random(100))
+        children = _splice(parents, cuts)
         assert (np.sort(children, axis=1) == np.sort(parents, axis=1)).all()
+
+    @pytest.mark.parametrize("length", [2, 3, 22, 33])
+    def test_every_crossing_cut_inside_the_chromosome(self, length):
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)],
+                            np.random.default_rng(length).random(1000)])
+        cuts = _cut(length, 1.0, np.zeros_like(u), u)
+        assert cuts.min() == 1 and cuts.max() == length - 1
+        assert cuts[1] == length - 1
+
+    def test_cut_frequencies_uniform(self):
+        # each cut of [1, L-1] within 0.01 of 1/21 (about 4.7 binomial sds)
+        rng = np.random.default_rng(31)
+        n = 10_000
+        cuts = _cut(L, 1.0, rng.random(n), rng.random(n))
+        counts = np.bincount(cuts, minlength=L + 1)
+        assert counts[0] == counts[L] == 0
+        for c in counts[1:L]:
+            assert abs(c / n - 1 / (L - 1)) < 0.01
 
 
 def flip(bits, mutation_probability, rng, mask):
@@ -378,10 +397,12 @@ def roulette(population, rng):
 
 
 def one_point(p1, p2, crossover_probability, rng):
-    """Single-point crossover: a decision uniform, then a cut in [1, L-1]
-    when crossing; a chromosome of one locus is never cut."""
-    if rng.random() < crossover_probability and len(p1) >= 2:
-        cut = int(rng.integers(1, len(p1)))
+    """Single-point crossover: a decision uniform and a cut uniform u, both
+    always drawn; when crossing, the cut is 1 + floor(u*(L-1)) in [1, L-1].
+    A chromosome of one locus is never cut."""
+    decision, u = rng.random(), rng.random()
+    if decision < crossover_probability and len(p1) >= 2:
+        cut = 1 + math.floor(u * (len(p1) - 1))
         return p1[:cut] + p2[cut:], p2[:cut] + p1[cut:]
     return p1, p2
 
@@ -396,8 +417,9 @@ def bit_flip(chromosome, mutation_probability, rng, mask):
 
 def per_pair_evolve(population, config, rng, evaluator, mask):
     """Reference generation, independent of the GA module's operators: each
-    pair's draws and children made one pair at a time, as the generation was
-    first written."""
+    pair's draws and children made one pair at a time, in the order of the
+    block's row: two spins, the crossover decision and cut, and two mutation
+    blocks."""
     offspring = []
     while len(offspring) < config.population_size:
         p1 = roulette(population, rng).chromosome
@@ -436,7 +458,7 @@ def recorded_run(cfg, mask):
 
 #: (chromosome length, config overrides, mask): both crossover extremes, no
 #: and heavy mutation, no elitism, masks with zeros, and one locus, where the
-#: crossover decision is drawn but no cut
+#: crossover decision and cut uniforms are drawn but nothing is cut
 STREAM_CASES = [
     (22, dict(rng_seed=0), (1,) * 22),
     (22, dict(rng_seed=1, crossover_probability=1.0, mutation_probability=0.2,
@@ -446,13 +468,13 @@ STREAM_CASES = [
 ]
 
 #: sha256 of repr((batches, best chromosome, best J, best_J, mean_fitness,
-#: best_individual)) of each STREAM_CASES run, as the per-pair generation
-#: gave them
+#: best_individual)) of each STREAM_CASES run, as the per-pair reference
+#: generation gives them
 STREAM_DIGESTS = [
-    "b409ad439ff73a429fe8bdc0da3a3a195931272e64d6a94a14e0a41c06cbd53d",
-    "6bd9b8b07c9e606502a6f77c1fc0320bb885cda9d6a8e9726eea854487c03dbe",
-    "da222817d5fd007cf5d9f6fad3b920704f60783abbb2ed079da71cc7d617dcdd",
-    "ee28d67285cba65f8daac2720a789ab666b5b1343fcc5df53ff71c9443f478aa",
+    "537f30b8296e236936a2dd660406828e61609e7411233961657642bd8bdde8ea",
+    "ac0b647a6ef270efae84b4446805698005b1ec8956d11aaec25ffdb28445f73a",
+    "863702d4057fba24728b5b259df35051aecec8f65758da31ca03dfea97669da5",
+    "96cdbe17b1195c34be20737922fd8189e4819d3f368ff99765adc4b55758a3ba",
 ]
 
 
@@ -461,7 +483,7 @@ def stream_config(**overrides):
 
 
 class TestArrayGeneration:
-    """The array generation makes the per-pair generation's draws, in order."""
+    """The array generation makes the per-pair reference's draws, in order."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("length, overrides, mask", STREAM_CASES + [
@@ -522,13 +544,22 @@ class TestArrayGeneration:
         rng = np.random.default_rng(21)
         assert cross((1,), (0,), 1.0, rng) == ((1,), (0,), 1)
         reference = np.random.default_rng(21)
-        reference.random()
+        reference.random(2)
         assert rng.random() == reference.random()
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            assert _cut(1, 1.0, 0.0, u) == 1
+
+    def test_initial_population_is_one_block(self):
+        cfg = stream_config()
+        mask = (1, 0, 1, 1, 0)
+        batches, _, _ = recorded_run(cfg, mask)
+        rows = np.random.default_rng(cfg.rng_seed).random((cfg.population_size, 5)).tolist()
+        assert batches[0] == [tuple(int(u < 0.5) & m for u, m in zip(row, mask))
+                              for row in rows]
 
     @pytest.mark.parametrize("length, overrides", [
-        # one pair: its mutation blocks are drawn with no next-pair uniforms
         (22, dict(population_size=2)),
-        # one locus: every decision is drawn and crosses, but nothing is cut
+        # one locus: every decision crosses, but nothing is cut
         (1, dict(population_size=4, crossover_probability=1.0)),
         (5, dict(crossover_probability=1.0, mutation_probability=0.2)),
         (22, dict()),
@@ -543,4 +574,8 @@ class TestArrayGeneration:
         rng, reference = np.random.default_rng(7), np.random.default_rng(7)
         children = evolve(population, cfg, rng, weighted, mask)
         assert children == per_pair_evolve(population, cfg, reference, weighted, mask)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        # 4 + 2L uniforms a pair, whatever was crossed
+        reference = np.random.default_rng(7)
+        reference.random(cfg.population_size // 2 * (4 + 2 * length))
         assert rng.bit_generator.state == reference.bit_generator.state

@@ -196,11 +196,12 @@ class TestRunCase:
         assert outcome.report.unforced_J <= CONTROL_J_MAX
 
     def test_control_passes_when_ga_stops_on_round_off(self, setting, pseudo):
-        # with this seed the GA on its own stops on a non-empty set whose J
-        # is round-off above 0 ({3, 14, 20}, J = 1.2e-26); the empty set,
-        # which scores exactly 0, must still be reported
+        # 11 is the smallest GA seed of 0-39 on which the GA on its own
+        # stops on a non-empty set whose J is round-off above 0 ({3, 14, 20},
+        # J = 1.07e-26; 17 and 24 do too); the empty set, which scores
+        # exactly 0, must still be reported
         desc, model, weather, measured = setting
-        config = dataclasses.replace(base_config(), rng_seed=1)
+        config = dataclasses.replace(base_config(), rng_seed=11)
         evaluator = ChromosomeEvaluator(assemble(model, desc), weather, pseudo,
                                         model.air_node)
         ga_best, _ = run_ga(config, evaluator, encode(measured, model.n_nodes - 1))
