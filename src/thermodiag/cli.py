@@ -362,7 +362,7 @@ def parse_measurements(path: str) -> MeasurementSeries:
     """Read a measurement CSV (columns node_<k>) into a validated series."""
     def check_header(columns):
         for column in columns:
-            if not column.startswith("node_") or not column[5:].isdigit():
+            if not column.startswith("node_") or not column[5:].isdecimal():
                 raise ParseError(f"{path}: column {column!r} must be named node_<id>")
         if not columns:
             raise ParseError(f"{path}: no node_<id> columns found")

@@ -21,12 +21,29 @@ where D' is D with the forced rows zeroed and W is the input term with the
 measurements in the forced rows.  The two products are one,
 ``T_next = [G | M^-1] [T_prev; W_next]``.
 
+Forcing also cuts the exchange graph.  The *sub-model* of the rows a
+caller asks for is the unforced nodes joined to an unforced asked row by a
+path of unforced nodes; no other unforced node reaches them, so the asked
+rows are the march of the sub-model C alone, with its forced neighbours F
+as inputs and nothing pinned:
+
+    M_CC T_C,next = C_C/dt T_C,prev + K_C [U_next; T_F,next],   K_C = [B_C | A_CF]
+
+A few boolean products over the batch find every set's sub-model.  One of
+k <= ceil(n/2) nodes is marched on its own, padded to ceil(n/2) rows with
+identity rows whose state stays 0 (so every sub-model of a model has one
+shape); a larger one is marched on the whole network as above, and a set
+whose asked rows are all forced marches nothing.  Both threshold and
+padding come from n alone.
+
 :func:`simulate`, the one routine that advances the model, marches a stack
 of forcing sets together over blocks of BLOCK_STEPS steps, or of
 LONG_BLOCK_STEPS over a horizon of at least LONG_BLOCKS of them: the block
 length depends on the horizon alone, never on the batch.  The sets are
-marched in groups of at most GROUP_SETS sets (a larger batch is split
-evenly and its groups marched one after the other).  Each block is cut into
+marched in groups of at most GROUP_SETS sets of one kind, sub-model or
+whole network (each kind's sets are split evenly in batch order, and the
+groups marched one after the other, in the order of their first set).
+Both kinds take the same block loop.  Each block is cut into
 chunks of CHUNK_STEPS = q steps and marched as a two-level scan of the
 linear recurrence:
 
@@ -48,23 +65,31 @@ inputs, the check and the output are all laid out (set, node, step);
 within a block the step axis is split into (offset into the chunk, chunk),
 so the chunks of one offset sit side by side with unit stride and each
 step of a march is one product over all of them; the inputs, and the
-block's measurements, are gathered once in that order.  Forced rows are
-then overwritten with their measurements bit for bit, and every step's
-residual ``M T - V``, V = W + D T_prev, is checked against RESIDUAL_RTOL
-at once, T_prev being the reported state before it.  A group works in
-preallocated block arrays of GROUP_SETS sets by a block's steps that every
-block and every group reuse, so they do not grow with the batch; each
-group's step matrices are its own, and every group writes into one output
-array.  The last chunk of the horizon is padded with the last input
-record; the padding is marched and checked but neither judged nor kept.
+block's measurements, are gathered once in that order; a sub-model's
+input term is one product of K_C with the block's weather and a series
+row per node.  Pinned forced rows are then overwritten with their
+measurements bit for bit, and every step's residual ``M T - V``,
+V = W + D T_prev, is checked against RESIDUAL_RTOL at once, T_prev being
+the reported state before it; the scale of a sub-model step is its own
+right-hand side, forced-neighbour terms included.  The block arrays are
+preallocated once for the largest group, and every block and every group
+reuse them, so they do not grow with the batch; each group's step matrices
+are its own, and every group writes its rows of one output array.  The
+last chunk of the horizon is padded with the last input record; the
+padding is marched and checked but neither judged nor kept.
 
 What is bit-exact: forced rows reproduce their measurements, a set's
 result is the same alone or in any batch (every array is stacked per set
 and each product runs per set, with shapes that do not depend on the
 batch), and a run is repeatable.  What is not: the march differs from a
 step-by-step solve, and from another chunk length, by round-off (about
-1e-13 degC on the bundled cell).  A run of one set is a batch of one, and
-every caller names the node rows it reads; only those are kept.
+1e-13 degC on the bundled cell), and so does a row's march from one ask
+to another: the sub-model, and so the bits, depend on which rows are
+asked (``rows=None`` asks for all of them, and so marches every unforced
+node).  The evaluator always asks for the air row alone, so its J and the
+air series it holds or marches again agree bit for bit.  A run of one set
+is a batch of one, and every caller names the node rows it reads; only
+those are kept.
 
 All functions are pure; concurrent calls on distinct inputs are safe.  One
 simulation is inherently sequential (each step depends on the previous state).
@@ -102,9 +127,10 @@ LONG_BLOCKS = 16
 #: chunks side by side.
 CHUNK_STEPS = 8
 
-#: Most forcing sets marched together, at either block length; a larger
-#: batch is split evenly into groups of at most this many, so the block
-#: buffers and the step matrices do not grow with the batch.
+#: Most forcing sets marched together, at either block length; the sets of
+#: each kind (sub-model or whole network) are split evenly into groups of at
+#: most this many, so the block buffers and the step matrices do not grow
+#: with the batch.
 GROUP_SETS = 16
 
 
@@ -265,6 +291,46 @@ def _scan_ends(powers, start, ends, buf):
         ends[:, :, s:] += _chain(powers[k], ends[:, :, :c - s], back)
 
 
+def _plan(exchange, forced, asked):
+    """The groups to march the sets ``forced`` in, for the ``asked`` node
+    indices, and the (set, asked row) pairs whose node is forced.
+
+    A set's sub-model is its unforced nodes joined to an unforced asked
+    node by a path of unforced nodes in the exchange graph, grown one
+    product at a time.  A sub-model of at most ceil(n/2) nodes is marched
+    alone; a larger one on the whole network; a set whose asked nodes are
+    all forced is marched in no group.  Each group is the batch indices of
+    at most GROUP_SETS sets of one kind, the kind's sets split evenly in
+    batch order, then for a sub-model group the (set, node index) masks of
+    each set's sub-model and of its forced nodes, and for a whole-network
+    group None and None.  The groups come in the order of their first set.
+    """
+    n = exchange.shape[0]
+    forced_mask = np.zeros((len(forced), n), dtype=bool)
+    forced_mask.ravel()[[p * n + node - 1 for p, nodes in enumerate(forced)
+                         for node in nodes]] = True
+    free = ~forced_mask
+    linked = (exchange != 0.0).astype(float)
+    reach = np.zeros_like(free)
+    reach[:, asked] = True
+    reach &= free
+    count = np.count_nonzero(reach)
+    while True:
+        reach |= (reach @ linked > 0.0) & free
+        count, last = np.count_nonzero(reach), count
+        if count == last:
+            break
+    size = reach.sum(axis=1)
+    half = -(-n // 2)
+    groups = []
+    for sets, sub in ((np.flatnonzero((size > 0) & (size <= half)), True),
+                      (np.flatnonzero(size > half), False)):
+        for group in np.array_split(sets, -(-sets.size // GROUP_SETS)) if sets.size else ():
+            groups.append((group, *((reach[group], forced_mask[group]) if sub else (None, None))))
+    groups.sort(key=lambda g: g[0][0])
+    return groups, np.nonzero(forced_mask[:, asked])
+
+
 def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
              meas: MeasurementSeries | None = None,
              T0: np.ndarray | None = None, rows=None) -> np.ndarray:
@@ -274,16 +340,20 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
     Returns an array of shape ``(len(forcings), len(rows), n_records)``:
     per forcing set, the temperatures of the node ids in ``rows`` (all
     nodes by default, in id order), column 0 being the initial state.
-    Forced nodes are overwritten with their measurement at every column,
-    including the initial one, so their rows reproduce the measurement
-    series exactly.  A set's result, and a row's, is bit-identical
-    whatever else is in the batch and whichever rows are asked for.
+    Forced rows hold their measurement at every column, including the
+    initial one, so they reproduce the measurement series exactly.  A
+    set's result is bit-identical whatever else is in the batch, but a
+    row's bits may depend on which rows are asked for: a set is marched
+    on the sub-model of its asked rows when that is at most half the
+    network, so ``rows=None`` marches every unforced node, and one row
+    asked alone may differ from the same row of a larger ask by round-off.
 
-    The sets are marched in groups of at most GROUP_SETS, one group after
-    the other.  When sets fail the residual check, the error names the
-    first failing set of the first group that fails (of the sets failing
-    in the first block with a failure, the lowest-indexed one), by its
-    index in ``forcings``, at that set's first failing step.
+    The sets are marched in groups of at most GROUP_SETS of one kind
+    (sub-model or whole network), one group after the other, in the order
+    of each group's first set.  When sets fail the residual check, the
+    error names the first failing set of the first group that fails (of
+    the sets failing in the first block with a failure, the lowest-indexed
+    one), by its index in ``forcings``, at that set's first failing step.
     """
     n = sm.n_nodes
     n_steps = weather.n_records
@@ -292,7 +362,8 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
     for node in () if rows is None else rows:
         if not 1 <= node <= n:
             raise ValueError(f"row node {node} outside 1..{n}")
-    keep = slice(None) if rows is None else np.asarray(rows, dtype=int) - 1
+    asked = np.arange(n) if rows is None else np.asarray(rows, dtype=int) - 1
+    keep = slice(None) if rows is None else asked
 
     if T0 is None:
         T0 = initial_state(sm, weather.values[0])
@@ -306,83 +377,132 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
     series = np.array([meas.node_series(node) for node in measured]).reshape(-1, n_steps)
     _check_step_scale(sm, weather, T0, series)
 
-    # the groups, split evenly, and the block buffers of the largest one,
-    # which every group reuses; out has room for the padding
+    # the groups, and the block buffers of the largest one, which every
+    # group reuses; out has room for the padding
+    groups, (forced_set, forced_row) = _plan(sm.exchange, forced, asked)
     q = CHUNK_STEPS
     block = _block_steps(n_steps)
-    n_groups = -(-n_sets // GROUP_SETS)
-    edges = [-(-g * n_sets // n_groups) for g in range(n_groups + 1)] if n_sets else [0]
-    size = max(np.diff(edges), default=0)
-    Z_buf = np.empty(size * 2 * n * (q + 1) * (block // q))
-    V_buf = np.empty(size * n * block)
-    out = np.empty((n_sets, n if rows is None else keep.size, n_steps + q - 1))
-    for a, b in zip(edges, edges[1:]):
-        _march_group(sm, weather, forced[a:b], measured, series, T0, keep, out[a:b],
-                     Z_buf, V_buf, block, a)
+    width = max((group.size * (n if sub is None else -(-n // 2))
+                 for group, sub, _ in groups), default=0)
+    Z_buf = np.empty(width * 2 * (q + 1) * (block // q))
+    V_buf = np.empty(width * block)
+    out = np.empty((n_sets, asked.size, 1 + -(-(n_steps - 1) // q) * q))
+    for group, sub, inputs in groups:
+        _march_group(sm, weather, [forced[p] for p in group], sub, inputs, measured, series,
+                     T0, keep, out, group, Z_buf, V_buf, block)
+    # forced asked rows are their measurements
+    out[forced_set, forced_row, :n_steps] = series[
+        np.searchsorted(measured, asked[forced_row] + 1)]
     return out[:, :, :n_steps]
 
 
-def _march_group(sm, weather, forced, measured, series, T0, keep, out,
-                 Z_buf, V_buf, block, first):
-    """March one group of forcing sets into ``out`` over blocks of ``block``
-    steps, in the block buffers given; ``first`` is the batch index of the
-    group's first set."""
+def _march_group(sm, weather, forced, sub, inputs, measured, series, T0, keep, out, group,
+                 Z_buf, V_buf, block):
+    """March one group of forcing sets over blocks of ``block`` steps, in
+    the block buffers given, into their rows ``group`` of ``out``, the
+    node indices ``keep`` of each.
+
+    A whole-network group (``sub`` None) marches every node and pins its
+    forced rows.  A sub-model group marches the nodes that ``sub`` (set,
+    node index) masks, in id order and padded to ceil(n/2) rows, and the
+    forced nodes that ``inputs`` masks enter as inputs; the rows of forced
+    kept nodes are left for the caller.
+    """
     n = sm.n_nodes
     n_steps = weather.n_records
-    n_sets = len(forced)
-
-    # (set, node index) pairs of every forced row, and the row of each
-    # forced row's series among the measured ones
-    set_idx = np.array([p for p, nodes in enumerate(forced) for _ in nodes], dtype=int)
-    node_idx = np.array([node - 1 for nodes in forced for node in nodes], dtype=int)
-    series_row = np.searchsorted(measured, node_idx + 1)
-
+    n_in = len(INPUT_CHANNELS)
+    sets = slice(group[0], group[-1] + 1) if group[-1] - group[0] < group.size else group
+    n_sets = group.size
     c_over_dt = sm.capacity / weather.dt
-    M = np.repeat((np.diag(c_over_dt) - sm.exchange)[None], n_sets, axis=0)
+    step = np.diag(c_over_dt) - sm.exchange
+    if sub is None:
+        # every node in id order; the forced rows are pinned below
+        m = n
+        M = np.repeat(step[None], n_sets, axis=0)
+        d = np.repeat(c_over_dt[None], n_sets, axis=0)
+        first = T0
+        K = None
+        rows_of = (slice(None), keep)
+        # (set, row) pairs of every forced row
+        set_idx = np.array([p for p, nodes in enumerate(forced) for _ in nodes], dtype=int)
+        node_idx = np.array([node - 1 for nodes in forced for node in nodes], dtype=int)
+    else:
+        # the sub-model's nodes in id order, then padding rows: identity
+        # rows of M with no state or input term, so their state stays 0
+        m = -(-n // 2)
+        order = np.argsort(~sub, axis=1, kind="stable")[:, :m]
+        real = np.arange(m) < sub.sum(axis=1, keepdims=True)
+        M = np.where(real[:, :, None] & real[:, None, :],
+                     step[order[:, :, None], order[:, None, :]], np.eye(m))
+        d = np.where(real, c_over_dt[order], 0.0)
+        first = np.where(real, T0[order], 0.0)
+        # K_C = [B_C | A_CF]: the input term's coupling to the weather and
+        # to a series per node, nonzero for the forced neighbours only
+        K = np.where(real[:, :, None], np.hstack([sm.input_coupling, sm.exchange])[order], 0.0)
+        K[:, :, n_in:] = np.where(inputs[:, None, :], K[:, :, n_in:], 0.0)
+        series_at = n_in + np.array(measured, dtype=int) - 1
+        # the state row of each kept node (a forced one's is any row)
+        rows_of = (np.arange(n_sets)[:, None], np.cumsum(sub, axis=1)[:, keep] - 1)
+        # no row is pinned
+        set_idx = node_idx = np.empty(0, dtype=int)
+
+    # the row of each pinned row's series among the measured ones; M's
+    # pinned rows are unit rows, and their state term D' is zero
+    series_row = np.searchsorted(measured, node_idx + 1)
     M[set_idx, node_idx, :] = 0.0
     M[set_idx, node_idx, node_idx] = 1.0
-    # D': the state term of the right-hand side, without forced rows
-    d = np.repeat(c_over_dt[None], n_sets, axis=0)
     d[set_idx, node_idx] = 0.0
     # the step T_next = G T + M^-1 W as one product [G | M^-1] [T; W]
-    GW = np.empty((n_sets, n, 2 * n))
+    GW = np.empty((n_sets, m, 2 * m))
     try:
-        GW[:, :, n:] = np.linalg.inv(M)
+        GW[:, :, m:] = np.linalg.inv(M)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"step matrix could not be inverted: {exc}") from exc
-    np.multiply(GW[:, :, n:], d[:, None, :], out=GW[:, :, :n])
+    np.multiply(GW[:, :, m:], d[:, None, :], out=GW[:, :, :m])
     q = CHUNK_STEPS
     # G^q, G^2q, ..., one per level of the scan of the group's longest block
-    powers = [np.linalg.matrix_power(GW[:, :, :n], q)]
+    powers = [np.linalg.matrix_power(GW[:, :, :m], q)]
     for _ in range(1, ((min(block, n_steps - 1) - 1) // q).bit_length()):
         powers.append(powers[-1] @ powers[-1])
     d = d[:, :, None, None]
 
     # a block of c chunks of q steps: Z stacks the states X over the inputs
-    # W, laid out (set, node, offset into the chunk, chunk), so offset i of
+    # W, laid out (set, row, offset into the chunk, chunk), so offset i of
     # chunk j is step k0 + j q + i - 1 for X, k0 + j q + i for W; X at
     # offset 0 holds the chunk starts and at offset q the chunk ends, and W's
     # last offset is unused.  V_buf holds the block's right-hand sides, laid
     # out like W but contiguous, and earlier in the block the scan's products;
-    # ``start`` holds the block's start.
-    start = np.empty((n_sets, n, 1))
+    # ``start`` holds the block's start.  ``kept`` is out's marched columns
+    # split into chunks.
+    start = np.empty((n_sets, m, 1))
     step_of = np.arange(block).reshape(-1, q).T
-    start[:, :, 0] = T0
+    start[:, :, 0] = first
     start[set_idx, node_idx, 0] = series[series_row, 0]
-    out[:, :, 0] = start[:, keep, 0]
+    out[sets, :, 0] = start[rows_of][:, :, 0]
+    kept = out[:, :, 1:].reshape(out.shape[0], out.shape[1], -1, q)
     for k0 in range(1, n_steps, block):
         b = min(block, n_steps - k0)
         # the last chunk is padded to q steps with the last record; the
         # padding is marched and checked, but neither judged nor kept
         c = -(-b // q)
         steps = np.minimum(k0 + step_of[:, :c], n_steps - 1)
-        Z = Z_buf[:n_sets * 2 * n * (q + 1) * c].reshape(n_sets, 2 * n, q + 1, c)
-        X, W = Z[:, :n], Z[:, n:, :q]
-        # W is the input term with the measurements in the forced rows,
-        # gathered once for the block
-        W[:] = (sm.input_coupling @ weather.values[steps.ravel()].T).reshape(n, q, c)
-        pinned = series[:, steps][series_row]
-        W[set_idx, node_idx] = pinned
+        Z = Z_buf[:n_sets * 2 * m * (q + 1) * c].reshape(n_sets, 2 * m, q + 1, c)
+        X, W = Z[:, :m], Z[:, m:, :q]
+        weather_block = weather.values[steps.ravel()].T
+        measured_block = series[:, steps]
+        pinned = measured_block[series_row]
+        if K is None:
+            # the input term with the measurements in the forced rows,
+            # gathered once for the block
+            W[:] = (sm.input_coupling @ weather_block).reshape(n, q, c)
+            W[set_idx, node_idx] = pinned
+        else:
+            # the input term K_C [weather; series], the forced neighbours'
+            # measurements entering through K_C
+            drive = np.zeros((n_in + n, q * c))
+            drive[:n_in] = weather_block
+            drive[series_at] = measured_block.reshape(-1, q * c)
+            np.matmul(K, drive, out=W.reshape(n_sets, m, -1))
         # 1. every chunk marched from a zero state
         X[:, :, 0] = 0.0
         _march_chunks(GW, Z, q)
@@ -393,12 +513,12 @@ def _march_group(sm, weather, forced, measured, series, T0, keep, out,
         X[:, :, 0, 1:] = X[:, :, q, :c - 1]
         _march_chunks(GW, Z, q - 1)
         X[set_idx, node_idx, 1:] = pinned
-        # right-hand sides V = W + d T_prev, (set, node, step) in V_buf;
-        # each reduction over the nodes runs along whole rows of steps
+        # right-hand sides V = W + d T_prev, (set, row, step) in V_buf;
+        # each reduction over the rows runs along whole rows of steps
         V4 = V_buf[:W.size].reshape(W.shape)
         np.multiply(X[:, :, :q], d, out=V4)
         V4 += W
-        V = V4.reshape(n_sets, n, -1)
+        V = V4.reshape(n_sets, m, -1)
         # relative to the largest |V| (max V or -min V, so V is kept), but
         # never to less than a normal float: a state decayed to subnormals
         # has no relative precision left
@@ -419,11 +539,11 @@ def _march_group(sm, weather, forced, measured, series, T0, keep, out,
             p, k = np.unravel_index(np.argmax(failed), failed.shape)
             at = k % q * c + k // q
             raise SingularSystemError(
-                f"step solve of set {first + p} of the batch failed the residual check at "
+                f"step solve of set {group[p]} of the batch failed the residual check at "
                 f"step {k0 + k} ({residual[p, at]:.3e} > {bound[p, at]:.3e}); the system "
                 f"is singular or severely ill-conditioned")
-        kept = out[:, :, k0:k0 + c * q].reshape(n_sets, -1, c, q)
-        kept[...] = X[:, keep, 1:].transpose(0, 1, 3, 2)
+        j0 = (k0 - 1) // q
+        kept[sets, :, j0:j0 + c] = X[rows_of][:, :, 1:].transpose(0, 1, 3, 2)
         start[...] = X[:, :, q, c - 1:]
 
 

@@ -1464,6 +1464,35 @@ class TestObjectiveOverflow:
         assert not (tmp_path / "o").exists()
 
 
+class TestMeasurementColumnDigits:
+    """A measurement column's node id is decimal digits, of any script, but
+    not superscripts, which str.isdigit takes and int() refuses."""
+
+    @staticmethod
+    def argv(command, tmp_path, column):
+        """``command`` on the bundled measurements with node_3 renamed."""
+        text = Path(f"{DATA}/example_measurements.csv").read_text(encoding="utf-8")
+        path = write_tmp(tmp_path, "m.csv", text.replace("node_3,", f"{column},", 1))
+        argv = command_argv(command, tmp_path)
+        argv[argv.index(f"{DATA}/example_measurements.csv")] = path
+        return path, argv
+
+    @pytest.mark.parametrize("command", ["stats", "diagnose"])
+    def test_superscript_id_exits_2_naming_file_and_column(self, tmp_path, capsys, command):
+        path, argv = self.argv(command, tmp_path, "node_\u00b2")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: column 'node_\u00b2' must be named node_<id>\n")
+
+    @pytest.mark.parametrize("command", ["stats", "diagnose"])
+    def test_arabic_indic_id_reads_as_its_node(self, tmp_path, capsys, command):
+        _, argv = self.argv(command, tmp_path, "node_\u0663")
+        assert main(argv) == 0
+        renamed = capsys.readouterr().out
+        assert main(command_argv(command, tmp_path / "plain")) == 0
+        assert renamed == capsys.readouterr().out
+
+
 class TestMainStats:
     def test_self_comparison_reports_zero(self, tmp_path, capsys):
         rc = main(["stats",

@@ -505,7 +505,8 @@ class TestArrayGeneration:
         assert best == ref_best
         assert vars(history) == vars(ref_history)
 
-    @pytest.mark.parametrize("case, digest", zip(STREAM_CASES, STREAM_DIGESTS))
+    @pytest.mark.parametrize("case, digest", zip(STREAM_CASES, STREAM_DIGESTS),
+                             ids=[f"case{i}" for i in range(len(STREAM_CASES))])
     def test_stream_pinned(self, case, digest):
         # the reference generation and the array generation could drift
         # together only by the same change to both; the digests pin the

@@ -313,8 +313,10 @@ class TestBatchKernel:
             batch = simulate(sm, weather, [sets[i] for i in picks], meas)
             for values, i in zip(batch, picks):
                 assert np.array_equal(values, solo[i])
+        # the air row asked alone is marched on its own sub-model, so it
+        # agrees with the whole rows to round-off, not bit for bit
         air = simulate(sm, weather, sets, meas, rows=(model.air_node,))
-        assert np.array_equal(air[:, 0], [v[model.air_node - 1] for v in solo])
+        assert np.max(np.abs(air[:, 0] - [v[model.air_node - 1] for v in solo])) < 1e-11
 
     def test_J_bit_identical_alone_or_in_any_batch(self):
         model, sm, weather, meas = measured_cell()
@@ -453,8 +455,8 @@ class TestBatchKernel:
             simulate(sm, weather, [set(), {1, 2}], meas, T0)
 
     def test_residual_failure_names_the_set_by_its_batch_index(self):
-        # the 1e14 W/K pair once more: pinned copies, marched in three
-        # groups of 11, and one unforced set in the second group, which
+        # the 1e14 W/K pair once more: pinned copies, which march nothing
+        # (every row is forced), and one unforced set among them, which
         # alone fails, from step 1 on; the error counts the whole batch
         coupling = 1e14
         sm = StateMatrices(
@@ -542,18 +544,24 @@ class TestChunkEndScan:
         chunks = [BLOCK_STEPS // CHUNK_STEPS] * full + [-(-rest // CHUNK_STEPS)]
         assert chunks == [16, 16, 16, 12] and rest % CHUNK_STEPS
         sets = random_sets(np.random.default_rng(23), 12) + [frozenset()]
+        # every row is asked, so a set forcing at least n - ceil(n/2) nodes
+        # is marched on its sub-model of ceil(n/2) rows: sets 7 and 9, in
+        # one group after the whole-network group of the other 11
+        n, half = sm.n_nodes, -(-sm.n_nodes // 2)
+        assert [p for p, f in enumerate(sets) if n - len(f) <= half] == [7, 9]
         products = []
         chain = kernel._chain
         monkeypatch.setattr(kernel, "_chain", lambda G, ends, out: (
             products.append(out.shape), chain(G, ends, out))[1])
         batch = simulate(sm, weather, sets, meas)
         monkeypatch.undo()
-        # per block, G^q times its start, then at level k the ends that
-        # have an end 2^k chunks back
+        # per group and block, G^q times its start, then at level k the
+        # ends that have an end 2^k chunks back
         levels = [math.ceil(math.log2(c)) for c in chunks]
-        assert products == [(len(sets), sm.n_nodes, width) for c, K in zip(chunks, levels)
+        assert products == [(size, rows, width) for size, rows in ((11, n), (2, half))
+                            for c, K in zip(chunks, levels)
                             for width in [1] + [c - 2 ** k for k in range(K)]]
-        assert len(products) == sum(K + 1 for K in levels)
+        assert len(products) == 2 * sum(K + 1 for K in levels)
         for values, forcing in zip(batch, sets):
             assert np.array_equal(values, simulate(sm, weather, [forcing], meas)[0])
 
@@ -569,17 +577,23 @@ class TestLongHorizon:
         assert n_records >= LONG_BLOCKS * LONG_BLOCK_STEPS
         assert (n_records - 1) % LONG_BLOCK_STEPS and (n_records - 1) % CHUNK_STEPS
         sets = random_sets(np.random.default_rng(17), GROUP_SETS) + [frozenset()]
-        # the (sets, chunks) of every chunk march: two a block, in groups of
-        # 9 and 8 sets, each over 17 blocks, the last of 8 chunks
+        # every row is asked, so a set forcing at least n - ceil(n/2) nodes
+        # is marched on its sub-model of ceil(n/2) rows
+        n, half = sm.n_nodes, -(-sm.n_nodes // 2)
+        assert [p for p, f in enumerate(sets) if n - len(f) <= half] == [0, 2, 10, 15]
+        # the (sets, rows, chunks) of every chunk march: two a block, in the
+        # group of those 4 sets and the group of the other 13, each over 17
+        # blocks, the last of 8 chunks
         marches = []
         chunk_march = kernel._march_chunks
         monkeypatch.setattr(kernel, "_march_chunks", lambda GW, Z, steps: (
-            marches.append((Z.shape[0], Z.shape[3])), chunk_march(GW, Z, steps)))
+            marches.append((Z.shape[0], GW.shape[1], Z.shape[3])), chunk_march(GW, Z, steps)))
         batch = simulate(sm, weather, sets, meas)
         full, rest = divmod(n_records - 1, LONG_BLOCK_STEPS)
         chunks = [LONG_BLOCK_STEPS // CHUNK_STEPS] * full + [-(-rest // CHUNK_STEPS)]
         assert (full, chunks[-1]) == (16, 8)
-        assert marches == [(size, c) for size in (9, 8) for c in chunks for _ in range(2)]
+        assert marches == [(size, rows, c) for size, rows in ((4, half), (13, n))
+                           for c in chunks for _ in range(2)]
         monkeypatch.undo()
         c_over_dt = sm.capacity / weather.dt
         drive = sm.input_coupling @ weather.values.T
@@ -697,6 +711,126 @@ class TestKernelAgainstDenseSolve:
             free = [i for i in range(n) if i + 1 not in forcing]
             error = np.abs(values[free] - np.array(expected).T[free])
             assert np.max(error, initial=0.0) < 1e-11
+
+
+class TestSubModelMarch:
+    """A set whose asked rows depend on at most ceil(n/2) unforced nodes is
+    marched on that sub-model alone, its forced neighbours as inputs."""
+
+    @staticmethod
+    def propagator_rows(monkeypatch, *args, **kwargs):
+        """The rows of the propagator of every chunk march of one call."""
+        rows = []
+        chunk_march = kernel._march_chunks
+        monkeypatch.setattr(kernel, "_march_chunks", lambda GW, Z, steps: (
+            rows.append(GW.shape[1]), chunk_march(GW, Z, steps)))
+        simulate(*args, **kwargs)
+        monkeypatch.undo()
+        return set(rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(desc=small_buildings, n_records=st.integers(2, 2 * BLOCK_STEPS + CHUNK_STEPS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_air_row_matches_step_by_step_solves(self, desc, n_records, seed):
+        model = build_mesh(desc)
+        sm = assemble(model, desc)
+        n, half = sm.n_nodes, -(-sm.n_nodes // 2)
+        rng = np.random.default_rng(seed)
+        values = np.column_stack([rng.uniform(-10.0, 35.0, n_records),
+                                  rng.uniform(-20.0, 30.0, n_records),
+                                  rng.uniform(0.0, 800.0, (n_records, len(INPUT_CHANNELS) - 2))])
+        weather = WeatherSeries(dt=900.0, values=values)
+        meas = MeasurementSeries(dt=900.0, series={
+            node: rng.uniform(10.0, 30.0, n_records) for node in range(1, n + 1)})
+        # at least n - ceil(n/2) forced nodes leave the air row a sub-model
+        # of at most ceil(n/2)
+        others = [node for node in range(1, n + 1) if node != model.air_node]
+        sets = [frozenset(int(node) for node in rng.choice(
+            others, int(rng.integers(n - half, n)), replace=False)) for _ in range(3)]
+        T0 = initial_state(sm, weather.values[0])
+        air = simulate(sm, weather, sets, meas, T0, rows=(model.air_node,))
+        for values, forcing in zip(air, sets):
+            T = T0.copy()
+            for node in forcing:
+                T[node - 1] = meas.node_series(node)[0]
+            expected = [T[model.air_node - 1]]
+            for k in range(1, n_records):
+                pinned = {node: meas.node_series(node)[k] for node in forcing}
+                T = reference_step(sm, weather.dt, T, weather.values[k], pinned)
+                expected.append(T[model.air_node - 1])
+            assert np.max(np.abs(values[0] - expected)) < 1e-11
+
+    def test_mixed_batches_give_each_set_its_solo_bits(self, monkeypatch):
+        # sub-model sets (16-21 of the 22 other nodes forced), whole-network
+        # sets (at most 3 forced) and sets forcing both asked rows, which
+        # march nothing
+        model, sm, weather, meas = measured_cell()
+        air, n = model.air_node, sm.n_nodes
+        rng = np.random.default_rng(29)
+        others = [node for node in range(1, n + 1) if node != air]
+        def draw(low, high):
+            return frozenset(int(node) for node in rng.choice(
+                others, int(rng.integers(low, high + 1)), replace=False))
+        sub = [draw(16, 21) for _ in range(5)]
+        whole = [draw(0, 3) for _ in range(5)]
+        silent = [frozenset({air, 3}), frozenset({air, 3, 14, 16})]
+        sets = sub + whole + silent
+        rows = (air, 3)
+        assert self.propagator_rows(monkeypatch, sm, weather, sub, meas, rows=rows) == {
+            -(-n // 2)}
+        assert self.propagator_rows(monkeypatch, sm, weather, whole, meas, rows=rows) == {n}
+        assert self.propagator_rows(monkeypatch, sm, weather, silent, meas, rows=rows) == set()
+        solo = [simulate(sm, weather, [f], meas, rows=rows)[0] for f in sets]
+        for _ in range(4):
+            # random composition, order and duplicates, over several groups
+            picks = rng.choice(len(sets), size=int(rng.integers(2, 3 * GROUP_SETS)))
+            batch = simulate(sm, weather, [sets[i] for i in picks], meas, rows=rows)
+            for values, i in zip(batch, picks):
+                assert np.array_equal(values, solo[i])
+        for values, forcing in zip(solo, sets):
+            for row, node in zip(values, rows):
+                if node in forcing:
+                    assert np.array_equal(row, meas.node_series(node))
+
+    def test_half_forced_set_marches_half_the_rows(self, monkeypatch):
+        model, sm, weather, meas = measured_cell(days=1)
+        n, rows = sm.n_nodes, (model.air_node,)
+        half_forced = frozenset(range(1, 12))
+        assert model.air_node not in half_forced
+        assert self.propagator_rows(monkeypatch, sm, weather, [half_forced], meas,
+                                    rows=rows) == {-(-n // 2)}
+        assert self.propagator_rows(monkeypatch, sm, weather, [frozenset()], meas,
+                                    rows=rows) == {n}
+        nodes = default_measured_nodes(model)
+        subsets = [frozenset(c) for r in range(len(nodes) + 1)
+                   for c in itertools.combinations(nodes, r)]
+        assert len(subsets) == 2 * GROUP_SETS
+        assert self.propagator_rows(monkeypatch, sm, weather, subsets, meas, rows=rows) == {n}
+
+    def test_residual_failure_names_a_sub_model_set_by_its_batch_index(self, monkeypatch):
+        # the 1e14 W/K pair of nodes 1 and 2, and node 3 coupled to node 2:
+        # forcing node 1 leaves the sub-model {2, 3}, which passes, and
+        # forcing node 3 the pair, which fails from step 1 on; 33 sub-model
+        # sets march in three groups of 11, the failing one in the second
+        coupling = 1e14
+        sm = StateMatrices(
+            capacity=np.array([10.0, 10.0, 10.0]),
+            exchange=np.array([[-coupling - 1.0, coupling, 0.0],
+                               [coupling, -coupling - 2.0, 1.0],
+                               [0.0, 1.0, -1.0]]),
+            input_coupling=np.eye(3, len(INPUT_CHANNELS)),
+        )
+        weather = constant_weather(20.0, 5, dt=10.0, t_sky=5.0)
+        meas = MeasurementSeries(dt=10.0, series={
+            node: np.full(5, float(node)) for node in (1, 2, 3)})
+        T0 = np.array([1.0, 2.0, 3.0])
+        sets = [{1}] * (2 * GROUP_SETS + 1)
+        failing = GROUP_SETS + 3
+        sets[failing] = {3}
+        assert self.propagator_rows(monkeypatch, sm, weather, sets[:1], meas, T0) == {2}
+        with pytest.raises(SingularSystemError,
+                           match=rf"set {failing} of the batch .* at step 1 "):
+            simulate(sm, weather, sets, meas, T0)
 
 
 class TestInitialState:
