@@ -56,27 +56,32 @@ class ObjectiveOverflow(ValueError):
 
 
 def _residuals(sim_air, meas_air, least: int, too_few: str) -> tuple[np.ndarray, np.ndarray]:
-    """The simulated series and measured minus simulated, as float arrays;
-    the two series must have one shape and at least ``least`` samples."""
+    """The simulated series, or a stack of them, and measured minus simulated,
+    as float arrays; each series must have at least ``least`` samples."""
     sim_air = np.asarray(sim_air, dtype=float)
     meas_air = np.asarray(meas_air, dtype=float)
-    if sim_air.shape != meas_air.shape:
+    if meas_air.ndim != 1 or sim_air.shape[-1:] != meas_air.shape:
         raise ValueError(f"series lengths differ: {sim_air.shape} vs {meas_air.shape}")
-    if sim_air.size < least:
+    if meas_air.size < least:
         raise ValueError(too_few)
     return sim_air, meas_air - sim_air
 
 
-def objective(sim_air: np.ndarray, meas_air: np.ndarray) -> float:
-    """Sum of squared residuals (measured minus simulated), in °C²; raise
-    :class:`ObjectiveOverflow` where it overflows."""
+def objective(sim_air: np.ndarray, meas_air: np.ndarray) -> float | list[float]:
+    """Sum of squared residuals (measured minus simulated), in °C², of one
+    simulated series, or the list of those of a stack of series, which one
+    product scores with the bits of each series alone; raise
+    :class:`ObjectiveOverflow` for the first one that overflows."""
     with np.errstate(over="ignore"):
         sim_air, residuals = _residuals(sim_air, meas_air, 1,
                                         "objective needs at least one sample")
-        J = float(residuals @ residuals)
-        if J == np.inf:
-            raise ObjectiveOverflow(simulated=float(sim_air @ sim_air) == np.inf)
-    return J
+        r = residuals.reshape(-1, residuals.shape[-1])
+        J = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+        over = np.flatnonzero(J == np.inf)
+        if over.size:
+            sim = sim_air.reshape(r.shape)[over[0]]
+            raise ObjectiveOverflow(simulated=float(sim @ sim) == np.inf)
+    return float(J[0]) if sim_air.ndim == 1 else J.tolist()
 
 
 def residual_stats(sim_air: np.ndarray, meas_air: np.ndarray) -> tuple[float, float]:
@@ -98,7 +103,8 @@ class ChromosomeEvaluator:
     Pure per chromosome: the same bit pattern always yields the same J,
     whatever else is in the list, so results are cached by pattern and each
     pattern is simulated once.  One call marches all its uncached patterns
-    together.  Of their air series it keeps copies of two at most: the
+    together and scores them with one :func:`objective` of the stack of
+    their air series.  Of those series it keeps copies of two at most: the
     empty set's, and that of the lowest set marched so far in
     :func:`~thermodiag.ga.rank`'s order.  :meth:`air_series` returns
     those without a march and marches any other set on its own.
@@ -177,10 +183,9 @@ class ChromosomeEvaluator:
         for start in range(0, len(todo), MAX_BATCH):
             batch = todo[start:start + MAX_BATCH]
             air = self._march(batch)
-            for key, sim_air in zip(batch, air):
-                cache[key] = objective(sim_air[self.skip_steps:], self._meas_air)
-                if key == self._empty:
-                    self._keep(key, sim_air)
+            cache.update(zip(batch, objective(air[:, self.skip_steps:], self._meas_air)))
+            if self._empty in batch:
+                self._keep(self._empty, air[batch.index(self._empty)])
             lowest = min(batch if self._lowest is None else [self._lowest, *batch],
                          key=lambda k: rank(cache[k], k))
             if lowest != self._lowest:

@@ -119,7 +119,8 @@ class GAHistory:
         best = min(population, key=_order_key)
         self.best_J.append(best.J)
         self.best_fitness.append(best.f)
-        self.mean_fitness.append(sum(ind.f for ind in population) / len(population))
+        # a left-to-right sum: the builtin sum compensates from Python 3.12 on
+        self.mean_fitness.append(float(_wheel(population)[-1]) / len(population))
         self.best_individual.append(best.chromosome)
         return best
 

@@ -22,6 +22,8 @@ differential rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable
 
 import numpy as np
@@ -293,10 +295,12 @@ class StateMatrices:
 
 def _stack_totals(layers, area: float) -> tuple[float, float]:
     """Total resistance (K/W) and total capacity (J/K) of a layer stack; a
-    layer whose conductance k A underflows to 0 adds an infinite resistance."""
-    resistance = sum(l.thickness / (l.conductivity * area) if l.conductivity * area else np.inf
-                     for l in layers)
-    capacity = sum(l.thickness * area * l.density * l.specific_heat for l in layers)
+    layer whose conductance k A underflows to 0 adds an infinite resistance.
+    Both sum from the left: the builtin sum compensates from Python 3.12 on."""
+    resistance = reduce(add, (l.thickness / (l.conductivity * area)
+                              if l.conductivity * area else np.inf for l in layers), 0.0)
+    capacity = reduce(add, (l.thickness * area * l.density * l.specific_heat
+                            for l in layers), 0.0)
     return resistance, capacity
 
 
@@ -404,7 +408,7 @@ def build_mesh(desc: BuildingDescription) -> NodalModel:
 
     # Solar transmitted through glazing lands on the inside surfaces,
     # pro-rata by area.
-    total_inside_area = sum(c.area for c in desc.components)
+    total_inside_area = reduce(add, (c.area for c in desc.components), 0.0)
     for comp in desc.components:
         if not comp.is_glazing or desc.glazing_transmitted_fraction == 0.0:
             continue

@@ -40,12 +40,12 @@ padding come from n alone.
 of forcing sets together over blocks of BLOCK_STEPS steps, or of
 LONG_BLOCK_STEPS over a horizon of at least LONG_BLOCKS of them: the block
 length depends on the horizon alone, never on the batch.  The sets are
-marched in groups of at most GROUP_SETS sets of one kind, sub-model or
-whole network (each kind's sets are split evenly in batch order, and the
-groups marched one after the other, in the order of their first set).
-Both kinds take the same block loop.  Each block is cut into
-chunks of CHUNK_STEPS = q steps and marched as a two-level scan of the
-linear recurrence:
+marched in groups of one kind, sub-model or whole network, of at most
+GROUP_SETS n propagator rows (each kind's sets split evenly in batch order,
+the groups marched one after the other, in the order of their first set).
+Both kinds take the same block loop.  Each block is cut into chunks of
+CHUNK_STEPS = q steps and marched as a two-level scan of the linear
+recurrence:
 
 1. every chunk of the block is marched from a zero state, all chunks side
    by side, one (set, node, chunk) product per step;
@@ -127,10 +127,10 @@ LONG_BLOCKS = 16
 #: chunks side by side.
 CHUNK_STEPS = 8
 
-#: Most forcing sets marched together, at either block length; the sets of
-#: each kind (sub-model or whole network) are split evenly into groups of at
-#: most this many, so the block buffers and the step matrices do not grow
-#: with the batch.
+#: Whole-network sets marched together, at either block length: the sets of
+#: each kind are split evenly into groups of at most GROUP_SETS n propagator
+#: rows, so the block buffers and the step matrices do not grow with the
+#: batch, and a group holds as many sub-model sets of ceil(n/2) rows as fit.
 GROUP_SETS = 16
 
 
@@ -300,7 +300,7 @@ def _plan(exchange, forced, asked):
     product at a time.  A sub-model of at most ceil(n/2) nodes is marched
     alone; a larger one on the whole network; a set whose asked nodes are
     all forced is marched in no group.  Each group is the batch indices of
-    at most GROUP_SETS sets of one kind, the kind's sets split evenly in
+    sets of one kind, GROUP_SETS n propagator rows at most, split evenly in
     batch order, then for a sub-model group the (set, node index) masks of
     each set's sub-model and of its forced nodes, and for a whole-network
     group None and None.  The groups come in the order of their first set.
@@ -325,7 +325,8 @@ def _plan(exchange, forced, asked):
     groups = []
     for sets, sub in ((np.flatnonzero((size > 0) & (size <= half)), True),
                       (np.flatnonzero(size > half), False)):
-        for group in np.array_split(sets, -(-sets.size // GROUP_SETS)) if sets.size else ():
+        most = GROUP_SETS * n // (half if sub else n)
+        for group in np.array_split(sets, -(-sets.size // most)) if sets.size else ():
             groups.append((group, *((reach[group], forced_mask[group]) if sub else (None, None))))
     groups.sort(key=lambda g: g[0][0])
     return groups, np.nonzero(forced_mask[:, asked])
@@ -348,12 +349,12 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
     network, so ``rows=None`` marches every unforced node, and one row
     asked alone may differ from the same row of a larger ask by round-off.
 
-    The sets are marched in groups of at most GROUP_SETS of one kind
-    (sub-model or whole network), one group after the other, in the order
-    of each group's first set.  When sets fail the residual check, the
-    error names the first failing set of the first group that fails (of
-    the sets failing in the first block with a failure, the lowest-indexed
-    one), by its index in ``forcings``, at that set's first failing step.
+    The sets are marched in groups of one kind of GROUP_SETS n propagator
+    rows at most, one group after the other, in the order of each group's
+    first set.  When sets fail the residual check, the error names the
+    first failing set of the first group that fails (of the sets failing
+    in the first block with a failure, the lowest-indexed one), by its
+    index in ``forcings``, at that set's first failing step.
     """
     n = sm.n_nodes
     n_steps = weather.n_records

@@ -1,6 +1,7 @@
 """Objective, evaluator memoization, oracle, statistics, reports."""
 
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -74,6 +75,55 @@ class TestObjective:
         with pytest.raises(ObjectiveOverflow, match="overflows a double") as info:
             objective(np.array(sim), np.array(meas))
         assert info.value.simulated is simulated
+
+
+class TestBatchedObjective:
+    """One evaluator call scores every set its kernel call marched with one
+    stacked product, bit for bit as each set's own series alone."""
+
+    @pytest.mark.parametrize("skip_steps", [0, 7])
+    def test_evaluator_J_equals_objective_of_each_air_series(self, cell, skip_steps):
+        _, model, _, weather, measured, pseudo = cell
+        sm, air = door_defect_matrices(cell), model.air_node
+        subsets = [frozenset(c) for r in range(len(measured) + 1)
+                   for c in itertools.combinations(measured, r)]
+        ev = ChromosomeEvaluator(sm, weather, pseudo, air, skip_steps=skip_steps)
+        scores = ev([encode(f, ev.chromosome_length) for f in subsets])
+        meas_air = pseudo.node_series(air)[skip_steps:]
+        alone = [objective(simulate(sm, weather, [f], pseudo, rows=(air,))[0, 0, skip_steps:],
+                           meas_air) for f in subsets]
+        assert all(J > 0.0 for J in alone)
+        assert [J.hex() for J in scores] == [J.hex() for J in alone]
+
+    def test_stack_scores_each_row_as_alone(self):
+        rng = np.random.default_rng(41)
+        meas = rng.normal(20.0, 5.0, 301)
+        stack = meas + rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 1.0, (9, 1)), (9, 301))
+        assert [J.hex() for J in objective(stack, meas)] == [
+            objective(row, meas).hex() for row in stack]
+
+    def test_first_overflowing_row_says_whether_its_simulated_series_overflows(self):
+        # row 0 fits, row 1 overflows through the measured series alone and
+        # row 2 through its simulated series too
+        meas = np.array([1e160, 0.0])
+        stack = np.array([[1e160, 0.0], [0.0, 0.0], [-1e160, 0.0]])
+        assert objective(stack[:1], meas) == [0.0]
+        for order, simulated in (([0, 1, 2], False), ([0, 2, 1], True)):
+            with pytest.raises(ObjectiveOverflow) as info:
+                objective(stack[order], meas)
+            assert info.value.simulated is simulated
+            with pytest.raises(ObjectiveOverflow) as alone:
+                objective(stack[order[1]], meas)
+            assert alone.value.simulated is simulated
+
+    def test_overflowing_batch_raises_from_the_evaluator(self, cell):
+        _, model, sm, weather, measured, pseudo = cell
+        series = {**pseudo.series, model.air_node: pseudo.node_series(model.air_node) * 1e160}
+        huge = MeasurementSeries(dt=pseudo.dt, series=series)
+        ev = ChromosomeEvaluator(sm, weather, huge, model.air_node)
+        with pytest.raises(ObjectiveOverflow) as info:
+            ev([encode(nodes, ev.chromosome_length) for nodes in ((), (measured[0],))])
+        assert info.value.simulated is False
 
 
 class TestResidualStats:

@@ -1,9 +1,11 @@
 """Genetic operators, generation loop, reproducibility."""
 
 import bisect
+import functools
 import hashlib
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import thermodiag.ga
 from thermodiag.ga import (
     GAConfig,
     GAError,
+    GAHistory,
     ScoredIndividual,
     _cut,
     _flip,
@@ -317,6 +320,20 @@ class TestRunGA:
     def test_elitist_history_monotone(self):
         _, history = run_ga(config(rng_seed=2), onemax, FULL_MASK)
         assert all(a >= b for a, b in zip(history.best_J, history.best_J[1:]))
+
+    def test_mean_fitness_is_a_left_to_right_sum(self):
+        # one f = 1 among f ~ 1e-17: each addition from the left rounds back
+        # to 1, where a compensated sum (math.fsum, and the builtin sum from
+        # Python 3.12 on) keeps the small terms
+        population = [ScoredIndividual((1,), 0.0, fitness(0.0))] + [
+            ScoredIndividual((0,), 1e17, fitness(1e17)) for _ in range(40)]
+        fs = [ind.f for ind in population]
+        expected = functools.reduce(operator.add, fs) / len(fs)
+        assert math.fsum(fs) / len(fs) != expected
+        history = GAHistory()
+        history.record(population)
+        assert history.mean_fitness == [expected]
+        assert type(history.mean_fitness[0]) is float
 
     def test_evaluator_failure_is_diagnosed(self):
         @batched

@@ -1,5 +1,7 @@
 """Mesh construction and state-matrix assembly."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,16 @@ class TestLayerStackToRC:
                 sum(l.thickness / (l.conductivity * area) for l in layers))
             assert sum(capacities) == pytest.approx(
                 sum(l.thickness * area * l.density * l.specific_heat for l in layers))
+
+    def test_totals_are_left_to_right_sums(self):
+        # a unit layer, then 40 whose resistance and capacity are 1e-17 each:
+        # every addition from the left rounds back to 1, where a compensated
+        # sum (math.fsum, and the builtin sum from Python 3.12 on) keeps them
+        layers = [Layer(1.0, 1.0, 1.0, 1.0)] + [Layer(1e-17, 1.0, 1.0, 1.0)] * 40
+        conductances, capacities = layer_stack_to_rc(layers, area=1.0, internal_node_count=0)
+        assert math.fsum([1.0] + [1e-17] * 40) != 1.0
+        assert conductances == [1.0]
+        assert capacities == [0.5, 0.5]
 
     def test_rejects_empty_stack_and_bad_area(self):
         with pytest.raises(ValueError):

@@ -300,6 +300,15 @@ def random_sets(rng, n_sets: int, nodes: int = 22) -> list:
             for _ in range(n_sets)]
 
 
+def sub_model_sets(rng, n: int, air: int, n_sets: int) -> list:
+    """Sets forcing at least n // 2 = n - ceil(n/2) nodes besides the air
+    node, so the air row asked alone is marched on a sub-model of at most
+    ceil(n/2) nodes."""
+    others = [node for node in range(1, n + 1) if node != air]
+    return [frozenset(int(node) for node in rng.choice(
+        others, int(rng.integers(n // 2, n)), replace=False)) for _ in range(n_sets)]
+
+
 class TestBatchKernel:
     def test_batch_results_bit_identical_to_solo_runs(self):
         model, sm, weather, meas = measured_cell()
@@ -412,6 +421,14 @@ class TestBatchKernel:
         more_peak, more_out = self.traced_peak(sm, weather, more, meas, (model.air_node,))
         lists = sum(sys.getsizeof(sorted(f)) + 8 for f in more[n_sets:])
         assert more_peak <= peak + more_out.base.nbytes - out.base.nbytes + lists
+
+        # sub-model sets march in groups of up to GROUP_SETS n rows, as many
+        # sets of ceil(n/2) rows as fit: two full groups keep to the same
+        # budget, since no block is wider and the step matrices are smaller
+        most = GROUP_SETS * n // -(-n // 2)
+        sub = sub_model_sets(np.random.default_rng(37), n, model.air_node, 2 * most)
+        sub_peak, sub_out = self.traced_peak(sm, weather, sub, meas, (model.air_node,))
+        assert sub_peak <= 1.1 * (blocks + step_matrices + sub_out.nbytes) + buffers
 
     def test_non_finite_initial_state_rejected(self):
         _, sm = cell_setup()
@@ -568,7 +585,7 @@ class TestChunkEndScan:
 
 class TestLongHorizon:
     """A horizon over the long-block threshold, marched in blocks of
-    LONG_BLOCK_STEPS and groups of at most GROUP_SETS sets."""
+    LONG_BLOCK_STEPS and groups of at most GROUP_SETS n propagator rows."""
 
     def test_forced_batch_bit_identical_to_solo_runs_and_within_the_gate(self, monkeypatch):
         # 86 days: 8256 records, so the last block and its last chunk are partial
@@ -807,11 +824,32 @@ class TestSubModelMarch:
         assert len(subsets) == 2 * GROUP_SETS
         assert self.propagator_rows(monkeypatch, sm, weather, subsets, meas, rows=rows) == {n}
 
+    def test_groups_hold_as_many_rows_as_whole_network_groups(self, monkeypatch):
+        # a group holds GROUP_SETS n propagator rows: on the 23-node cell,
+        # 30 sub-model sets of ceil(n/2) = 12 rows, so 2 GROUP_SETS + 1 of
+        # them march in two groups, split evenly in batch order
+        model, sm, weather, meas = measured_cell(days=1)
+        n, half, rows = sm.n_nodes, -(-sm.n_nodes // 2), (model.air_node,)
+        assert GROUP_SETS * n // half == 30
+        sets = sub_model_sets(np.random.default_rng(31), n, model.air_node, 2 * GROUP_SETS + 1)
+        # the (sets, rows) of each chunk march: two per block, over one block
+        marches = []
+        chunk_march = kernel._march_chunks
+        monkeypatch.setattr(kernel, "_march_chunks", lambda GW, Z, steps: (
+            marches.append((Z.shape[0], GW.shape[1])), chunk_march(GW, Z, steps)))
+        batch = simulate(sm, weather, sets, meas, rows=rows)
+        monkeypatch.undo()
+        assert weather.n_records - 1 <= BLOCK_STEPS
+        assert marches == [(17, half)] * 2 + [(16, half)] * 2
+        for values, forcing in zip(batch, sets):
+            assert np.array_equal(values, simulate(sm, weather, [forcing], meas, rows=rows)[0])
+
     def test_residual_failure_names_a_sub_model_set_by_its_batch_index(self, monkeypatch):
         # the 1e14 W/K pair of nodes 1 and 2, and node 3 coupled to node 2:
         # forcing node 1 leaves the sub-model {2, 3}, which passes, and
         # forcing node 3 the pair, which fails from step 1 on; 33 sub-model
-        # sets march in three groups of 11, the failing one in the second
+        # sets of 2 rows march in two groups, of 17 and 16 (a group holds
+        # GROUP_SETS n = 48 rows), the failing one in the second
         coupling = 1e14
         sm = StateMatrices(
             capacity=np.array([10.0, 10.0, 10.0]),
@@ -826,6 +864,7 @@ class TestSubModelMarch:
         T0 = np.array([1.0, 2.0, 3.0])
         sets = [{1}] * (2 * GROUP_SETS + 1)
         failing = GROUP_SETS + 3
+        assert failing >= -(-len(sets) // 2)
         sets[failing] = {3}
         assert self.propagator_rows(monkeypatch, sm, weather, sets[:1], meas, T0) == {2}
         with pytest.raises(SingularSystemError,
