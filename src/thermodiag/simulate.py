@@ -7,45 +7,40 @@ are discretised with a backward Euler step:
 
 Zero-capacity rows (the mean radiant node) lose their C/dt term and reduce to
 the algebraic balance they represent; the step handles differential and
-algebraic rows together.
+algebraic rows together.  A node with neither capacity nor a link leaves a
+zero row of M, and is rejected before anything is marched.
 
-Forcing a node replaces its row of M by a unit row and its right-hand side
-entry by the measured temperature, so the node is pinned to the measurement
-(a Dirichlet condition) while every other balance still sees it through the
-couplings.  M is constant over a run, forced or not, so it is inverted once
-and the state term is folded into one propagator per forcing set:
-
-    T_next = G T_prev + h_next,   G = M^-1 D',   h_next = M^-1 W_next
-
-where D' is D with the forced rows zeroed and W is the input term with the
-measurements in the forced rows.  The two products are one,
-``T_next = [G | M^-1] [T_prev; W_next]``.
-
-Forcing also cuts the exchange graph.  The *sub-model* of the rows a
-caller asks for is the unforced nodes joined to an unforced asked row by a
-path of unforced nodes; no other unforced node reaches them, so the asked
-rows are the march of the sub-model C alone, with its forced neighbours F
-as inputs and nothing pinned:
+Forcing a node replaces its equation by its measured series, and so cuts
+the exchange graph.  The *sub-model* of the rows a caller asks for is the
+unforced nodes joined to an unforced asked row by a path of unforced
+nodes; no other unforced node reaches them, so the asked rows are the
+march of the sub-model C alone, with its forced neighbours F as inputs:
 
     M_CC T_C,next = C_C/dt T_C,prev + K_C [U_next; T_F,next],   K_C = [B_C | A_CF]
 
-A few boolean products over the batch find every set's sub-model.  One of
-k <= ceil(n/2) nodes is marched on its own, padded to ceil(n/2) rows with
-identity rows whose state stays 0 (so every sub-model of a model has one
-shape); a larger one is marched on the whole network as above, and a set
-whose asked rows are all forced marches nothing.  Both threshold and
-padding come from n alone.
+M_CC is constant over a run, so it is inverted once and the state term is
+folded into one propagator per forcing set:
+
+    T_next = G T_prev + h_next,   G = M_CC^-1 C_C/dt,   h_next = M_CC^-1 W_next
+
+where W is the input term K_C [U; T_F].  The two products are one,
+``T_next = [G | M_CC^-1] [T_prev; W_next]``.
+
+A few boolean products over the batch find every set's sub-model.  Its
+nodes are marched in id order, padded with identity rows whose state
+stays 0 to a width that comes from n alone: ceil(n/2) rows for a
+sub-model of at most ceil(n/2) nodes, n rows for a larger one.  A set
+whose asked rows are all forced marches nothing.
 
 :func:`simulate`, the one routine that advances the model, marches a stack
 of forcing sets together over blocks of BLOCK_STEPS steps, or of
 LONG_BLOCK_STEPS over a horizon of at least LONG_BLOCKS of them: the block
 length depends on the horizon alone, never on the batch.  The sets are
-marched in groups of one kind, sub-model or whole network, of at most
-GROUP_SETS n propagator rows (each kind's sets split evenly in batch order,
-the groups marched one after the other, in the order of their first set).
-Both kinds take the same block loop.  Each block is cut into chunks of
-CHUNK_STEPS = q steps and marched as a two-level scan of the linear
-recurrence:
+marched in groups of one width of at most GROUP_SETS n propagator rows
+(each width's sets split evenly in batch order, the groups marched one
+after the other, in the order of their first set).  Each block is cut
+into chunks of CHUNK_STEPS = q steps and marched as a two-level scan of
+the linear recurrence:
 
 1. every chunk of the block is marched from a zero state, all chunks side
    by side, one (set, node, chunk) product per step;
@@ -65,31 +60,31 @@ inputs, the check and the output are all laid out (set, node, step);
 within a block the step axis is split into (offset into the chunk, chunk),
 so the chunks of one offset sit side by side with unit stride and each
 step of a march is one product over all of them; the inputs, and the
-block's measurements, are gathered once in that order; a sub-model's
-input term is one product of K_C with the block's weather and a series
-row per node.  Pinned forced rows are then overwritten with their
-measurements bit for bit, and every step's residual ``M T - V``,
-V = W + D T_prev, is checked against RESIDUAL_RTOL at once, T_prev being
-the reported state before it; the scale of a sub-model step is its own
+block's measurements, are gathered once in that order, and the input
+term is one product of K_C with the block's weather and the series of
+every node forced in the group.  Every step's residual ``M_CC T - V``,
+V = W + C_C/dt T_prev, is checked against RESIDUAL_RTOL at once, T_prev
+being the reported state before it; the scale of a step is its own
 right-hand side, forced-neighbour terms included.  The block arrays are
 preallocated once for the largest group, and every block and every group
-reuse them, so they do not grow with the batch; each group's step matrices
-are its own, and every group writes its rows of one output array.  The
-last chunk of the horizon is padded with the last input record; the
-padding is marched and checked but neither judged nor kept.
+reuse them, so they do not grow with the batch; each group's step
+matrices, and its sub-model masks, are its own, and every group writes
+its rows of one output array.  The last chunk of the horizon is padded
+with the last input record; the padding is marched and checked but
+neither judged nor kept.
 
-What is bit-exact: forced rows reproduce their measurements, a set's
-result is the same alone or in any batch (every array is stacked per set
-and each product runs per set, with shapes that do not depend on the
-batch), and a run is repeatable.  What is not: the march differs from a
-step-by-step solve, and from another chunk length, by round-off (about
-1e-13 degC on the bundled cell), and so does a row's march from one ask
-to another: the sub-model, and so the bits, depend on which rows are
-asked (``rows=None`` asks for all of them, and so marches every unforced
-node).  The evaluator always asks for the air row alone, so its J and the
-air series it holds or marches again agree bit for bit.  A run of one set
-is a batch of one, and every caller names the node rows it reads; only
-those are kept.
+What is bit-exact: forced asked rows are their measurements (they are
+copied from the series, never marched), a set's result is the same alone
+or in any batch (every array is stacked per set and each product runs per
+set, with shapes that do not depend on the batch), and a run is
+repeatable.  What is not: the march differs from a step-by-step solve,
+and from another chunk length, by round-off (about 1e-13 degC on the
+bundled cell), and so does a row's march from one ask to another: the
+sub-model, and so the bits, depend on which rows are asked (``rows=None``
+asks for all of them, and so marches every unforced node).  The evaluator
+always asks for the air row alone, so its J and the air series it holds
+or marches again agree bit for bit.  A run of one set is a batch of one,
+and every caller names the node rows it reads; only those are kept.
 
 All functions are pure; concurrent calls on distinct inputs are safe.  One
 simulation is inherently sequential (each step depends on the previous state).
@@ -127,10 +122,10 @@ LONG_BLOCKS = 16
 #: chunks side by side.
 CHUNK_STEPS = 8
 
-#: Whole-network sets marched together, at either block length: the sets of
-#: each kind are split evenly into groups of at most GROUP_SETS n propagator
-#: rows, so the block buffers and the step matrices do not grow with the
-#: batch, and a group holds as many sub-model sets of ceil(n/2) rows as fit.
+#: Sets of n propagator rows marched together, at either block length: the
+#: sets of each width are split evenly into groups of at most GROUP_SETS n
+#: propagator rows, so the block buffers and the step matrices do not grow
+#: with the batch, and a group holds as many sets of ceil(n/2) rows as fit.
 GROUP_SETS = 16
 
 
@@ -291,19 +286,13 @@ def _scan_ends(powers, start, ends, buf):
         ends[:, :, s:] += _chain(powers[k], ends[:, :, :c - s], back)
 
 
-def _plan(exchange, forced, asked):
-    """The groups to march the sets ``forced`` in, for the ``asked`` node
-    indices, and the (set, asked row) pairs whose node is forced.
+def _sub_models(exchange, forced, asked):
+    """The (set, node index) masks of each set's sub-model for the ``asked``
+    node indices, and of its forced nodes.
 
     A set's sub-model is its unforced nodes joined to an unforced asked
     node by a path of unforced nodes in the exchange graph, grown one
-    product at a time.  A sub-model of at most ceil(n/2) nodes is marched
-    alone; a larger one on the whole network; a set whose asked nodes are
-    all forced is marched in no group.  Each group is the batch indices of
-    sets of one kind, GROUP_SETS n propagator rows at most, split evenly in
-    batch order, then for a sub-model group the (set, node index) masks of
-    each set's sub-model and of its forced nodes, and for a whole-network
-    group None and None.  The groups come in the order of their first set.
+    product at a time.
     """
     n = exchange.shape[0]
     forced_mask = np.zeros((len(forced), n), dtype=bool)
@@ -319,15 +308,29 @@ def _plan(exchange, forced, asked):
         reach |= (reach @ linked > 0.0) & free
         count, last = np.count_nonzero(reach), count
         if count == last:
-            break
+            return reach, forced_mask
+
+
+def _plan(exchange, forced, asked):
+    """The groups to march the sets ``forced`` in, for the ``asked`` node
+    indices, and the (set, asked row) pairs whose node is forced.
+
+    A sub-model of at most ceil(n/2) nodes is marched on ceil(n/2) rows, a
+    larger one on n rows, and a set whose asked nodes are all forced is
+    in no group.  Each group is the batch indices of sets of one width m,
+    at most GROUP_SETS n propagator rows, split evenly in batch order, and
+    m.  The groups come in the order of their first set.
+    """
+    n = exchange.shape[0]
+    reach, forced_mask = _sub_models(exchange, forced, asked)
     size = reach.sum(axis=1)
     half = -(-n // 2)
     groups = []
-    for sets, sub in ((np.flatnonzero((size > 0) & (size <= half)), True),
-                      (np.flatnonzero(size > half), False)):
-        most = GROUP_SETS * n // (half if sub else n)
-        for group in np.array_split(sets, -(-sets.size // most)) if sets.size else ():
-            groups.append((group, *((reach[group], forced_mask[group]) if sub else (None, None))))
+    for sets, m in ((np.flatnonzero((size > 0) & (size <= half)), half),
+                    (np.flatnonzero(size > half), n)):
+        most = GROUP_SETS * n // m
+        if sets.size:
+            groups += [(group, m) for group in np.array_split(sets, -(-sets.size // most))]
     groups.sort(key=lambda g: g[0][0])
     return groups, np.nonzero(forced_mask[:, asked])
 
@@ -345,16 +348,16 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
     initial one, so they reproduce the measurement series exactly.  A
     set's result is bit-identical whatever else is in the batch, but a
     row's bits may depend on which rows are asked for: a set is marched
-    on the sub-model of its asked rows when that is at most half the
-    network, so ``rows=None`` marches every unforced node, and one row
-    asked alone may differ from the same row of a larger ask by round-off.
+    on the sub-model of its asked rows, so ``rows=None`` marches every
+    unforced node, and one row asked alone may differ from the same row
+    of a larger ask by round-off.
 
-    The sets are marched in groups of one kind of GROUP_SETS n propagator
-    rows at most, one group after the other, in the order of each group's
-    first set.  When sets fail the residual check, the error names the
-    first failing set of the first group that fails (of the sets failing
-    in the first block with a failure, the lowest-indexed one), by its
-    index in ``forcings``, at that set's first failing step.
+    The sets are marched in groups of one width of GROUP_SETS n
+    propagator rows at most, one group after the other, in the order of
+    each group's first set.  When sets fail the residual check, the error
+    names the first failing set of the first group that fails (of the
+    sets failing in the first block with a failure, the lowest-indexed
+    one), by its index in ``forcings``, at that set's first failing step.
     """
     n = sm.n_nodes
     n_steps = weather.n_records
@@ -364,7 +367,6 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
         if not 1 <= node <= n:
             raise ValueError(f"row node {node} outside 1..{n}")
     asked = np.arange(n) if rows is None else np.asarray(rows, dtype=int) - 1
-    keep = slice(None) if rows is None else asked
 
     if T0 is None:
         T0 = initial_state(sm, weather.values[0])
@@ -377,82 +379,65 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
     measured = sorted({node for nodes in forced for node in nodes})
     series = np.array([meas.node_series(node) for node in measured]).reshape(-1, n_steps)
     _check_step_scale(sm, weather, T0, series)
+    step = np.diag(sm.capacity / weather.dt) - sm.exchange
+    isolated = np.flatnonzero(~step.any(axis=1))
+    if isolated.size:
+        raise SingularSystemError(f"node {isolated[0] + 1} has neither capacity nor a link, "
+                                  f"so the step matrix is singular")
 
     # the groups, and the block buffers of the largest one, which every
     # group reuses; out has room for the padding
     groups, (forced_set, forced_row) = _plan(sm.exchange, forced, asked)
     q = CHUNK_STEPS
     block = _block_steps(n_steps)
-    width = max((group.size * (n if sub is None else -(-n // 2))
-                 for group, sub, _ in groups), default=0)
+    width = max((group.size * m for group, m in groups), default=0)
     Z_buf = np.empty(width * 2 * (q + 1) * (block // q))
     V_buf = np.empty(width * block)
     out = np.empty((n_sets, asked.size, 1 + -(-(n_steps - 1) // q) * q))
-    for group, sub, inputs in groups:
-        _march_group(sm, weather, [forced[p] for p in group], sub, inputs, measured, series,
-                     T0, keep, out, group, Z_buf, V_buf, block)
+    for group, m in groups:
+        _march_group(sm, weather, step, [forced[p] for p in group], m, measured, series,
+                     T0, asked, out, group, Z_buf, V_buf, block)
     # forced asked rows are their measurements
     out[forced_set, forced_row, :n_steps] = series[
         np.searchsorted(measured, asked[forced_row] + 1)]
     return out[:, :, :n_steps]
 
 
-def _march_group(sm, weather, forced, sub, inputs, measured, series, T0, keep, out, group,
+def _march_group(sm, weather, step, forced, m, measured, series, T0, asked, out, group,
                  Z_buf, V_buf, block):
     """March one group of forcing sets over blocks of ``block`` steps, in
     the block buffers given, into their rows ``group`` of ``out``, the
-    node indices ``keep`` of each.
+    node indices ``asked`` of each.
 
-    A whole-network group (``sub`` None) marches every node and pins its
-    forced rows.  A sub-model group marches the nodes that ``sub`` (set,
-    node index) masks, in id order and padded to ceil(n/2) rows, and the
-    forced nodes that ``inputs`` masks enter as inputs; the rows of forced
-    kept nodes are left for the caller.
+    Each set marches its sub-model's nodes in id order, padded to ``m``
+    rows, and its forced nodes enter as inputs; the rows of forced asked
+    nodes are left for the caller.  ``step`` is the whole network's M.
     """
-    n = sm.n_nodes
     n_steps = weather.n_records
     n_in = len(INPUT_CHANNELS)
     sets = slice(group[0], group[-1] + 1) if group[-1] - group[0] < group.size else group
     n_sets = group.size
-    c_over_dt = sm.capacity / weather.dt
-    step = np.diag(c_over_dt) - sm.exchange
-    if sub is None:
-        # every node in id order; the forced rows are pinned below
-        m = n
-        M = np.repeat(step[None], n_sets, axis=0)
-        d = np.repeat(c_over_dt[None], n_sets, axis=0)
-        first = T0
-        K = None
-        rows_of = (slice(None), keep)
-        # (set, row) pairs of every forced row
-        set_idx = np.array([p for p, nodes in enumerate(forced) for _ in nodes], dtype=int)
-        node_idx = np.array([node - 1 for nodes in forced for node in nodes], dtype=int)
-    else:
-        # the sub-model's nodes in id order, then padding rows: identity
-        # rows of M with no state or input term, so their state stays 0
-        m = -(-n // 2)
-        order = np.argsort(~sub, axis=1, kind="stable")[:, :m]
-        real = np.arange(m) < sub.sum(axis=1, keepdims=True)
-        M = np.where(real[:, :, None] & real[:, None, :],
-                     step[order[:, :, None], order[:, None, :]], np.eye(m))
-        d = np.where(real, c_over_dt[order], 0.0)
-        first = np.where(real, T0[order], 0.0)
-        # K_C = [B_C | A_CF]: the input term's coupling to the weather and
-        # to a series per node, nonzero for the forced neighbours only
-        K = np.where(real[:, :, None], np.hstack([sm.input_coupling, sm.exchange])[order], 0.0)
-        K[:, :, n_in:] = np.where(inputs[:, None, :], K[:, :, n_in:], 0.0)
-        series_at = n_in + np.array(measured, dtype=int) - 1
-        # the state row of each kept node (a forced one's is any row)
-        rows_of = (np.arange(n_sets)[:, None], np.cumsum(sub, axis=1)[:, keep] - 1)
-        # no row is pinned
-        set_idx = node_idx = np.empty(0, dtype=int)
+    # the group's own masks, so that no mask of the whole batch is held
+    # through the march
+    sub, inputs = _sub_models(sm.exchange, forced, asked)
+    # the sub-model's nodes in id order, then padding rows: identity rows of
+    # M with no state or input term, so their state stays 0
+    order = np.argsort(~sub, axis=1, kind="stable")[:, :m]
+    real = np.arange(m) < sub.sum(axis=1, keepdims=True)
+    M = np.where(real[:, :, None] & real[:, None, :],
+                 step[order[:, :, None], order[:, None, :]], np.eye(m))
+    d = np.where(real, sm.capacity[order] / weather.dt, 0.0)
+    # K_C = [B_C | A_CF]: the input term's coupling to the weather and to
+    # the series of each node the group forces, nonzero for the forced
+    # neighbours only
+    cols = np.flatnonzero(inputs.any(axis=0))
+    series_rows = np.searchsorted(measured, cols + 1)[:, None, None]
+    K = np.where(real[:, :, None],
+                 np.hstack([sm.input_coupling, sm.exchange[:, cols]])[order], 0.0)
+    K[:, :, n_in:] = np.where(inputs[:, None, cols], K[:, :, n_in:], 0.0)
+    # the state row of each asked node (a forced one's is any row)
+    rows_of = (np.arange(n_sets)[:, None], np.cumsum(sub, axis=1)[:, asked] - 1)
 
-    # the row of each pinned row's series among the measured ones; M's
-    # pinned rows are unit rows, and their state term D' is zero
-    series_row = np.searchsorted(measured, node_idx + 1)
-    M[set_idx, node_idx, :] = 0.0
-    M[set_idx, node_idx, node_idx] = 1.0
-    d[set_idx, node_idx] = 0.0
     # the step T_next = G T + M^-1 W as one product [G | M^-1] [T; W]
     GW = np.empty((n_sets, m, 2 * m))
     try:
@@ -477,8 +462,7 @@ def _march_group(sm, weather, forced, sub, inputs, measured, series, T0, keep, o
     # split into chunks.
     start = np.empty((n_sets, m, 1))
     step_of = np.arange(block).reshape(-1, q).T
-    start[:, :, 0] = first
-    start[set_idx, node_idx, 0] = series[series_row, 0]
+    start[:, :, 0] = np.where(real, T0[order], 0.0)
     out[sets, :, 0] = start[rows_of][:, :, 0]
     kept = out[:, :, 1:].reshape(out.shape[0], out.shape[1], -1, q)
     for k0 in range(1, n_steps, block):
@@ -489,21 +473,11 @@ def _march_group(sm, weather, forced, sub, inputs, measured, series, T0, keep, o
         steps = np.minimum(k0 + step_of[:, :c], n_steps - 1)
         Z = Z_buf[:n_sets * 2 * m * (q + 1) * c].reshape(n_sets, 2 * m, q + 1, c)
         X, W = Z[:, :m], Z[:, m:, :q]
-        weather_block = weather.values[steps.ravel()].T
-        measured_block = series[:, steps]
-        pinned = measured_block[series_row]
-        if K is None:
-            # the input term with the measurements in the forced rows,
-            # gathered once for the block
-            W[:] = (sm.input_coupling @ weather_block).reshape(n, q, c)
-            W[set_idx, node_idx] = pinned
-        else:
-            # the input term K_C [weather; series], the forced neighbours'
-            # measurements entering through K_C
-            drive = np.zeros((n_in + n, q * c))
-            drive[:n_in] = weather_block
-            drive[series_at] = measured_block.reshape(-1, q * c)
-            np.matmul(K, drive, out=W.reshape(n_sets, m, -1))
+        # the input term K_C [weather; series], the forced neighbours'
+        # measurements entering through K_C, gathered once for the block
+        drive = np.vstack([weather.values[steps.ravel()].T,
+                           series[series_rows, steps].reshape(-1, q * c)])
+        np.matmul(K, drive, out=W.reshape(n_sets, m, -1))
         # 1. every chunk marched from a zero state
         X[:, :, 0] = 0.0
         _march_chunks(GW, Z, q)
@@ -513,7 +487,6 @@ def _march_group(sm, weather, forced, sub, inputs, measured, series, T0, keep, o
         X[:, :, 0, :1] = start
         X[:, :, 0, 1:] = X[:, :, q, :c - 1]
         _march_chunks(GW, Z, q - 1)
-        X[set_idx, node_idx, 1:] = pinned
         # right-hand sides V = W + d T_prev, (set, row, step) in V_buf;
         # each reduction over the rows runs along whole rows of steps
         V4 = V_buf[:W.size].reshape(W.shape)

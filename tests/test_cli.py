@@ -1505,6 +1505,22 @@ class TestMainStats:
         assert re.search(r"(?m)^residual_mean = 0\.0$", text)
         assert re.search(r"(?m)^n_samples = 480$", text)
 
+    def test_unforced_J_equals_the_diagnosis_unforced_J(self, tmp_path, capsys):
+        # stats marches the model without the measurement series, the
+        # diagnosis through its evaluator with them: one J all the same
+        inputs = ["--building", f"{DATA}/example_cell_door_defect.building",
+                  "--weather", f"{DATA}/example_weather.csv",
+                  "--measurements", f"{DATA}/example_measurements.csv"]
+        assert main(["stats", *inputs]) == 0
+        J = re.search(r"(?m)^J = (.*)$", capsys.readouterr().out).group(1)
+        out = tmp_path / "diag"
+        assert main(["diagnose", *inputs, "--seed", "7", "--generations", "1",
+                     "--out", str(out)]) == 0
+        kv = (out / "report.kv").read_text()
+        assert float(J) > 0.0
+        for key in ("unforced_J", "J_unforced"):
+            assert re.search(rf"(?m)^{key} = (.*)$", kv).group(1) == J
+
 
 class TestBundledData:
     @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))

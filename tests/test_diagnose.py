@@ -594,7 +594,8 @@ class TestHeldAirSeries:
         psm = door_defect_matrices(cell)
         for series, forcing in ((rep.air_unforced, frozenset()),
                                 (rep.air_best, rep.best_forcing)):
-            solo = simulate(psm, weather, [forcing], pseudo)[0, model.air_node - 1]
+            # the evaluator's own ask, the air row alone
+            solo = simulate(psm, weather, [forcing], pseudo, rows=(model.air_node,))[0, 0]
             assert series.shape == solo.shape == (weather.n_records,)
             assert series.tobytes() == solo.tobytes()
 

@@ -422,8 +422,8 @@ class TestBatchKernel:
         lists = sum(sys.getsizeof(sorted(f)) + 8 for f in more[n_sets:])
         assert more_peak <= peak + more_out.base.nbytes - out.base.nbytes + lists
 
-        # sub-model sets march in groups of up to GROUP_SETS n rows, as many
-        # sets of ceil(n/2) rows as fit: two full groups keep to the same
+        # sets of ceil(n/2) rows march in groups of up to GROUP_SETS n
+        # rows, as many as fit: two full groups keep to the same
         # budget, since no block is wider and the step matrices are smaller
         most = GROUP_SETS * n // -(-n // 2)
         sub = sub_model_sets(np.random.default_rng(37), n, model.air_node, 2 * most)
@@ -436,6 +436,21 @@ class TestBatchKernel:
         T0[4] = math.inf
         with pytest.raises(ValueError, match="finite"):
             simulate(sm, synthetic_weather(days=1), T0=T0)
+
+    def test_isolated_zero_capacity_node_rejected_by_name(self):
+        # with h_ri = 0 the mean radiant node has neither capacity nor a
+        # link, so no sub-model of the air row holds it; the air row's
+        # march must still fail, and name the node
+        desc = example_cell()
+        desc = dataclasses.replace(desc, components=tuple(
+            dataclasses.replace(c, h_ri=0.0) for c in desc.components))
+        model = build_mesh(desc)
+        sm = assemble(model, desc)
+        radiant = model.mean_radiant_node
+        assert radiant == 22 and sm.capacity[radiant - 1] == 0.0
+        assert not sm.exchange[radiant - 1].any()
+        with pytest.raises(SingularSystemError, match=r"node 22 .*singular"):
+            simulate(sm, synthetic_weather(days=1), rows=(model.air_node,))
 
     def test_residual_gate_rejects_invertible_ill_conditioned_system(self):
         # a 1e14 W/K link between two small capacities: cond(M) ~ 1e14, which
@@ -454,7 +469,7 @@ class TestBatchKernel:
             simulate(sm, weather, T0=np.array([1.0, 2.0]))
 
     def test_residual_failure_names_the_set_and_the_step(self):
-        # the 1e14 W/K pair again: pinning both nodes passes, the unforced
+        # the 1e14 W/K pair again: forcing both nodes passes, the unforced
         # set fails from the first step on, and only it is named
         coupling = 1e14
         sm = StateMatrices(
@@ -472,8 +487,8 @@ class TestBatchKernel:
             simulate(sm, weather, [set(), {1, 2}], meas, T0)
 
     def test_residual_failure_names_the_set_by_its_batch_index(self):
-        # the 1e14 W/K pair once more: pinned copies, which march nothing
-        # (every row is forced), and one unforced set among them, which
+        # the 1e14 W/K pair once more: fully forced copies, which march
+        # nothing, and one unforced set among them, which
         # alone fails, from step 1 on; the error counts the whole batch
         coupling = 1e14
         sm = StateMatrices(
@@ -563,7 +578,7 @@ class TestChunkEndScan:
         sets = random_sets(np.random.default_rng(23), 12) + [frozenset()]
         # every row is asked, so a set forcing at least n - ceil(n/2) nodes
         # is marched on its sub-model of ceil(n/2) rows: sets 7 and 9, in
-        # one group after the whole-network group of the other 11
+        # one group after the group of n rows of the other 11
         n, half = sm.n_nodes, -(-sm.n_nodes // 2)
         assert [p for p, f in enumerate(sets) if n - len(f) <= half] == [7, 9]
         products = []
@@ -731,8 +746,9 @@ class TestKernelAgainstDenseSolve:
 
 
 class TestSubModelMarch:
-    """A set whose asked rows depend on at most ceil(n/2) unforced nodes is
-    marched on that sub-model alone, its forced neighbours as inputs."""
+    """Every set is marched on the sub-model of its asked rows alone, its
+    forced neighbours as inputs: on ceil(n/2) rows when the sub-model has
+    at most ceil(n/2) nodes, on n rows otherwise."""
 
     @staticmethod
     def propagator_rows(monkeypatch, *args, **kwargs):
@@ -778,8 +794,8 @@ class TestSubModelMarch:
             assert np.max(np.abs(values[0] - expected)) < 1e-11
 
     def test_mixed_batches_give_each_set_its_solo_bits(self, monkeypatch):
-        # sub-model sets (16-21 of the 22 other nodes forced), whole-network
-        # sets (at most 3 forced) and sets forcing both asked rows, which
+        # sets of ceil(n/2) rows (16-21 of the 22 other nodes forced), sets
+        # of n rows (at most 3 forced) and sets forcing both asked rows, which
         # march nothing
         model, sm, weather, meas = measured_cell()
         air, n = model.air_node, sm.n_nodes
@@ -826,7 +842,7 @@ class TestSubModelMarch:
 
     def test_groups_hold_as_many_rows_as_whole_network_groups(self, monkeypatch):
         # a group holds GROUP_SETS n propagator rows: on the 23-node cell,
-        # 30 sub-model sets of ceil(n/2) = 12 rows, so 2 GROUP_SETS + 1 of
+        # 30 sets of ceil(n/2) = 12 rows, so 2 GROUP_SETS + 1 of
         # them march in two groups, split evenly in batch order
         model, sm, weather, meas = measured_cell(days=1)
         n, half, rows = sm.n_nodes, -(-sm.n_nodes // 2), (model.air_node,)
@@ -847,8 +863,8 @@ class TestSubModelMarch:
     def test_residual_failure_names_a_sub_model_set_by_its_batch_index(self, monkeypatch):
         # the 1e14 W/K pair of nodes 1 and 2, and node 3 coupled to node 2:
         # forcing node 1 leaves the sub-model {2, 3}, which passes, and
-        # forcing node 3 the pair, which fails from step 1 on; 33 sub-model
-        # sets of 2 rows march in two groups, of 17 and 16 (a group holds
+        # forcing node 3 the pair, which fails from step 1 on; 33 sets of
+        # 2 rows march in two groups, of 17 and 16 (a group holds
         # GROUP_SETS n = 48 rows), the failing one in the second
         coupling = 1e14
         sm = StateMatrices(
