@@ -24,7 +24,7 @@ from .ga import (
 )
 from .model import NodalModel, StateMatrices
 from .seriescsv import csv_blocks, row_numbers
-from .simulate import MeasurementSeries, WeatherSeries, initial_state, simulate
+from .simulate import MeasurementSeries, WeatherSeries, simulate
 
 __all__ = [
     "DiagnosisReport",
@@ -103,9 +103,10 @@ class ChromosomeEvaluator:
     Pure per chromosome: the same bit pattern always yields the same J,
     whatever else is in the list, so results are cached by pattern and each
     pattern is simulated once.  One call marches all its uncached patterns
-    together and scores them with one :func:`objective` of the stack of
-    their air series.  Of those series it keeps copies of two at most: the
-    empty set's, and that of the lowest set marched so far in
+    together, each from its own forced steady state, and scores them with
+    one :func:`objective` of the stack of their air series.  Of those
+    series it keeps copies of two at most: the empty set's, and that of
+    the lowest set marched so far in
     :func:`~thermodiag.ga.rank`'s order.  :meth:`air_series` returns
     those without a march and marches any other set on its own.
     """
@@ -121,9 +122,7 @@ class ChromosomeEvaluator:
         self.meas = meas
         self.air_node = air_node
         self.skip_steps = skip_steps
-        # every march starts from the same state, and every J compares
-        # with the same measured air series
-        self._T0 = initial_state(sm, weather.values[0])
+        # every J compares with the same measured air series
         self._meas_air = meas.node_series(air_node)[skip_steps:]
         self.chromosome_length = sm.n_nodes - 1
         self._cache: dict[tuple, float] = {}
@@ -155,7 +154,7 @@ class ChromosomeEvaluator:
     def _march(self, keys: list) -> np.ndarray:
         """The air series of the sets ``keys``, marched in one kernel call."""
         return simulate(self.sm, self.weather, [self._forcing(k) for k in keys],
-                        self.meas, self._T0, rows=(self.air_node,))[:, 0]
+                        self.meas, rows=(self.air_node,))[:, 0]
 
     def _key(self, chromosome) -> tuple:
         key = tuple(map(int, chromosome))

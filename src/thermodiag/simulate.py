@@ -18,6 +18,9 @@ march of the sub-model C alone, with its forced neighbours F as inputs:
 
     M_CC T_C,next = C_C/dt T_C,prev + K_C [U_next; T_F,next],   K_C = [B_C | A_CF]
 
+and it starts, unless given T0, from its forced steady state, solving
+``S T_C,0 = K_C [U_0; T_F,0]`` with S = -A_CC = M_CC - C_C/dt; a node with
+no path to a boundary temperature or a forced node has none, and is named.
 M_CC is constant over a run, so it is inverted once and the state term is
 folded into one propagator per forcing set:
 
@@ -64,27 +67,28 @@ block's measurements, are gathered once in that order, and the input
 term is one product of K_C with the block's weather and the series of
 every node forced in the group.  Every step's residual ``M_CC T - V``,
 V = W + C_C/dt T_prev, is checked against RESIDUAL_RTOL at once, T_prev
-being the reported state before it; the scale of a step is its own
-right-hand side, forced-neighbour terms included.  The block arrays are
-preallocated once for the largest group, and every block and every group
-reuse them, so they do not grow with the batch; each group's step
-matrices, and its sub-model masks, are its own, and every group writes
-its rows of one output array.  The last chunk of the horizon is padded
-with the last input record; the padding is marched and checked but
-neither judged nor kept.
+being the reported state before it; the scale of a step, and of the
+start, is its own right-hand side, forced-neighbour terms included.  The
+block arrays are preallocated once for the largest group, and every
+block and every group reuse them, so they do not grow with the batch;
+each group's step matrices, and its sub-model masks, are its own, and
+every group writes its rows of one output array.  The last chunk of the
+horizon is padded with the last input record; the padding is marched
+and checked but neither judged nor kept.
 
 What is bit-exact: forced asked rows are their measurements (they are
 copied from the series, never marched), a set's result is the same alone
-or in any batch (every array is stacked per set and each product runs per
-set, with shapes that do not depend on the batch), and a run is
-repeatable.  What is not: the march differs from a step-by-step solve,
-and from another chunk length, by round-off (about 1e-13 degC on the
-bundled cell), and so does a row's march from one ask to another: the
-sub-model, and so the bits, depend on which rows are asked (``rows=None``
-asks for all of them, and so marches every unforced node).  The evaluator
-always asks for the air row alone, so its J and the air series it holds
-or marches again agree bit for bit.  A run of one set is a batch of one,
-and every caller names the node rows it reads; only those are kept.
+or in any batch (every array is stacked per set and each product and
+solve runs per set, with shapes that do not depend on the batch), and a
+run is repeatable.  What is not: the march differs from a step-by-step
+solve, and from another chunk length, by round-off (about 1e-13 degC on
+the bundled cell), and so does a row's march from one ask to another:
+the sub-model, and so the bits, depend on which rows are asked
+(``rows=None`` asks for all of them, and so marches every unforced
+node).  The evaluator always asks for the air row alone, so its J and
+the air series it holds or marches again agree bit for bit.  A run of
+one set is a batch of one, and every caller names the node rows it
+reads; only those are kept.
 
 All functions are pure; concurrent calls on distinct inputs are safe.  One
 simulation is inherently sequential (each step depends on the previous state).
@@ -97,18 +101,20 @@ from datetime import datetime
 
 import numpy as np
 
-from .model import INPUT_CHANNELS, StateMatrices
+from .model import INPUT_CHANNELS, TEMPERATURE_CHANNELS, StateMatrices
 
 __all__ = [
     "SingularSystemError",
     "WeatherSeries",
     "MeasurementSeries",
     "simulate",
-    "initial_state",
 ]
 
 #: Relative residual bound for every linear solve.
 RESIDUAL_RTOL = 1e-9
+
+#: The input columns of the boundary temperatures.
+_TEMPERATURES = [INPUT_CHANNELS.index(ch) for ch in TEMPERATURE_CHANNELS]
 
 #: Time steps marched per block; every temporary of the march is a block
 #: long.
@@ -127,12 +133,6 @@ CHUNK_STEPS = 8
 #: propagator rows, so the block buffers and the step matrices do not grow
 #: with the batch, and a group holds as many sets of ceil(n/2) rows as fit.
 GROUP_SETS = 16
-
-
-def _block_steps(n_records: int) -> int:
-    """The block length of a march over ``n_records`` records."""
-    long = n_records >= LONG_BLOCKS * LONG_BLOCK_STEPS
-    return LONG_BLOCK_STEPS if long else BLOCK_STEPS
 
 
 class SingularSystemError(Exception):
@@ -212,36 +212,16 @@ class MeasurementSeries:
             raise KeyError(f"no measurement series for node {node_id}") from None
 
 
-def _check_forcing(forcing: frozenset, n: int, n_steps: int, dt: float,
-                   meas: MeasurementSeries | None) -> list[int]:
-    for node in forcing:
-        if not 1 <= node <= n:
-            raise ValueError(f"forced node {node} outside 1..{n}")
-    if forcing:
-        if meas is None:
-            raise ValueError("forcing requires a measurement series")
-        missing = sorted(forcing - meas.node_ids)
-        if missing:
-            raise ValueError(f"no measurement series for forced nodes {missing}")
-        if meas.n_samples != n_steps:
-            raise ValueError(
-                f"measurement length {meas.n_samples} != weather length {n_steps}")
-        if meas.dt != dt:
-            raise ValueError(f"measurement dt {meas.dt} != weather dt {dt}")
-    return sorted(forcing)
-
-
-def _check_step_scale(sm: StateMatrices, weather: WeatherSeries, T0, series) -> None:
-    """Reject a node whose C/dt term overflows before anything is marched.
+def _check_step_scale(sm: StateMatrices, weather: WeatherSeries, start, series) -> None:
+    """Reject a node whose C/dt term overflows before its group is marched.
 
     A step's right-hand side holds C/dt T_prev, so where C/dt times the
     largest temperature magnitude the march starts from or is driven by (the
-    initial state, the weather's temperatures, the forced measurements) is
-    not finite, the march would only produce inf and nan.
+    start, the weather's temperatures, the forced measurements) is not
+    finite, the march would only produce inf and nan.
     """
-    temperatures = weather.values[:, [INPUT_CHANNELS.index("T_ae"),
-                                      INPUT_CHANNELS.index("T_sky")]]
-    t_max = float(max(np.max(np.abs(T0)), np.max(np.abs(temperatures)),
+    temperatures = weather.values[:, _TEMPERATURES]
+    t_max = float(max(np.max(np.abs(start)), np.max(np.abs(temperatures)),
                       np.max(np.abs(series), initial=0.0)))
     with np.errstate(over="ignore", invalid="ignore"):
         scale = sm.capacity / weather.dt * t_max
@@ -252,6 +232,28 @@ def _check_step_scale(sm: StateMatrices, weather: WeatherSeries, T0, series) -> 
             f"node {node + 1}: capacity {float(sm.capacity[node])!r} J/K over "
             f"dt = {weather.dt!r} s, times the largest temperature magnitude "
             f"{t_max!r} °C, is not finite")
+
+
+def _check(M, T, V, MT, group, steps, limit):
+    """Hold each residual ``M T - V`` (M T into ``MT``, V overwritten) to
+    RESIDUAL_RTOL times its column's largest |V| or a normal float, naming
+    the first failing set of ``group`` at the first of its ``steps``, the
+    columns' steps, that fails; a step from ``limit`` on is not judged."""
+    scale = np.maximum(np.max(V, axis=1), -np.min(V, axis=1))
+    bound = RESIDUAL_RTOL * np.maximum(scale, np.finfo(float).tiny, out=scale)
+    np.matmul(M, T, out=MT)
+    V -= MT
+    residual = np.max(np.abs(V, out=V), axis=1)
+    # a state decayed to subnormals has no relative precision left, and a
+    # non-finite one gives a NaN or infinite residual and fails
+    failed = ~(residual <= bound) & (steps < limit)
+    if failed.any():
+        p = np.argmax(failed.any(axis=1))
+        at = np.argmin(np.where(failed[p], steps, limit))
+        raise SingularSystemError(
+            f"{'step' if steps[at] else 'start'} solve of set {group[p]} of the batch failed "
+            f"the residual check at step {steps[at]} ({residual[p, at]:.3e} > "
+            f"{bound[p, at]:.3e}); the system is singular or severely ill-conditioned")
 
 
 def _march_chunks(GW, Z, steps):
@@ -286,32 +288,43 @@ def _scan_ends(powers, start, ends, buf):
         ends[:, :, s:] += _chain(powers[k], ends[:, :, :c - s], back)
 
 
-def _sub_models(exchange, forced, asked):
+def _sub_models(sm, forced, asked, steady=False):
     """The (set, node index) masks of each set's sub-model for the ``asked``
     node indices, and of its forced nodes.
 
     A set's sub-model is its unforced nodes joined to an unforced asked
     node by a path of unforced nodes in the exchange graph, grown one
-    product at a time.
+    product at a time.  For a ``steady`` start, a set with a node that no
+    such path joins to a boundary temperature or a forced node is rejected.
     """
-    n = exchange.shape[0]
+    n = sm.n_nodes
+    sizes = np.fromiter(map(len, forced), dtype=np.intp, count=len(forced))
+    nodes = np.fromiter((node for f in forced for node in f), dtype=np.intp)
     forced_mask = np.zeros((len(forced), n), dtype=bool)
-    forced_mask.ravel()[[p * n + node - 1 for p, nodes in enumerate(forced)
-                         for node in nodes]] = True
+    forced_mask[np.repeat(np.arange(len(forced)), sizes), nodes - 1] = True
     free = ~forced_mask
-    linked = (exchange != 0.0).astype(float)
-    reach = np.zeros_like(free)
-    reach[:, asked] = True
+    linked = (sm.exchange != 0.0).astype(float)
+    # reach[1] (steady only): the nodes joined to a boundary or forced node
+    reach = np.zeros((1 + steady, len(forced), n), dtype=bool)
+    reach[0][:, asked] = True
+    reach[1:] = sm.input_coupling[:, _TEMPERATURES].any(axis=1) | (forced_mask @ linked > 0)
     reach &= free
     count = np.count_nonzero(reach)
     while True:
         reach |= (reach @ linked > 0.0) & free
         count, last = np.count_nonzero(reach), count
         if count == last:
-            return reach, forced_mask
+            break
+    floating = reach[0] & ~reach[-1]
+    if floating.any():
+        p = np.argmax(floating.any(axis=1))
+        nodes = ", ".join(map(str, np.flatnonzero(floating[p]) + 1))
+        raise ValueError(f"set {p} of the batch: nodes {nodes} reach no boundary temperature "
+                         f"and no forced node, so their steady state is singular")
+    return reach[0], forced_mask
 
 
-def _plan(exchange, forced, asked):
+def _plan(sm, forced, asked, steady):
     """The groups to march the sets ``forced`` in, for the ``asked`` node
     indices, and the (set, asked row) pairs whose node is forced.
 
@@ -321,8 +334,8 @@ def _plan(exchange, forced, asked):
     at most GROUP_SETS n propagator rows, split evenly in batch order, and
     m.  The groups come in the order of their first set.
     """
-    n = exchange.shape[0]
-    reach, forced_mask = _sub_models(exchange, forced, asked)
+    n = sm.n_nodes
+    reach, forced_mask = _sub_models(sm, forced, asked, steady)
     size = reach.sum(axis=1)
     half = -(-n // 2)
     groups = []
@@ -343,9 +356,10 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
 
     Returns an array of shape ``(len(forcings), len(rows), n_records)``:
     per forcing set, the temperatures of the node ids in ``rows`` (all
-    nodes by default, in id order), column 0 being the initial state.
+    nodes by default, in id order), column 0 being the start: ``T0``, or
+    by default each set's forced steady state under the first records.
     Forced rows hold their measurement at every column, including the
-    initial one, so they reproduce the measurement series exactly.  A
+    first, so they reproduce the measurement series exactly.  A
     set's result is bit-identical whatever else is in the batch, but a
     row's bits may depend on which rows are asked for: a set is marched
     on the sub-model of its asked rows, so ``rows=None`` marches every
@@ -361,49 +375,60 @@ def simulate(sm: StateMatrices, weather: WeatherSeries, forcings=(frozenset(),),
     """
     n = sm.n_nodes
     n_steps = weather.n_records
-    forced = [_check_forcing(frozenset(f), n, n_steps, weather.dt, meas) for f in forcings]
+    forced = [sorted(frozenset(f)) for f in forcings]
     n_sets = len(forced)
+    measured = sorted({node for nodes in forced for node in nodes})
+    for node in measured[:1] + measured[-1:]:
+        if not 1 <= node <= n:
+            raise ValueError(f"forced node {node} outside 1..{n}")
+    if measured:
+        if meas is None:
+            raise ValueError("forcing requires a measurement series")
+        missing = sorted(set(measured) - meas.node_ids)
+        if missing:
+            raise ValueError(f"no measurement series for forced nodes {missing}")
+        if meas.n_samples != n_steps:
+            raise ValueError(
+                f"measurement length {meas.n_samples} != weather length {n_steps}")
+        if meas.dt != weather.dt:
+            raise ValueError(f"measurement dt {meas.dt} != weather dt {weather.dt}")
     for node in () if rows is None else rows:
         if not 1 <= node <= n:
             raise ValueError(f"row node {node} outside 1..{n}")
     asked = np.arange(n) if rows is None else np.asarray(rows, dtype=int) - 1
 
-    if T0 is None:
-        T0 = initial_state(sm, weather.values[0])
-    T0 = np.asarray(T0, dtype=float)
-    if T0.shape != (n,) or not np.all(np.isfinite(T0)):
-        raise ValueError(f"initial state must be finite with shape ({n},)")
+    if T0 is not None:
+        T0 = np.asarray(T0, dtype=float)
+        if T0.shape != (n,) or not np.all(np.isfinite(T0)):
+            raise ValueError(f"initial state must be finite with shape ({n},)")
 
     # the measured series of the forced nodes only, so an unforced run
     # allocates none over the horizon
-    measured = sorted({node for nodes in forced for node in nodes})
     series = np.array([meas.node_series(node) for node in measured]).reshape(-1, n_steps)
-    _check_step_scale(sm, weather, T0, series)
-    step = np.diag(sm.capacity / weather.dt) - sm.exchange
-    isolated = np.flatnonzero(~step.any(axis=1))
+    isolated = np.flatnonzero((sm.capacity == 0.0) & ~sm.exchange.any(axis=1))
     if isolated.size:
         raise SingularSystemError(f"node {isolated[0] + 1} has neither capacity nor a link, "
                                   f"so the step matrix is singular")
 
     # the groups, and the block buffers of the largest one, which every
     # group reuses; out has room for the padding
-    groups, (forced_set, forced_row) = _plan(sm.exchange, forced, asked)
+    groups, (forced_set, forced_row) = _plan(sm, forced, asked, T0 is None)
     q = CHUNK_STEPS
-    block = _block_steps(n_steps)
+    block = LONG_BLOCK_STEPS if n_steps >= LONG_BLOCKS * LONG_BLOCK_STEPS else BLOCK_STEPS
     width = max((group.size * m for group, m in groups), default=0)
     Z_buf = np.empty(width * 2 * (q + 1) * (block // q))
     V_buf = np.empty(width * block)
     out = np.empty((n_sets, asked.size, 1 + -(-(n_steps - 1) // q) * q))
     for group, m in groups:
-        _march_group(sm, weather, step, [forced[p] for p in group], m, measured, series,
-                     T0, asked, out, group, Z_buf, V_buf, block)
+        _march_group(sm, weather, [forced[p] for p in group], m, measured, series, T0,
+                     asked, out, group, Z_buf, V_buf, block)
     # forced asked rows are their measurements
     out[forced_set, forced_row, :n_steps] = series[
         np.searchsorted(measured, asked[forced_row] + 1)]
     return out[:, :, :n_steps]
 
 
-def _march_group(sm, weather, step, forced, m, measured, series, T0, asked, out, group,
+def _march_group(sm, weather, forced, m, measured, series, T0, asked, out, group,
                  Z_buf, V_buf, block):
     """March one group of forcing sets over blocks of ``block`` steps, in
     the block buffers given, into their rows ``group`` of ``out``, the
@@ -411,7 +436,7 @@ def _march_group(sm, weather, step, forced, m, measured, series, T0, asked, out,
 
     Each set marches its sub-model's nodes in id order, padded to ``m``
     rows, and its forced nodes enter as inputs; the rows of forced asked
-    nodes are left for the caller.  ``step`` is the whole network's M.
+    nodes are left for the caller.
     """
     n_steps = weather.n_records
     n_in = len(INPUT_CHANNELS)
@@ -419,14 +444,14 @@ def _march_group(sm, weather, step, forced, m, measured, series, T0, asked, out,
     n_sets = group.size
     # the group's own masks, so that no mask of the whole batch is held
     # through the march
-    sub, inputs = _sub_models(sm.exchange, forced, asked)
+    sub, inputs = _sub_models(sm, forced, asked)
     # the sub-model's nodes in id order, then padding rows: identity rows of
-    # M with no state or input term, so their state stays 0
+    # M with no state or input term, so their state stays 0.  M holds
+    # S = 0 - A_CC first, the steady state's matrix, whose zeros are +0
     order = np.argsort(~sub, axis=1, kind="stable")[:, :m]
     real = np.arange(m) < sub.sum(axis=1, keepdims=True)
     M = np.where(real[:, :, None] & real[:, None, :],
-                 step[order[:, :, None], order[:, None, :]], np.eye(m))
-    d = np.where(real, sm.capacity[order] / weather.dt, 0.0)
+                 0.0 - sm.exchange[order[:, :, None], order[:, None, :]], np.eye(m))
     # K_C = [B_C | A_CF]: the input term's coupling to the weather and to
     # the series of each node the group forces, nonzero for the forced
     # neighbours only
@@ -437,6 +462,22 @@ def _march_group(sm, weather, step, forced, m, measured, series, T0, asked, out,
     K[:, :, n_in:] = np.where(inputs[:, None, cols], K[:, :, n_in:], 0.0)
     # the state row of each asked node (a forced one's is any row)
     rows_of = (np.arange(n_sets)[:, None], np.cumsum(sub, axis=1)[:, asked] - 1)
+    if T0 is None:
+        # each set's forced steady state, the forced values entering as A v,
+        # v holding them by node: a product of inner length n whatever the
+        # group forces, so that a set's bits do not depend on its batch
+        v = np.zeros(inputs.shape + (1,))
+        v[inputs, 0] = series[np.searchsorted(measured, np.nonzero(inputs)[1] + 1), 0]
+        rhs = np.where(real[:, :, None], (sm.input_coupling @ weather.values[0])[order, None]
+                       + (sm.exchange @ v)[rows_of[0], order], 0.0)
+        start = np.linalg.solve(M, rhs)
+        _check(M, start, rhs, np.empty_like(rhs), group, np.zeros(1, dtype=int), 1)
+    else:
+        start = np.where(real, T0[order], 0.0)[:, :, None]
+    _check_step_scale(sm, weather, start, series)
+    # M_CC = S + diag(C_C/dt), of the same bits as C/dt - A
+    d = np.where(real, sm.capacity[order] / weather.dt, 0.0)
+    M.reshape(n_sets, -1)[:, ::m + 1] += d
 
     # the step T_next = G T + M^-1 W as one product [G | M^-1] [T; W]
     GW = np.empty((n_sets, m, 2 * m))
@@ -460,9 +501,7 @@ def _march_group(sm, weather, step, forced, m, measured, series, T0, asked, out,
     # out like W but contiguous, and earlier in the block the scan's products;
     # ``start`` holds the block's start.  ``kept`` is out's marched columns
     # split into chunks.
-    start = np.empty((n_sets, m, 1))
     step_of = np.arange(block).reshape(-1, q).T
-    start[:, :, 0] = np.where(real, T0[order], 0.0)
     out[sets, :, 0] = start[rows_of][:, :, 0]
     kept = out[:, :, 1:].reshape(out.shape[0], out.shape[1], -1, q)
     for k0 in range(1, n_steps, block):
@@ -493,48 +532,9 @@ def _march_group(sm, weather, step, forced, m, measured, series, T0, asked, out,
         np.multiply(X[:, :, :q], d, out=V4)
         V4 += W
         V = V4.reshape(n_sets, m, -1)
-        # relative to the largest |V| (max V or -min V, so V is kept), but
-        # never to less than a normal float: a state decayed to subnormals
-        # has no relative precision left
-        scale = np.maximum(np.max(V, axis=1), -np.min(V, axis=1))
-        bound = RESIDUAL_RTOL * np.maximum(scale, np.finfo(float).tiny, out=scale)
-        # the residuals M T - V, of flipped sign: M T in W's place, which
-        # the march is done with, then V - M T in V's
-        np.matmul(M, X[:, :, 1:].reshape(V.shape), out=W.reshape(V.shape))
-        V4 -= W
-        residual = np.max(np.abs(V, out=V), axis=1)
-        # T0 and the inputs are finite, and so is the bound; a non-finite
-        # state gives a NaN or infinite residual and fails
-        failed = ~(residual <= bound)
-        # the checks in step order, without the padding
-        failed = failed.reshape(n_sets, q, c).transpose(0, 2, 1).reshape(n_sets, -1)[:, :b]
-        if failed.any():
-            # the first failing set of the group, at its first failing step
-            p, k = np.unravel_index(np.argmax(failed), failed.shape)
-            at = k % q * c + k // q
-            raise SingularSystemError(
-                f"step solve of set {group[p]} of the batch failed the residual check at "
-                f"step {k0 + k} ({residual[p, at]:.3e} > {bound[p, at]:.3e}); the system "
-                f"is singular or severely ill-conditioned")
+        # M T in W's place, which the march is done with
+        _check(M, X[:, :, 1:].reshape(V.shape), V, W.reshape(V.shape), group,
+               (k0 + step_of[:, :c]).ravel(), n_steps)
         j0 = (k0 - 1) // q
         kept[sets, :, j0:j0 + c] = X[rows_of][:, :, 1:].transpose(0, 1, 3, 2)
         start[...] = X[:, :, q, c - 1:]
-
-
-def initial_state(sm: StateMatrices, U_0: np.ndarray) -> np.ndarray:
-    """Steady state under the first input record, as a warm start.
-
-    Solves ``exchange * T = -input_coupling * U_0``.  If the exchange matrix
-    is singular (isolated nodes, degenerate meshes), falls back to a uniform
-    field at the initial ambient temperature.
-    """
-    U_0 = np.asarray(U_0, dtype=float)
-    rhs = -(sm.input_coupling @ U_0)
-    try:
-        T = np.linalg.solve(sm.exchange, rhs)
-        if np.all(np.isfinite(T)):
-            return T
-    except np.linalg.LinAlgError:
-        pass
-    t_ae = U_0[INPUT_CHANNELS.index("T_ae")]
-    return np.full(sm.n_nodes, t_ae)

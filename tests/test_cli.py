@@ -1053,6 +1053,33 @@ class TestMainSimulate:
         assert err.startswith("error: node 23: capacity 1e+305 J/K over dt = 0.001 s")
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("cut,nodes", [
+        pytest.param(None, range(1, 24), id="every-boundary"),
+        pytest.param("door", (15, 16), id="door-cut-loose"),
+    ])
+    def test_building_without_a_boundary_exits_2(self, tmp_path, capsys, building_text,
+                                                 cut, nodes):
+        # no outside convection, no sky radiation and no ventilation, so the
+        # cell links to no boundary temperature; or the door also without
+        # inside films, so it links to nothing else: neither has a steady
+        # state to start from
+        if cut is None:
+            text = re.sub(r"(?m)^(h_ce|h_re) = .*$", r"\1 = 0.0", building_text)
+            text = re.sub(r"(?m)^ventilation_flow = .*$", "ventilation_flow = 0.0", text)
+        else:
+            head, door = building_text.split(f"[component {cut}]\n")
+            door, tail = door.split("\n\n", 1)
+            door = re.sub(r"(?m)^(h_c[ie]|h_r[ie]) = .*$", r"\1 = 0.0", door)
+            text = f"{head}[component {cut}]\n{door}\n\n{tail}"
+        bpath = write_tmp(tmp_path, "unanchored.building", text)
+        rc = main(["simulate", "--building", bpath, "--weather", f"{DATA}/example_weather.csv",
+                   "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: set 0 of the batch: nodes {', '.join(map(str, nodes))} "
+                              f"reach no boundary temperature and no forced node")
+        assert not (tmp_path / "sim").exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["simulate",
                    "--building", "no_such_file.building",
@@ -1085,6 +1112,16 @@ class TestMainDiagnose:
         assert "16" in node.split()
         assert "16" in re.search(
             r"(?m)^oracle_best_set = (.*)$", kv).group(1).split()
+
+    def test_forcing_the_door_removes_the_disagreement(self, tmp_path, capsys):
+        # each set starts from its own forced steady state, so forcing the
+        # defective door's inside surface leaves J at round-off
+        rc, out = self.run(tmp_path, "diag")
+        assert rc == 0
+        kv = dict(line.split(" = ", 1)
+                  for line in (out / "report.kv").read_text().splitlines())
+        assert float(kv["J_node_16"]) < 1e-20
+        assert kv["J_unforced"] == repr(5.049689436655917)
 
     def test_two_runs_byte_identical(self, tmp_path, capsys):
         _, a = self.run(tmp_path, "a")

@@ -35,7 +35,6 @@ from thermodiag.simulate import (
     MeasurementSeries,
     SingularSystemError,
     WeatherSeries,
-    initial_state,
     simulate,
 )
 from thermodiag.testcell import default_measured_nodes, example_cell, synthetic_weather
@@ -62,6 +61,11 @@ def cell_setup():
 
 def march(sm, weather, T0, forcing=frozenset(), meas=None):
     return simulate(sm, weather, [forcing], meas, T0)[0]
+
+
+def steady_state(sm, u):
+    """The unforced steady state under the input record ``u``, by a dense solve."""
+    return np.linalg.solve(sm.exchange, -(sm.input_coupling @ u))
 
 
 def reference_step(sm, dt, T_prev, u, forced=None):
@@ -142,7 +146,7 @@ class TestApplyForcing:
         # forcing a node with the series the unforced model produces is a no-op
         model, sm = cell_setup()
         weather = synthetic_weather(days=1)
-        T0 = initial_state(sm, weather.values[0])
+        T0 = steady_state(sm, weather.values[0])
         free = march(sm, weather, T0)
         meas = MeasurementSeries(dt=weather.dt, series={3: free[2]})
         assert march(sm, weather, T0, {3}, meas) == pytest.approx(free, abs=1e-9)
@@ -344,7 +348,7 @@ class TestBatchKernel:
         model, sm, weather, meas = measured_cell(days=1)
         rng = np.random.default_rng(13)
         sets = random_sets(rng, 6)
-        T0 = initial_state(sm, weather.values[0])
+        T0 = steady_state(sm, weather.values[0])
         batch = simulate(sm, weather, sets, meas, T0)
         for values, forcing in zip(batch, sets):
             T = T0.copy()
@@ -697,7 +701,7 @@ class TestRandomBuildings:
         # any start to the steady state within a few dozen steps
         sm = assemble(build_mesh(desc), desc)
         weather = WeatherSeries(dt=1e9, values=np.tile(u, (60, 1)))
-        steady = initial_state(sm, weather.values[0])
+        steady = steady_state(sm, weather.values[0])
         T = march(sm, weather, steady + offset)
         assert T[:, -1] == pytest.approx(steady, abs=1e-6)
 
@@ -725,7 +729,7 @@ class TestKernelAgainstDenseSolve:
             node: rng.uniform(10.0, 30.0, n_records) for node in range(1, n + 1)})
         sets = [frozenset(int(k) + 1 for k in np.flatnonzero(rng.random(n) < p))
                 for p in (0.0, 0.3, 0.6)]
-        T0 = initial_state(sm, weather.values[0])
+        T0 = steady_state(sm, weather.values[0])
         batch = simulate(sm, weather, sets, meas, T0)
         for values, forcing in zip(batch, sets):
             assert np.array_equal(values, simulate(sm, weather, [forcing], meas, T0)[0])
@@ -780,7 +784,7 @@ class TestSubModelMarch:
         others = [node for node in range(1, n + 1) if node != model.air_node]
         sets = [frozenset(int(node) for node in rng.choice(
             others, int(rng.integers(n - half, n)), replace=False)) for _ in range(3)]
-        T0 = initial_state(sm, weather.values[0])
+        T0 = steady_state(sm, weather.values[0])
         air = simulate(sm, weather, sets, meas, T0, rows=(model.air_node,))
         for values, forcing in zip(air, sets):
             T = T0.copy()
@@ -889,25 +893,14 @@ class TestSubModelMarch:
 
 
 class TestInitialState:
-    def test_zero_input_falls_back_to_uniform_ambient(self):
-        # all-zero exchange matrix is singular, so the fallback applies
-        sm = StateMatrices(
-            capacity=np.array([100.0, 50.0]),
-            exchange=np.zeros((2, 2)),
-            input_coupling=np.zeros((2, len(INPUT_CHANNELS))),
-        )
-        u = np.zeros(len(INPUT_CHANNELS))
-        u[0] = 17.5
-        assert np.array_equal(initial_state(sm, u), [17.5, 17.5])
-
     def test_constant_input_gives_fixed_point_of_step(self):
         _, sm = cell_setup()
         u = np.zeros(len(INPUT_CHANNELS))
         u[0], u[1], u[2] = 30.0, 20.0, 100.0
-        T = initial_state(sm, u)
         weather = WeatherSeries(dt=900.0, values=np.tile(u, (10, 1)))
-        traj = march(sm, weather, T)
-        assert traj == pytest.approx(np.tile(T[:, None], (1, 10)), abs=1e-9)
+        [traj] = simulate(sm, weather)
+        assert traj[:, 0] == pytest.approx(steady_state(sm, u), abs=1e-12)
+        assert traj == pytest.approx(np.tile(traj[:, :1], (1, 10)), abs=1e-9)
 
     def test_symmetric_two_boundary_ladder_by_hand(self):
         # node1 -G- ambient, node1 -K- node2, node2 -G- sky:
@@ -918,9 +911,100 @@ class TestInitialState:
         coupling[1, 1] = 2.0  # T_sky
         sm = StateMatrices(capacity=np.array([10.0, 10.0]),
                            exchange=exchange, input_coupling=coupling)
-        u = np.zeros(len(INPUT_CHANNELS))
-        u[0], u[1] = 30.0, 10.0
-        assert initial_state(sm, u) == pytest.approx([25.0, 15.0])
+        [T] = simulate(sm, constant_weather(30.0, 2, t_sky=10.0))
+        assert T[:, 0] == pytest.approx([25.0, 15.0])
+
+
+class TestForcedStart:
+    """With no T0, every set starts from its own forced steady state:
+    ``exchange T = -input_coupling U_0`` on its free rows, its forced rows
+    at their measurements."""
+
+    @staticmethod
+    def draw(desc, seed, n_records=3):
+        sm = assemble(build_mesh(desc), desc)
+        rng = np.random.default_rng(seed)
+        values = np.column_stack([rng.uniform(-10.0, 35.0, n_records),
+                                  rng.uniform(-20.0, 30.0, n_records),
+                                  rng.uniform(0.0, 800.0, (n_records, len(INPUT_CHANNELS) - 2))])
+        weather = WeatherSeries(dt=900.0, values=values)
+        meas = MeasurementSeries(dt=900.0, series={
+            node: rng.uniform(10.0, 30.0, n_records) for node in range(1, sm.n_nodes + 1)})
+        sets = [frozenset(int(k) + 1 for k in np.flatnonzero(rng.random(sm.n_nodes) < p))
+                for p in (0.0, 0.2, 0.4, 0.6)]
+        return sm, weather, meas, sets
+
+    @settings(max_examples=30, deadline=None)
+    @given(desc=small_buildings, seed=st.integers(0, 2**32 - 1))
+    def test_column_0_is_each_sets_forced_steady_state(self, desc, seed):
+        sm, weather, meas, sets = self.draw(desc, seed)
+        for values, forcing in zip(simulate(sm, weather, sets, meas), sets):
+            # the steady state of the whole network, forced rows pinned
+            S = sm.exchange.copy()
+            rhs = -(sm.input_coupling @ weather.values[0])
+            for node in forcing:
+                S[node - 1] = 0.0
+                S[node - 1, node - 1] = 1.0
+                rhs[node - 1] = meas.node_series(node)[0]
+            expected = np.linalg.solve(S, rhs)
+            free = [i for i in range(sm.n_nodes) if i + 1 not in forcing]
+            error = np.abs(values[free, 0] - expected[free])
+            assert np.max(error, initial=0.0) <= 1e-9 * np.max(np.abs(expected[free]),
+                                                               initial=0.0)
+            for node in forcing:
+                assert values[node - 1, 0].hex() == meas.node_series(node)[0].hex()
+
+    @settings(max_examples=30, deadline=None)
+    @given(desc=small_buildings, seed=st.integers(0, 2**32 - 1))
+    def test_each_set_gives_its_solo_bits_in_a_mixed_batch(self, desc, seed):
+        sm, weather, meas, sets = self.draw(desc, seed)
+        air = build_mesh(desc).air_node
+        mixed = sets + [frozenset(range(1, sm.n_nodes + 1)) - {air}] + sets[::-1]
+        for rows in (None, (air,)):
+            batch = simulate(sm, weather, mixed, meas, rows=rows)
+            for values, forcing in zip(batch, mixed):
+                alone = simulate(sm, weather, [forcing], meas, rows=rows)[0]
+                assert values.tobytes() == alone.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(desc=small_buildings, seed=st.integers(0, 2**32 - 1))
+    def test_empty_set_starts_from_the_dense_steady_state(self, desc, seed):
+        sm, weather, _, _ = self.draw(desc, seed)
+        [values] = simulate(sm, weather)
+        expected = np.linalg.solve(sm.exchange, -(sm.input_coupling @ weather.values[0]))
+        assert list(map(float.hex, values[:, 0])) == list(map(float.hex, expected))
+
+    def test_sub_model_without_a_boundary_named(self):
+        # node 1 couples to ambient, nodes 2 and 3 only to each other: they
+        # have no steady state until one of them is forced
+        sm = StateMatrices(
+            capacity=np.array([10.0, 10.0, 10.0]),
+            exchange=np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]]),
+            input_coupling=np.eye(3, len(INPUT_CHANNELS)) * [[1.0], [0.0], [0.0]],
+        )
+        weather = constant_weather(20.0, 3, dt=10.0)
+        meas = MeasurementSeries(dt=10.0, series={2: np.full(3, 25.0)})
+        with pytest.raises(ValueError,
+                           match=r"set 1 of the batch: nodes 2, 3 reach no boundary"):
+            simulate(sm, weather, [{2}, set()], meas)
+        [T] = simulate(sm, weather, [{2}], meas)
+        assert T[:, 0] == pytest.approx([20.0, 25.0, 25.0])
+        # a given start needs no steady state
+        simulate(sm, weather, T0=np.array([20.0, 21.0, 22.0]))
+
+    def test_ill_conditioned_start_fails_the_residual_check(self):
+        # the 1e14 W/K pair: -A has cond ~1e14, which np.linalg.solve
+        # accepts, but its solution misses the residual bound
+        coupling = 1e14
+        sm = StateMatrices(
+            capacity=np.array([10.0, 10.0]),
+            exchange=np.array([[-coupling - 1.0, coupling], [coupling, -coupling - 1.0]]),
+            input_coupling=np.eye(2, len(INPUT_CHANNELS)),
+        )
+        weather = constant_weather(20.0, 5, dt=10.0, t_sky=5.0)
+        with pytest.raises(SingularSystemError,
+                           match=r"start solve of set 0 of the batch failed the residual"):
+            simulate(sm, weather)
 
 
 class TestSeriesValidation:
